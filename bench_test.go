@@ -187,13 +187,20 @@ func BenchmarkSolveCommonRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveAgreeableDP times the §5.2 dynamic program on 12 tasks
-// (the DP is O(n⁵)-ish with the numeric local solver).
-func BenchmarkSolveAgreeableDP(b *testing.B) {
+// BenchmarkSolveAgreeableDP times the §5.2 dynamic program on 12 tasks:
+// O(n²) block solves, each a handful of closed-form subgradient
+// evaluations over the block's boundary tasks.
+func BenchmarkSolveAgreeableDP(b *testing.B) { benchAgreeableDP(b, 12) }
+
+// BenchmarkSolveAgreeableDP50 is the same chain of overlapping tasks at
+// n = 50.
+func BenchmarkSolveAgreeableDP50(b *testing.B) { benchAgreeableDP(b, 50) }
+
+func benchAgreeableDP(b *testing.B, n int) {
 	sys := DefaultSystem()
 	sys.Core.BreakEven = 0
 	sys.Memory.BreakEven = 0
-	tasks := make(TaskSet, 12)
+	tasks := make(TaskSet, n)
 	var rel float64
 	for i := range tasks {
 		rel += Milliseconds(15)

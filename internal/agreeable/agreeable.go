@@ -17,10 +17,11 @@
 //
 //	E(s', e') = α_m·(e' − s') + Σ_k coreE_k(avail_k)
 //
-// is jointly convex, so a nested golden-section search over the (s', e')
-// box finds the exact optimum that the (i, j)/Algorithm-1 scheme
-// converges to. The literal (i, j) enumeration is retained in
-// BlockCostPairs as an independent cross-check used by the tests.
+// is jointly convex, and its subgradient has a closed form through the
+// critical speeds (block.go). Root finding on that subgradient gives the
+// exact optimum that the (i, j)/Algorithm-1 scheme converges to. The
+// tests keep the nested golden-section search over E, the literal (i, j)
+// enumeration and Algorithm 1 as independent oracles.
 package agreeable
 
 import (
@@ -37,8 +38,8 @@ import (
 )
 
 // relTol is the package's relative speed/feasibility tolerance; it matches
-// schedule.Tol (1e-9) by value. The 2-D searches and their convergence
-// checks run on the tighter derived scales relTol/100 and relTol/1000.
+// schedule.Tol (1e-9) by value. The block root finding runs on the tighter
+// derived scale relTol/1000.
 const relTol = 1e-9
 
 // ErrNotAgreeable is returned when the task set violates the
@@ -85,14 +86,23 @@ type solver struct {
 	start float64 // min release
 	end   float64 // max deadline
 	mode  mode
-	// stretched[k] is true in overhead mode when task k's core cannot
-	// profitably sleep (its idle tail would be shorter than ξ), so it
-	// stretches to fill its available window (constrained critical speed
-	// semantics of §7).
-	stretched []bool
-	tel       *telemetry.Recorder
-	// ctx, when non-nil, is polled at DP row boundaries so a caller's
-	// deadline budget can abandon an expensive solve cooperatively.
+	// static[k] is the core static power task k pays while it runs: zero
+	// in α = 0 mode, and zero in overhead mode when task k's core cannot
+	// profitably sleep (its idle tail would be shorter than ξ), so its
+	// static power is sunk and it stretches to fill its available window
+	// (constrained critical speed semantics of §7).
+	static []float64
+	// minAvail[k] is the shortest window task k fits in at s_up.
+	minAvail []float64
+	// fullPrefix[k] sums the core energies of tasks [0..k) run in their
+	// full release-to-deadline windows.
+	fullPrefix []float64
+	// dynSlope is β·(λ−1), the coefficient of the closed-form slope.
+	dynSlope float64
+	tel      *telemetry.Recorder
+	// ctx, when non-nil, is polled at DP row boundaries and at the start
+	// of every block solve so a caller's deadline budget can abandon an
+	// expensive solve cooperatively.
 	ctx context.Context
 }
 
@@ -130,16 +140,29 @@ func newSolver(tasks task.Set, sys power.System, m mode) (*solver, error) {
 		}
 		s.tasks = append(s.tasks, t)
 	}
-	if m == modeOverhead {
-		horizon := s.end - s.start
-		s.stretched = make([]bool, len(s.tasks))
-		for k, t := range s.tasks {
-			sc := s.sys.Core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon)
-			s0 := s.sys.Core.CriticalSpeed(t.FilledSpeed())
+	core := s.sys.Core
+	s.dynSlope = core.Beta * (core.Lambda - 1)
+	s.static = make([]float64, len(s.tasks))
+	s.minAvail = make([]float64, len(s.tasks))
+	s.fullPrefix = make([]float64, len(s.tasks)+1)
+	horizon := s.end - s.start
+	for k, t := range s.tasks {
+		s.static[k] = core.Static
+		if m == modeOverhead {
+			sc := core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon)
+			s0 := core.CriticalSpeed(t.FilledSpeed())
 			// ConstrainedCriticalSpeed returns the filled speed when the
 			// idle tail left by racing is below the core break-even.
-			s.stretched[k] = sc < s0-(relTol/1000)*s0
+			if sc < s0-(relTol/1000)*s0 {
+				s.static[k] = 0
+			}
 		}
+		if core.SpeedMax > 0 {
+			// A task whose window is tight to within relTol keeps it.
+			s.minAvail[k] = math.Min(t.Workload/core.SpeedMax, t.Window())
+		}
+		e, _ := s.coreEnergy(k, t.Window())
+		s.fullPrefix[k+1] = s.fullPrefix[k] + e
 	}
 	return s, nil
 }
@@ -164,66 +187,15 @@ func (s *solver) coreEnergy(k int, avail float64) (float64, float64) {
 			filled = s.sys.Core.SpeedMax
 		}
 	}
-	core := s.sys.Core
-	var speed float64
-	switch {
-	case s.mode == modeAlphaZero:
-		speed = filled
-	case s.mode == modeOverhead && s.stretched[k]:
-		// The core cannot sleep: its static power is sunk, so only the
-		// dynamic term matters and stretching is optimal.
-		speed = filled
-	default:
-		speed = core.CriticalSpeed(filled)
+	// With no static power to pay (α = 0, or a §7 core that cannot sleep)
+	// only the dynamic term matters and stretching is optimal.
+	speed := filled
+	if s.static[k] > 0 {
+		speed = s.sys.Core.CriticalSpeed(filled)
 	}
 	exec := w / speed
-	e := core.Dynamic(speed) * exec
-	if s.mode != modeAlphaZero && !(s.mode == modeOverhead && s.stretched[k]) {
-		e += core.Static * exec
-	}
+	e := s.sys.Core.Dynamic(speed)*exec + s.static[k]*exec
 	return e, speed
-}
-
-// blockEnergy evaluates the block-local objective for tasks [from..to]
-// with busy interval [bs, be]. It is the innermost kernel of the O(n²)
-// block DP: every 2-D golden-section probe lands here.
-//
-//sdem:hotpath
-func (s *solver) blockEnergy(from, to int, bs, be float64) float64 {
-	s.tel.Count("sdem.solver.agr.objective_evals", 1)
-	if be <= bs {
-		return math.Inf(1)
-	}
-	e := s.sys.Memory.Static * (be - bs)
-	for k := from; k <= to; k++ {
-		t := s.tasks[k]
-		avail := math.Min(t.Deadline, be) - math.Max(t.Release, bs)
-		ce, _ := s.coreEnergy(k, avail)
-		if math.IsInf(ce, 1) {
-			return math.Inf(1)
-		}
-		e += ce
-	}
-	return e
-}
-
-// blockSolve finds the optimal busy interval for tasks [from..to] by 2-D
-// convex minimization over (s', e'). The DP memoizes it per (from, to),
-// but that is still O(n²) solves per scheme.
-//
-//sdem:hotpath
-func (s *solver) blockSolve(from, to int) Block {
-	s.tel.Count("sdem.solver.agr.block_solves", 1)
-	first, last := s.tasks[from], s.tasks[to]
-	box := numeric.Box{
-		X0: first.Release, X1: first.Deadline,
-		Y0: last.Release, Y1: last.Deadline,
-	}
-	//lint:allow hotalloc: the objective closure allocates once per block solve and is amortized over its ~10³ 2-D probes
-	bs, be, cost := numeric.MinimizeConvex2D(func(x, y float64) float64 {
-		return s.blockEnergy(from, to, x, y)
-	}, box, relTol/1000)
-	return Block{From: from, To: to, BusyStart: bs, BusyEnd: be, Cost: cost}
 }
 
 // dp runs the prefix dynamic program of §5.1.2/§5.2.2 and returns the
@@ -234,26 +206,24 @@ func (s *solver) dp(blockExtra float64) []Block {
 	if n == 0 {
 		return nil
 	}
-	// Memoized block costs.
-	blocks := make([][]Block, n)
+	// Memoized block costs, row-major by (first, last) task.
+	blocks := make([]Block, n*n)
 	for i := range blocks {
-		blocks[i] = make([]Block, n)
-		for j := range blocks[i] {
-			blocks[i][j].Cost = math.NaN()
-		}
+		blocks[i].Cost = math.NaN()
 	}
 	get := func(i, j int) Block {
-		if math.IsNaN(blocks[i][j].Cost) {
-			blocks[i][j] = s.blockSolve(i, j)
+		if b := &blocks[i*n+j]; math.IsNaN(b.Cost) {
+			*b = s.blockSolve(i, j)
 		}
-		return blocks[i][j]
+		return blocks[i*n+j]
 	}
 	opt := make([]float64, n+1)
 	choice := make([]int, n+1)
 	for q := 1; q <= n; q++ {
-		// Cooperative cancellation checkpoint: one poll per DP row keeps
-		// the overhead off the O(n²) cell loop while bounding the work
-		// after cancellation to a single row of cheap memo lookups.
+		// Cooperative cancellation checkpoint: one poll per DP row, plus
+		// one per block solve (blockSolve), bounds the work after
+		// cancellation to a single block solve and a row of cheap memo
+		// lookups.
 		if s.ctx != nil && s.ctx.Err() != nil {
 			return nil // solve surfaces the context error
 		}

@@ -1,6 +1,8 @@
 package agreeable
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"sdem/internal/power"
 	"sdem/internal/schedule"
 	"sdem/internal/task"
+	"sdem/internal/telemetry"
 )
 
 func testSystem() power.System {
@@ -173,8 +176,8 @@ func TestBlockSolverAgreesWithPairEnumeration(t *testing.T) {
 		}
 		blk := s.blockSolve(0, len(s.tasks)-1)
 		ref := BlockCostPairs(s.tasks, sys)
-		if !almost(blk.Cost, ref, 1e-6) {
-			t.Errorf("seed %d: convex block %.9g != pair enumeration %.9g", seed, blk.Cost, ref)
+		if !almost(blk.Cost, ref, 1e-9) {
+			t.Errorf("seed %d: block solver %.12g != pair enumeration %.12g", seed, blk.Cost, ref)
 		}
 	}
 }
@@ -385,4 +388,60 @@ func almost(a, b, tol float64) bool {
 		return true
 	}
 	return math.Abs(a-b) <= tol*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+// countdownCtx is a context that reports cancellation from its n-th Err
+// poll on, so a test can cancel a solve at an exact checkpoint.
+type countdownCtx struct {
+	context.Context
+	polls, n int
+}
+
+func (c *countdownCtx) Err() error {
+	if c.polls++; c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSolveCtxPollsEveryBlock checks cancellation is polled per block
+// solve, not only per DP row: after the cancelling poll no further block
+// is solved, so blocks solved stay below the polls answered.
+func TestSolveCtxPollsEveryBlock(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	tasks := randomAgreeable(r, 30)
+	for _, n := range []int{1, 2, 10, 50} {
+		ctx := &countdownCtx{Context: context.Background(), n: n}
+		rec := telemetry.New()
+		if _, err := SolveCtx(ctx, tasks, testSystem(), rec); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at poll %d: err = %v, want context.Canceled", n, err)
+		}
+		if solved := rec.CounterValue("sdem.solver.agr.block_solves", ""); solved >= int64(n) {
+			t.Errorf("cancel at poll %d: %d blocks solved", n, solved)
+		}
+	}
+}
+
+// TestSolveAgreeableLarge runs the DP at a size the golden-section block
+// solver could not reach in a test budget, and audits the result.
+func TestSolveAgreeableLarge(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	tasks := randomAgreeable(r, 60)
+	for _, sys := range []power.System{testSystem(), power.DefaultSystem()} {
+		sol, err := Solve(tasks, sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sol.Schedule.Validate(tasks, schedule.ValidateOptions{NonPreemptive: true, SpeedMax: sys.Core.SpeedMax}); err != nil {
+			t.Fatalf("invalid schedule: %v", err)
+		}
+		if e := schedule.Audit(sol.Schedule, sys).Total(); !almost(e, sol.Energy, 1e-12) {
+			t.Errorf("audited energy %.12g, reported %.12g", e, sol.Energy)
+		}
+		if sys.Memory.BreakEven == 0 {
+			if c := totalCost(sol, 0); !almost(c, sol.Energy, 1e-9) {
+				t.Errorf("DP cost %.12g, audited energy %.12g", c, sol.Energy)
+			}
+		}
+	}
 }

@@ -73,3 +73,38 @@ func TestOverheadAgreesWithCommonReleaseOnSharedInputs(t *testing.T) {
 		}
 	}
 }
+
+// TestFlatBlocksStartEarly checks the tie-break among equally cheap busy
+// intervals. A burst of common-release tasks costs the same wherever its
+// busy interval slides inside the shared window, and the block objective
+// cannot see that §7's audit charges a gap shorter than ξ_m as awake time.
+// Taking the earliest interval starts every burst at its release, so the
+// memory sleeps through every quiet period and the audit matches the DP.
+func TestFlatBlocksStartEarly(t *testing.T) {
+	sys := power.DefaultSystem()
+	r := rand.New(rand.NewSource(11))
+	var tasks task.Set
+	var at float64
+	for b := 0; b < 4; b++ {
+		window := power.Milliseconds(60 + r.Float64()*60)
+		for i := 0; i < 5; i++ {
+			tasks = append(tasks, task.Task{ID: len(tasks), Release: at, Deadline: at + window, Workload: 2e6 + r.Float64()*3e6})
+		}
+		at += power.Milliseconds(300) * (0.75 + 0.5*r.Float64())
+	}
+	sol, err := SolveWithOverhead(tasks, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sol.Blocks) != 4 {
+		t.Fatalf("want one block per burst, got %d", len(sol.Blocks))
+	}
+	for _, b := range sol.Blocks {
+		if rel := tasks[b.From].Release; !almost(b.BusyStart, rel, 1e-12) {
+			t.Errorf("block [%d,%d] starts at %.12g, after its release %.12g", b.From, b.To, b.BusyStart, rel)
+		}
+	}
+	if c := totalCost(sol, sys.Memory.TransitionEnergy()); !almost(sol.Energy, c, 1e-9) {
+		t.Errorf("audited energy %.12g, DP cost %.12g", sol.Energy, c)
+	}
+}

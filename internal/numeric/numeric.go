@@ -159,6 +159,47 @@ func Bisect(f func(float64) float64, lo, hi, tol float64) (root float64, ok bool
 	return lo + (hi-lo)/2, true
 }
 
+// NewtonRoot finds the smallest root of a non-decreasing function f on the
+// bracket [lo, hi], where f(lo) < 0 ≤ f(hi); f returns its value and its
+// derivative. It takes Newton steps from x0 (the bracket midpoint when x0
+// lies outside it) and falls back to bisection whenever a step would leave
+// the bracket or fails to halve it, so it converges quadratically on a
+// smooth f and still converges on a merely monotone one. Where f is zero
+// on a whole interval the bisection walks to its left end. The result is
+// accurate to tol·max(1, |lo|, |hi|).
+func NewtonRoot(f func(x float64) (fx, dfx float64), lo, hi, x0, tol float64) float64 {
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	eps := tol * math.Max(1, math.Max(math.Abs(lo), math.Abs(hi)))
+	x := x0
+	if !(x > lo && x < hi) {
+		x = lo + (hi-lo)/2
+	}
+	dxOld, dx := hi-lo, hi-lo
+	fx, dfx := f(x)
+	for i := 0; i < 200; i++ {
+		if fx < 0 {
+			lo = x
+		} else {
+			hi = x
+		}
+		next := x - fx/dfx
+		if dfx > 0 && next > lo && next < hi && math.Abs(2*fx) <= math.Abs(dxOld*dfx) {
+			dxOld, dx = dx, fx/dfx
+			x = next
+		} else {
+			dxOld, dx = dx, (hi-lo)/2
+			x = lo + dx
+		}
+		if math.Abs(dx) <= eps {
+			return x
+		}
+		fx, dfx = f(x)
+	}
+	return x
+}
+
 // Clamp restricts v to [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {

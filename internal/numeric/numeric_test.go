@@ -315,3 +315,62 @@ func TestIsZero(t *testing.T) {
 		}
 	}
 }
+
+func TestNewtonRoot(t *testing.T) {
+	cases := []struct {
+		name   string
+		f      func(float64) (float64, float64)
+		lo, hi float64
+		x0     float64
+		want   float64
+	}{
+		{
+			// The SDEM slope shape α − K·a^{−3}: concave and steep near 0.
+			name: "power-law slope",
+			f:    func(a float64) (float64, float64) { return 4 - 2e-6/(a*a*a), 6e-6 / (a * a * a * a) },
+			lo:   1e-6, hi: 1, x0: 1e-3, want: math.Cbrt(2e-6 / 4),
+		},
+		{
+			name: "start outside bracket falls back to midpoint",
+			f:    func(x float64) (float64, float64) { return x*x*x - 8, 3 * x * x },
+			lo:   0, hi: 10, x0: 42, want: 2,
+		},
+		{
+			// A monotone step function has no useful derivative: bisection
+			// must still land on the jump.
+			name: "jump without derivative",
+			f: func(x float64) (float64, float64) {
+				if x < 0.3 {
+					return -1, 0
+				}
+				return 1, 0
+			},
+			lo: 0, hi: 1, x0: 0.9, want: 0.3,
+		},
+	}
+	for _, tc := range cases {
+		got := NewtonRoot(tc.f, tc.lo, tc.hi, tc.x0, 1e-12)
+		if math.Abs(got-tc.want) > 1e-11 {
+			t.Errorf("%s: root %.15g, want %.15g", tc.name, got, tc.want)
+		}
+	}
+}
+
+func TestPropertyNewtonRootAgreesWithBisect(t *testing.T) {
+	// f(x) = a·x + b·x³ − c with a, b > 0 is strictly increasing.
+	prop := func(a8, b8, c8 uint8) bool {
+		a := 0.1 + float64(a8)/10
+		b := 0.01 + float64(b8)/100
+		c := float64(c8)
+		f := func(x float64) float64 { return a*x + b*x*x*x - c }
+		want, ok := Bisect(f, -100, 100, 1e-14)
+		if !ok {
+			return false
+		}
+		got := NewtonRoot(func(x float64) (float64, float64) { return f(x), a + 3*b*x*x }, -100, 100, 0, 1e-14)
+		return math.Abs(got-want) <= 1e-9
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}

@@ -239,6 +239,19 @@ func (e *executor) effectiveMax() float64 {
 	return 1e12
 }
 
+// coreMax is the fastest speed the core sustains from t on: effectiveMax,
+// lowered by any speed cap in force at t. Recovery sizes its events with
+// it, so the capacity they promise is capacity the core delivers.
+func (e *executor) coreMax(core int, t float64) float64 {
+	s := e.effectiveMax()
+	for _, c := range e.caps {
+		if c.Core == core && t >= c.At-schedule.Tol && t < c.Until-schedule.Tol {
+			s = math.Min(s, c.Factor*e.pool.System().Core.SpeedMax)
+		}
+	}
+	return s
+}
+
 // run executes the event queue to completion and assembles the result.
 func (e *executor) run() (*Result, error) {
 	budget := maxSlicesPerJob * (len(e.tasks) + 1)
@@ -362,7 +375,6 @@ func (e *executor) logRecovery(r Recovery) {
 func (e *executor) recover(j *sim.Job, now float64) {
 	id := j.Task.ID
 	sys := e.pool.System()
-	smax := e.effectiveMax()
 	reason := fmt.Sprintf("%.4g cycles beyond plan capacity", j.Remaining-e.futureCapacity(id))
 
 	// Step 1: local speed boost — run the remainder at the larger of the
@@ -379,6 +391,7 @@ func (e *executor) recover(j *sim.Job, now float64) {
 			}
 		}
 		core, start := e.placement(j, now)
+		smax := e.coreMax(core, start)
 		avail := j.Task.Deadline - start
 		if avail > 0 {
 			needed := j.Remaining / avail
@@ -410,7 +423,7 @@ func (e *executor) recover(j *sim.Job, now float64) {
 	// Step 3: race to idle.
 	if e.pol.Race {
 		core, start := e.placement(j, now)
-		speed := smax
+		speed := e.coreMax(core, start)
 		cancelled := e.cancelFuture(id)
 		ev := event{taskID: id, core: core, start: start, end: start + j.Remaining/speed, speed: speed}
 		ev.quantum = (ev.end - ev.start) / float64(e.pol.Checkpoints)

@@ -346,3 +346,28 @@ func TestExecuteSentinelErrors(t *testing.T) {
 		t.Fatalf("invalid fault plan accepted")
 	}
 }
+
+// A task planned at s_up on a throttled core has no speed headroom: the
+// boost must size its event by the capped speed the core actually runs,
+// or every slice under-delivers and the recovery budget runs out on a job
+// whose window has ample slack.
+func TestBoostOnThrottledCore(t *testing.T) {
+	sys := power.DefaultSystem()
+	tk := task.Task{ID: 1, Release: 0, Deadline: power.Milliseconds(20), Workload: 1.9e6} // 1 ms at s_up
+	tasks := task.Set{tk}
+	sched := schedule.New(1, tk.Release, tk.Deadline)
+	sched.Add(0, schedule.Segment{TaskID: tk.ID, Start: 0, End: power.Milliseconds(1), Speed: sys.Core.SpeedMax})
+	plan := faults.Plan{Faults: []faults.Fault{
+		{Kind: faults.SpeedCap, TaskID: -1, Core: 0, Factor: 0.9, At: 0, Until: power.Milliseconds(10)},
+	}}
+	res, err := Execute(sched, tasks, sys, plan, DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.FaultMisses) != 0 {
+		t.Fatalf("throttled job missed: %v; log: %v", res.FaultMisses, res.Recoveries)
+	}
+	if n := res.Recoveries.Count(ActionBoost); n != 1 {
+		t.Errorf("want a single boost, got %d; log: %v", n, res.Recoveries)
+	}
+}

@@ -103,6 +103,9 @@ func (c *schedCache) do(ctx context.Context, key string, compute func() (*TaskRe
 	shard.order = append(shard.order, key)
 	for len(shard.entries) > c.perShardCap && len(shard.order) > 0 {
 		victim := shard.order[0]
+		// Clear the slot: the queue's backing array would otherwise keep
+		// every evicted key alive until the next reallocation.
+		shard.order[0] = ""
 		shard.order = shard.order[1:]
 		if victim == key {
 			// Never evict the entry being computed right now; re-queue it

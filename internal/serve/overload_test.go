@@ -155,12 +155,13 @@ func TestShedTimeout(t *testing.T) {
 }
 
 // TestBudgetExpiryMidSolve sends a solve big enough to outlive a 1 ms
-// budget: a cancellation checkpoint must abandon the DP and the request
-// must surface as a mid-flight shed — 429 with reason budget, never a
-// 500 and never a torn response.
+// budget (a 40-task agreeable DP, tens of milliseconds): a cancellation
+// checkpoint must abandon the DP and the request must surface as a
+// mid-flight shed — 429 with reason budget, never a 500 and never a
+// torn response.
 func TestBudgetExpiryMidSolve(t *testing.T) {
 	s := testServer(t)
-	w := postHdr(t, s, "/v1/solve", TaskRequest{Tasks: agreeableSet(12)}, map[string]string{"X-Budget-Ms": "1"})
+	w := postHdr(t, s, "/v1/solve", TaskRequest{Tasks: agreeableSet(40)}, map[string]string{"X-Budget-Ms": "1"})
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("expired solve: %d, want 429\n%s", w.Code, w.Body.String())
 	}
@@ -171,7 +172,7 @@ func TestBudgetExpiryMidSolve(t *testing.T) {
 		t.Errorf("budget shed counter missing:\n%s", m)
 	}
 	// The same set with a sane budget must still solve: nothing sticky.
-	if w := postHdr(t, s, "/v1/solve", TaskRequest{Tasks: agreeableSet(12)}, map[string]string{"X-Budget-Ms": "25000"}); w.Code != http.StatusOK {
+	if w := postHdr(t, s, "/v1/solve", TaskRequest{Tasks: agreeableSet(40)}, map[string]string{"X-Budget-Ms": "25000"}); w.Code != http.StatusOK {
 		t.Errorf("follow-up solve: %d\n%s", w.Code, w.Body.String())
 	}
 }
@@ -356,10 +357,12 @@ func TestDrainMidBatch(t *testing.T) {
 	url := "http://" + l.Addr().String()
 	waitHealthy(t, url)
 
-	// A batch heavy enough to still be computing when shutdown lands.
+	// A batch heavy enough to still be computing when shutdown lands: an
+	// 80-task agreeable DP (~0.3 s), which the six identical items share
+	// through the schedule cache.
 	items := make([]BatchItemRequest, 6)
 	for i := range items {
-		items[i] = BatchItemRequest{TaskRequest: TaskRequest{Tasks: agreeableSet(8)}}
+		items[i] = BatchItemRequest{TaskRequest: TaskRequest{Tasks: agreeableSet(80)}}
 	}
 	data, err := json.Marshal(BatchRequest{Requests: items})
 	if err != nil {
