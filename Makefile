@@ -1,8 +1,11 @@
 GO ?= go
 
-.PHONY: check build vet test lint fmt fuzz trace-demo bench bench-gate bench-stream soak-smoke overload-smoke trace-smoke watch-smoke campaign
+.PHONY: check build vet test lint fmt fuzz fault-sweep experiments-smoke telemetry-smoke telemetry-bench \
+	trace-demo bench bench-gate bench-stream soak-smoke serve-smoke overload-smoke cache-smoke trace-smoke \
+	watch-smoke campaign
 
-# check chains the same steps CI runs (.github/workflows/ci.yml).
+# check chains the first CI steps; .github/workflows/ci.yml runs every
+# step as one target of this Makefile, so each drill runs locally as is.
 check: build vet test lint
 
 build:
@@ -21,6 +24,36 @@ lint:
 # it on every push, longer campaigns are manual (-fuzztime 10m etc.).
 fuzz:
 	$(GO) test ./internal/resilient -run '^$$' -fuzz FuzzExecute -fuzztime 10s
+
+# fault-sweep is the quick fault-injection acceptance sweep; its table
+# must match EXPERIMENTS.md's.
+fault-sweep:
+	$(GO) run ./cmd/faultsim -sweep quick
+
+# experiments-smoke runs a reduced-scale sweep on a 4-worker and a
+# 1-worker pool: stdout must be byte-identical.
+experiments-smoke:
+	$(GO) run ./cmd/experiments -run fig6a,table3 -seeds 2 -tasks 20 -workers 4 > par.smoke
+	$(GO) run ./cmd/experiments -run fig6a,table3 -seeds 2 -tasks 20 -workers 1 > seq.smoke
+	diff par.smoke seq.smoke
+	rm -f par.smoke seq.smoke
+
+# telemetry-smoke checks telemetry does not perturb stdout (a reduced
+# sweep with telemetry off and on must print the same bytes) and that
+# the dumps carry the solver and sweep series.
+telemetry-smoke:
+	$(GO) run ./cmd/experiments -run fig6a,ablation -seeds 2 -tasks 12 > plain.smoke
+	$(GO) run ./cmd/experiments -run fig6a,ablation -seeds 2 -tasks 12 \
+		-telemetry -metrics-out=metrics.smoke -trace-out=trace.smoke > instrumented.smoke
+	diff plain.smoke instrumented.smoke
+	grep -q 'sdem.solver.cr' metrics.smoke
+	grep -q 'sdem.sweep.points' metrics.smoke
+	rm -f plain.smoke instrumented.smoke metrics.smoke trace.smoke
+
+# telemetry-bench runs the disabled-path benchmark, which must stay at
+# 0 allocs/op.
+telemetry-bench:
+	$(GO) test ./internal/telemetry -run '^$$' -bench BenchmarkTelemetryDisabled -benchtime 100x
 
 # trace-demo writes a small sweep's metrics and a Chrome trace you can
 # open in ui.perfetto.dev or chrome://tracing (see README "Observability").
@@ -72,21 +105,66 @@ bench-stream:
 soak-smoke:
 	$(GO) run ./cmd/sdemsoak -virtual 600 -fault-intensity 0.6 -q
 
-# overload-smoke reproduces the CI overload drill locally: a low-capacity
-# sdemd under 2x-plus load must shed (429 + Retry-After) without a single
-# 5xx, and repeated hot task sets must land in the schedule cache.
+# serve-smoke starts sdemd on an ephemeral port: healthz, readyz, one
+# solve and one simulate, the exposition's key series, and a graceful
+# SIGTERM exit (status 0).
+serve-smoke:
+	$(GO) build -o sdemd.smoke ./cmd/sdemd
+	@set -e; \
+	./sdemd.smoke -addr 127.0.0.1:0 -addr-file sdemd.smoke.addr & PID=$$!; \
+	trap 'kill $$PID 2>/dev/null || true; rm -f sdemd.smoke sdemd.smoke.addr exposition.smoke' EXIT; \
+	for i in $$(seq 1 50); do [ -s sdemd.smoke.addr ] && break; sleep 0.1; done; \
+	ADDR=$$(cat sdemd.smoke.addr); \
+	BODY='{"Tasks":[{"ID":0,"Deadline":0.05,"Workload":2e6}]}'; \
+	curl -sf "http://$$ADDR/healthz" | grep -q ok; \
+	curl -sf "http://$$ADDR/readyz"; \
+	curl -sf -d "$$BODY" "http://$$ADDR/v1/solve" | grep -q energy_j; \
+	curl -sf -d "$$BODY" "http://$$ADDR/v1/simulate" | grep -q energy_j; \
+	curl -sf "http://$$ADDR/metrics" > exposition.smoke; \
+	grep -q '^sdem_serve_requests_total' exposition.smoke; \
+	grep -q '^sdem_sim_energy_j_total' exposition.smoke; \
+	grep -q '^# EOF' exposition.smoke; \
+	kill -TERM $$PID; wait $$PID
+
+# overload-smoke: a low-capacity race-built sdemd under 2x-plus load must
+# shed (429 + Retry-After) without a single 5xx or recovered panic, and
+# slow clients must be cut off. Latency-only chaos stretches handler
+# time so a 2-slot gate saturates; latency faults cannot produce 5xx, so
+# the zero-5xx gate stays strict. The load report stays in
+# loadreport.json.
 overload-smoke:
-	$(GO) build -o sdemd.smoke ./cmd/sdemd && $(GO) build -o sdemload.smoke ./cmd/sdemload
+	$(GO) build -race -o sdemd.smoke ./cmd/sdemd && $(GO) build -race -o sdemload.smoke ./cmd/sdemload
+	@set -e; \
 	./sdemd.smoke -addr 127.0.0.1:0 -addr-file sdemd.smoke.addr \
-		-admit-concurrency 2 -admit-queue 2 \
-		-chaos-rate 0.8 -chaos-max-delay 200ms & \
-	PID=$$!; \
+		-admit-concurrency 2 -admit-queue 2 -chaos-rate 0.8 -chaos-max-delay 200ms & PID=$$!; \
+	trap 'kill $$PID 2>/dev/null || true; rm -f sdemd.smoke sdemload.smoke sdemd.smoke.addr metrics.smoke' EXIT; \
 	for i in $$(seq 1 50); do [ -s sdemd.smoke.addr ] && break; sleep 0.1; done; \
 	ADDR=$$(cat sdemd.smoke.addr); \
 	./sdemload.smoke -addr "$$ADDR" -op simulate -duration 5s -concurrency 24 \
 		-tasks 30 -hot 0.7 -slow 1 -require-shed -max-5xx 0 -out loadreport.json; \
-	STATUS=$$?; kill $$PID 2>/dev/null; wait $$PID 2>/dev/null; \
-	rm -f sdemd.smoke sdemload.smoke sdemd.smoke.addr; exit $$STATUS
+	cat loadreport.json; \
+	curl -sf "http://$$ADDR/metrics" > metrics.smoke; \
+	grep -q 'sdem_serve_shed_total' metrics.smoke; \
+	if grep -q 'sdem_serve_panics_total{' metrics.smoke; then echo "sdemd recovered a panic" >&2; exit 1; fi; \
+	kill -TERM $$PID; wait $$PID
+
+# cache-smoke: a race-built sdemd must serve at least 90 of 100 requests
+# for one repeated task set from the schedule cache (hit or coalesced).
+cache-smoke:
+	$(GO) build -race -o sdemd.smoke ./cmd/sdemd && $(GO) build -race -o sdemload.smoke ./cmd/sdemload
+	@set -e; \
+	./sdemd.smoke -addr 127.0.0.1:0 -addr-file sdemd.smoke.addr & PID=$$!; \
+	trap 'kill $$PID 2>/dev/null || true; rm -f sdemd.smoke sdemload.smoke sdemd.smoke.addr metrics.smoke' EXIT; \
+	for i in $$(seq 1 50); do [ -s sdemd.smoke.addr ] && break; sleep 0.1; done; \
+	ADDR=$$(cat sdemd.smoke.addr); \
+	./sdemload.smoke -addr "$$ADDR" -op simulate -requests 100 -duration 30s \
+		-concurrency 4 -hot 1 -hot-sets 1 -tasks 10 -max-5xx 0; \
+	curl -sf "http://$$ADDR/metrics" > metrics.smoke; \
+	grep -E 'sdem_serve_cache_total' metrics.smoke; \
+	CACHED=$$(grep -E 'result="(hit|coalesced)"' metrics.smoke | awk '{s+=$$NF} END {print s+0}'); \
+	echo "served from cache: $$CACHED/100"; \
+	[ "$$CACHED" -ge 90 ]; \
+	kill -TERM $$PID; wait $$PID
 
 # watch-smoke drives the long-haul observability loop on the PR path:
 # a fault-free windowed soak must pass its SLOs with byte-identical
@@ -128,24 +206,39 @@ campaign:
 	fi; \
 	rm -f sdemd.smoke sdemload.smoke sdemd.smoke.addr campaign.txt; exit $$STATUS
 
-# trace-smoke reproduces the CI request-tracing drill locally: sdemload
-# -trace pulls every admitted request's wall span tree back out, sdemtrace
-# -verify gates tree well-formedness, /metrics must carry trace_id
-# exemplars, and a solve body must be byte-identical with tracing off.
+# trace-smoke: race-built sdemd servers with tracing on and off. A solve
+# body must be byte-identical traced and untraced (the body embeds the
+# request ID, so it runs before any other traffic); sdemload -trace pulls
+# all 40 admitted requests' wall span trees back and sdemtrace -verify
+# gates their well-formedness; /metrics must carry trace_id exemplars
+# that resolve to stored traces, and the untraced exposition none. The
+# span trees stay in traces.jsonl.
 trace-smoke:
-	$(GO) build -o sdemd.smoke ./cmd/sdemd && $(GO) build -o sdemload.smoke ./cmd/sdemload \
-		&& $(GO) build -o sdemtrace.smoke ./cmd/sdemtrace
-	./sdemd.smoke -addr 127.0.0.1:0 -addr-file sdemd.smoke.addr & \
-	PID=$$!; \
-	for i in $$(seq 1 50); do [ -s sdemd.smoke.addr ] && break; sleep 0.1; done; \
-	ADDR=$$(cat sdemd.smoke.addr); \
+	$(GO) build -race -o sdemd.smoke ./cmd/sdemd && $(GO) build -race -o sdemload.smoke ./cmd/sdemload \
+		&& $(GO) build -race -o sdemtrace.smoke ./cmd/sdemtrace
+	@set -e; \
+	./sdemd.smoke -addr 127.0.0.1:0 -addr-file trace.smoke.addr & PID=$$!; \
+	./sdemd.smoke -addr 127.0.0.1:0 -addr-file notrace.smoke.addr -trace-sample 0 & OFF_PID=$$!; \
+	TMP="sdemd.smoke sdemload.smoke sdemtrace.smoke trace.smoke.addr notrace.smoke.addr"; \
+	TMP="$$TMP traced.smoke untraced.smoke report.smoke metrics.smoke"; \
+	trap 'kill $$PID $$OFF_PID 2>/dev/null || true; rm -f $$TMP' EXIT; \
+	for i in $$(seq 1 50); do [ -s trace.smoke.addr ] && [ -s notrace.smoke.addr ] && break; sleep 0.1; done; \
+	ADDR=$$(cat trace.smoke.addr); OFF=$$(cat notrace.smoke.addr); \
+	BODY='{"Tasks":[{"ID":0,"Deadline":0.05,"Workload":2e6}]}'; \
+	curl -sf -d "$$BODY" "http://$$ADDR/v1/solve" > traced.smoke; \
+	curl -sf -d "$$BODY" "http://$$OFF/v1/solve" > untraced.smoke; \
+	diff traced.smoke untraced.smoke; \
 	./sdemload.smoke -addr "$$ADDR" -op simulate -requests 40 -duration 30s \
-		-concurrency 4 -tasks 10 -max-5xx 0 -trace-out traces.jsonl; \
-	STATUS=$$?; \
-	[ $$STATUS -eq 0 ] && ./sdemtrace.smoke -verify traces.jsonl && ./sdemtrace.smoke traces.jsonl \
-		&& curl -sf "http://$$ADDR/metrics" | grep -q '# {trace_id=' || STATUS=1; \
-	kill $$PID 2>/dev/null; wait $$PID 2>/dev/null; \
-	rm -f sdemd.smoke sdemload.smoke sdemtrace.smoke sdemd.smoke.addr; exit $$STATUS
+		-concurrency 4 -tasks 10 -max-5xx 0 -trace-out traces.jsonl -out report.smoke; \
+	grep -q '"traces_fetched": 40' report.smoke; \
+	./sdemtrace.smoke -verify traces.jsonl; \
+	./sdemtrace.smoke traces.jsonl; \
+	curl -sf "http://$$ADDR/metrics" > metrics.smoke; \
+	grep -q '# {trace_id=' metrics.smoke; \
+	TID=$$(grep -o 'trace_id="[0-9a-f]*"' metrics.smoke | head -1 | cut -d'"' -f2); \
+	curl -sf "http://$$ADDR/debug/trace/$$TID" | grep -q '"spans"'; \
+	if curl -sf "http://$$OFF/metrics" | grep -q 'trace_id='; then echo "untraced exposition carries exemplars" >&2; exit 1; fi; \
+	kill -TERM $$PID $$OFF_PID; wait $$PID $$OFF_PID
 
 fmt:
 	gofmt -l -w .

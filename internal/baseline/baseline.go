@@ -68,11 +68,8 @@ func CriticalSpeedRule(sys power.System, queue []*sim.Job, t float64) float64 {
 }
 
 func clampSpeed(sys power.System, s float64) float64 {
-	if sys.Core.SpeedMax > 0 && s > sys.Core.SpeedMax {
-		return sys.Core.SpeedMax
-	}
-	if math.IsInf(s, 1) {
-		return 1e12 // uncapped core racing a past-due job
+	if (sys.Core.SpeedMax > 0 && s > sys.Core.SpeedMax) || math.IsInf(s, 1) {
+		return sys.Core.SpeedCeiling() // an uncapped core racing a past-due job gets the sentinel
 	}
 	return s
 }
@@ -85,33 +82,34 @@ func run(tasks task.Set, sys power.System, cores int, rule SpeedRule) (*sim.Resu
 	return runTel(tasks, sys, cores, rule, nil, "")
 }
 
-// runTel is run with a telemetry recorder attached to the pool under the
-// given scheduler name; a nil recorder is the uninstrumented path.
+// runTel is run with a telemetry recorder attached to the executor under
+// the given scheduler name; a nil recorder is the uninstrumented path.
 func runTel(tasks task.Set, sys power.System, cores int, rule SpeedRule, tel *telemetry.Recorder, name string) (*sim.Result, error) {
-	pool, err := sim.NewPool(tasks, sys, cores)
+	st, err := sim.NewRecorder(tasks, sys, cores)
 	if err != nil {
 		return nil, err
 	}
-	pool.SetTelemetry(tel, name)
-	n := pool.Cores()
+	st.SetTelemetry(tel, name)
+	n := st.Cores()
 	// Round-robin assignment in release order (§8.1.2: "the first 8 tasks
 	// are assigned to 8 cores separately, the 9th to the first core...").
 	perCore := make([][]task.Task, n)
-	for i, t := range pool.Tasks() {
+	for i, t := range st.Tasks() {
 		c := i % n
 		perCore[c] = append(perCore[c], t)
 	}
 	for c, assigned := range perCore {
-		if err := runCore(pool, c, assigned, rule); err != nil {
+		if err := runCore(st, c, assigned, rule); err != nil {
 			return nil, err
 		}
 	}
-	return pool.Finish()
+	return st.Result()
 }
 
-// runCore simulates one core over its assigned tasks.
-func runCore(pool *sim.Pool, core int, assigned []task.Task, rule SpeedRule) error {
-	sys := pool.System()
+// runCore simulates one core over its assigned tasks, admitting each to
+// the executor at its release.
+func runCore(st *sim.Stream, core int, assigned []task.Task, rule SpeedRule) error {
+	sys := st.System()
 	idx := 0 // next arrival in assigned (release-sorted)
 	var queue []*sim.Job
 	now := math.Inf(-1)
@@ -121,7 +119,10 @@ func runCore(pool *sim.Pool, core int, assigned []task.Task, rule SpeedRule) err
 	for {
 		// Admit arrivals up to now.
 		for idx < len(assigned) && assigned[idx].Release <= now+schedule.Tol {
-			j := pool.Job(assigned[idx].ID)
+			j, err := st.Admit(assigned[idx])
+			if err != nil {
+				return err
+			}
 			if !j.Done {
 				queue = append(queue, j)
 			}
@@ -166,7 +167,7 @@ func runCore(pool *sim.Pool, core int, assigned []task.Task, rule SpeedRule) err
 		if until <= now+schedule.Tol {
 			until = now + head.Remaining/speed // degenerate event spacing
 		}
-		end, err := pool.Run(head.Task.ID, core, now, until, speed)
+		end, err := st.Run(head.Task.ID, core, now, until, speed)
 		if err != nil {
 			return err
 		}

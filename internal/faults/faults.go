@@ -190,6 +190,26 @@ func (p Plan) ByKind(k Kind) []Fault {
 	return out
 }
 
+// JobFault folds the plan's task-level faults on one task into the
+// perturbation JobFault.Apply performs: the product of its Overrun
+// factors and the sum of its LateRelease delays (no perturbation when
+// none targets it).
+func (p Plan) JobFault(id int) JobFault {
+	f := JobFault{WorkFactor: 1}
+	for _, x := range p.Faults {
+		if x.TaskID != id {
+			continue
+		}
+		switch x.Kind {
+		case Overrun:
+			f.WorkFactor *= x.Factor
+		case LateRelease:
+			f.ReleaseDelay += x.Delay
+		}
+	}
+	return f
+}
+
 // Config tunes Generate. Intensity is the single headline knob in [0, 1]:
 // it scales both how many faults are drawn and how severe each one is.
 // The per-kind ceilings below apply at intensity 1; zero values take the

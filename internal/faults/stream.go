@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"sdem/internal/schedule"
 	"sdem/internal/task"
 )
 
@@ -18,6 +19,24 @@ type JobFault struct {
 //
 //lint:allow floatcmp: Sample writes these exact literals when no fault fires; the zero draw round-trips bit-exactly
 func (f JobFault) None() bool { return f.WorkFactor == 1 && f.ReleaseDelay == 0 }
+
+// Apply returns the task as the fault perturbs it: the workload scaled by
+// WorkFactor, the release postponed by ReleaseDelay. A delay that reaches
+// the deadline leaves a sliver window of schedule.Tol instead, so the job
+// stays admissible (an empty window with work is invalid) and still runs
+// the urgent path into a fault-induced miss. This is the one task-level
+// fault transform: streams, plan replays and tests all perturb through it.
+func (f JobFault) Apply(t task.Task) task.Task {
+	if f.None() {
+		return t
+	}
+	t.Workload *= f.WorkFactor
+	t.Release += f.ReleaseDelay
+	if t.Release >= t.Deadline {
+		t.Release = t.Deadline - schedule.Tol
+	}
+	return t
+}
 
 // Streamer samples per-job faults for unbounded task streams. Generate
 // draws a finite plan over a known task set; a soak run over days of

@@ -3,6 +3,7 @@ package faults
 import (
 	"testing"
 
+	"sdem/internal/schedule"
 	"sdem/internal/task"
 )
 
@@ -114,5 +115,45 @@ func TestStreamerKindsFilter(t *testing.T) {
 	}
 	if !overFired || !lateFired {
 		t.Errorf("kind-filtered streamers never fired (overrun %v, late %v)", overFired, lateFired)
+	}
+}
+
+// TestJobFaultApply pins the one task-level transform: overruns scale the
+// declared workload, late releases move the release but never the
+// deadline, and a delay past the window leaves a schedule.Tol sliver so
+// the job stays admissible.
+func TestJobFaultApply(t *testing.T) {
+	tk := task.Task{ID: 3, Release: 1, Deadline: 1.05, Workload: 3e6}
+	if got := (JobFault{WorkFactor: 1}).Apply(tk); got != tk {
+		t.Errorf("the identity fault changed the task: %+v", got)
+	}
+	got := (JobFault{WorkFactor: 1.5, ReleaseDelay: 0.01}).Apply(tk)
+	if got.Workload != 4.5e6 || got.Release != 1.01 || got.Deadline != tk.Deadline {
+		t.Errorf("overrun + late release = %+v", got)
+	}
+	got = (JobFault{WorkFactor: 1, ReleaseDelay: 1}).Apply(tk)
+	if got.Release != tk.Deadline-schedule.Tol {
+		t.Errorf("delay past the window left release %g, want deadline − Tol", got.Release)
+	}
+	if err := got.Validate(); err != nil {
+		t.Errorf("clamped task must stay valid: %v", err)
+	}
+}
+
+// TestPlanJobFault folds a plan's task-level faults per task and ignores
+// platform faults and other tasks.
+func TestPlanJobFault(t *testing.T) {
+	p := Plan{Faults: []Fault{
+		{Kind: Overrun, TaskID: 1, Core: -1, Factor: 1.25},
+		{Kind: LateRelease, TaskID: 1, Core: -1, Delay: 0.002},
+		{Kind: LateRelease, TaskID: 1, Core: -1, Delay: 0.003},
+		{Kind: Overrun, TaskID: 2, Core: -1, Factor: 2},
+		{Kind: SpeedCap, TaskID: -1, Core: 0, Factor: 0.5, At: 0, Until: 1},
+	}}
+	if got := p.JobFault(1); got.WorkFactor != 1.25 || got.ReleaseDelay != 0.002+0.003 {
+		t.Errorf("task 1 fault = %+v", got)
+	}
+	if got := p.JobFault(7); !got.None() {
+		t.Errorf("untargeted task got %+v", got)
 	}
 }

@@ -18,31 +18,13 @@ import (
 )
 
 // perturb applies the task-level faults of a plan (workload overruns,
-// late releases) to a copy of the task set, so both engines consume the
-// same perturbed inputs — the path on which the urgent/race branches and
-// deadline misses actually fire.
+// late releases) to a copy of the task set through the one fault
+// transform, so both engines consume the same perturbed inputs — the path
+// on which the urgent/race branches and deadline misses actually fire.
 func perturb(tasks task.Set, plan faults.Plan) task.Set {
 	out := tasks.Clone()
-	byID := make(map[int]int, len(out))
 	for i, t := range out {
-		byID[t.ID] = i
-	}
-	for _, f := range plan.Faults {
-		i, ok := byID[f.TaskID]
-		if !ok {
-			continue
-		}
-		switch f.Kind {
-		case faults.Overrun:
-			out[i].Workload *= f.Factor
-		case faults.LateRelease:
-			out[i].Release += f.Delay
-			if out[i].Release >= out[i].Deadline {
-				// Keep the task validatable; the shrunken window still
-				// exercises the urgent path.
-				out[i].Release = out[i].Deadline - 1e-6
-			}
-		}
+		out[i] = plan.JobFault(t.ID).Apply(t)
 	}
 	return out
 }
@@ -233,25 +215,35 @@ func counter(tel *telemetry.Recorder, name string) int64 {
 	return total
 }
 
+// admitOne records a one-core run with the single task admitted.
+func admitOne(t *testing.T, tk task.Task, sys power.System) (*sim.Stream, *sim.Job) {
+	t.Helper()
+	st, err := sim.NewRecorder(task.Set{tk}, sys, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := st.Admit(tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st, j
+}
+
 // TestExecuteSlacklessRacesAtMax is the regression test for the late-job
 // speed fix: when queueing delay pushes a job's start to or past its
 // deadline, execute must race it at s_up instead of keeping the stale
 // planned speed (which would stretch the overrun far past the deadline).
 func TestExecuteSlacklessRacesAtMax(t *testing.T) {
 	sys := power.DefaultSystem()
-	tasks := task.Set{{ID: 1, Release: 0, Deadline: 0.05, Workload: 4e6}}
-	pool, err := sim.NewPool(tasks, sys, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, j := admitOne(t, task.Task{ID: 1, Release: 0, Deadline: 0.05, Workload: 4e6}, sys)
 	// The single core is busy until after the deadline, so the planned
 	// (p, speed) pair is stale by the time the job starts.
 	busy := []float64{0.06}
-	plans := []plan{{job: pool.Job(1), p: 0.04, speed: 1e8}}
-	if err := execute(pool, busy, plans, 0, math.Inf(1)); err != nil {
+	plans := []Plan{{Job: j, P: 0.04, Speed: 1e8}}
+	if err := execute(st, busy, plans, 0, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	segs := segmentsOf(pool, t)
+	segs := segmentsOf(st, t)
 	if len(segs) != 1 {
 		t.Fatalf("want 1 segment, got %d", len(segs))
 	}
@@ -268,17 +260,13 @@ func TestExecuteSlacklessUnboundedSpeed(t *testing.T) {
 	sys.Core.SpeedMax = 0
 	sys.Core.BreakEven = 0
 	sys.Memory.BreakEven = 0
-	tasks := task.Set{{ID: 1, Release: 0, Deadline: 0.05, Workload: 4e6}}
-	pool, err := sim.NewPool(tasks, sys, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, j := admitOne(t, task.Task{ID: 1, Release: 0, Deadline: 0.05, Workload: 4e6}, sys)
 	busy := []float64{0.06}
-	plans := []plan{{job: pool.Job(1), p: 0.04, speed: 1e8}}
-	if err := execute(pool, busy, plans, 0, math.Inf(1)); err != nil {
+	plans := []Plan{{Job: j, P: 0.04, Speed: 1e8}}
+	if err := execute(st, busy, plans, 0, math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	segs := segmentsOf(pool, t)
+	segs := segmentsOf(st, t)
 	if len(segs) != 1 {
 		t.Fatalf("want 1 segment, got %d", len(segs))
 	}
@@ -290,42 +278,50 @@ func TestExecuteSlacklessUnboundedSpeed(t *testing.T) {
 
 // TestPlanAtUrgentNoSpeedCap is the regression test for the 1e12
 // sentinel leak: with SpeedMax == 0, an urgent job's plan used to carry
-// effectiveMax's infinite-cap sentinel as its speed (and a near-zero P).
-// The plan must instead race at a finite stretch over the job's window.
+// the infinite-cap sentinel as its speed (and a near-zero P). The plan
+// must instead race at a finite stretch over the job's window — in the
+// reference planner and in Runtime.Plan alike.
 func TestPlanAtUrgentNoSpeedCap(t *testing.T) {
 	sys := power.DefaultSystem()
 	sys.Core.SpeedMax = 0
 	sys.Core.BreakEven = 0
 	sys.Memory.BreakEven = 0
-	tasks := task.Set{{ID: 1, Release: 0, Deadline: 0.01, Workload: 1e6}}
-	pool, err := sim.NewPool(tasks, sys, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, j := admitOne(t, task.Task{ID: 1, Release: 0, Deadline: 0.01, Workload: 1e6}, sys)
 	now := 0.02 // past the deadline: the job is urgent with window ≤ 0
-	plans, wake, err := PlanAt(pool, pool.Released(now), now, Options{})
+	ref, wake, err := PlanAt(st, []*sim.Job{j}, now, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(plans) != 1 || !plans[0].Urgent {
-		t.Fatalf("want 1 urgent plan, got %+v", plans)
-	}
-	wantSpeed := 1e6 / 0.01 // workload over the release→deadline window
-	if got := plans[0].Speed; got != wantSpeed {
-		t.Errorf("urgent plan speed = %g, want %g (sentinel must not leak)", got, wantSpeed)
-	}
-	if got, want := plans[0].P, 0.01; got != want {
-		t.Errorf("urgent plan P = %g, want %g", got, want)
 	}
 	if wake != now {
 		t.Errorf("urgent wake = %g, want now = %g", wake, now)
 	}
+	var rt Runtime
+	inc, err := rt.Plan([]*sim.Job{j}, now, sys, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		plans []Plan
+	}{{"PlanAt", ref}, {"Runtime.Plan", inc}} {
+		if len(c.plans) != 1 || !c.plans[0].Urgent {
+			t.Fatalf("%s: want 1 urgent plan, got %+v", c.name, c.plans)
+		}
+		wantSpeed := 1e6 / 0.01 // workload over the release→deadline window
+		if got := c.plans[0].Speed; got != wantSpeed {
+			t.Errorf("%s: urgent plan speed = %g, want %g (sentinel must not leak)", c.name, got, wantSpeed)
+		}
+		if got, want := c.plans[0].P, 0.01; got != want {
+			t.Errorf("%s: urgent plan P = %g, want %g", c.name, got, want)
+		}
+	}
 }
 
-// segmentsOf finalizes the pool and returns all segments across cores.
-func segmentsOf(pool *sim.Pool, t *testing.T) []schedule.Segment {
+// segmentsOf finalizes the recorded run and returns all segments across
+// cores.
+func segmentsOf(st *sim.Stream, t *testing.T) []schedule.Segment {
 	t.Helper()
-	res, err := pool.Finish()
+	res, err := st.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,4 +330,47 @@ func segmentsOf(pool *sim.Pool, t *testing.T) []schedule.Segment {
 		segs = append(segs, c...)
 	}
 	return segs
+}
+
+// TestTolCloseReleasesMatchRescan pins the admission rule on releases
+// closer together than schedule.Tol: every distinct release is still a
+// planning instant, and an arrival within Tol after an instant joins it
+// early — exactly as the rescan oracle admits — so the finite-stream
+// engine re-plans at the same instants with the same active sets.
+func TestTolCloseReleasesMatchRescan(t *testing.T) {
+	ns := 1e-9
+	tasks := task.Set{
+		{ID: 0, Release: 0, Deadline: 0.05, Workload: 3e6},
+		{ID: 1, Release: 0.4 * ns, Deadline: 0.06, Workload: 2e6},
+		{ID: 2, Release: 0.9 * ns, Deadline: 0.055, Workload: 4e6},
+		{ID: 3, Release: 1.5 * ns, Deadline: 0.045, Workload: 1e6},
+		{ID: 4, Release: 0.02, Deadline: 0.07, Workload: 3e6},
+		{ID: 5, Release: 0.02 + 0.5*ns, Deadline: 0.08, Workload: 2e6},
+		{ID: 6, Release: 0.02 + 0.5*ns, Deadline: 0.075, Workload: 2e6},
+	}
+	static := power.DefaultSystem()
+	static.Core.BreakEven = 0
+	static.Memory.BreakEven = 0
+	for _, sys := range []power.System{power.DefaultSystem(), static} {
+		for _, opts := range []Options{{Cores: 1}, {Cores: 2}, {Cores: 2, NoProcrastinate: true}} {
+			incTel, refTel := telemetry.New(), telemetry.New()
+			opts.Telemetry = incTel
+			inc, err := Schedule(tasks, sys, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Telemetry = refTel
+			ref, err := ScheduleRescan(tasks, sys, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(inc.Schedule, ref.Schedule) || !reflect.DeepEqual(inc.Misses, ref.Misses) ||
+				inc.Energy != ref.Energy || inc.Metrics != ref.Metrics {
+				t.Errorf("cores=%d noproc=%v: engine diverges from the rescan oracle", opts.Cores, opts.NoProcrastinate)
+			}
+			if a, b := counter(incTel, "sdem.solver.online.plans"), counter(refTel, "sdem.solver.online.plans"); a != b || a != 6 {
+				t.Errorf("cores=%d: engine planned %d times, oracle %d, want one plan per distinct release (6)", opts.Cores, a, b)
+			}
+		}
+	}
 }

@@ -12,11 +12,9 @@ package online
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
-	"sdem/internal/commonrelease"
 	"sdem/internal/power"
 	"sdem/internal/sim"
 	"sdem/internal/task"
@@ -42,7 +40,7 @@ type Options struct {
 	// does); the default α ≠ 0 planning is strictly better.
 	PlanAlphaZero bool
 	// Telemetry, when non-nil, records per-plan metrics and trace events
-	// (sdem.solver.online.* plus the pool's sdem.sim.* series).
+	// (sdem.solver.online.* plus the executor's sdem.sim.* series).
 	Telemetry *telemetry.Recorder
 	// Ctx, when non-nil, is polled at every arrival boundary: a cancelled
 	// context abandons the run between re-plans with Ctx's error, so a
@@ -52,94 +50,12 @@ type Options struct {
 	Ctx context.Context
 }
 
-// plan is one task's share of a common-release solution.
-type plan struct {
-	job   *sim.Job
-	p     float64 // planned execution time
-	speed float64 // planned speed
-}
-
-// Schedule runs SDEM-ON over the task set and returns the audited result.
-// Deadline misses (possible only under core shortage or infeasible
-// inputs) are reported in the result rather than failing the run.
-//
-// It drives the incremental engine (Runtime); ScheduleRescan is the
-// legacy full-rescan reference with bit-identical output, kept as the
-// equivalence oracle.
-func Schedule(tasks task.Set, sys power.System, opts Options) (*sim.Result, error) {
-	var rt Runtime
-	return rt.Schedule(tasks, sys, opts)
-}
-
-// ScheduleRescan is the reference SDEM-ON implementation: on every
-// arrival it rescans the whole pool for released jobs and re-solves the
-// common-release instance from scratch. It is O(n²) in arrivals and
-// exists as the equivalence oracle for the incremental engine — the
-// property tests assert Schedule and ScheduleRescan produce byte-identical
-// results on every deterministic workload.
-func ScheduleRescan(tasks task.Set, sys power.System, opts Options) (*sim.Result, error) {
-	pool, err := sim.NewPool(tasks, sys, opts.Cores)
-	if err != nil {
-		return nil, err
-	}
-	who := "sdem-on"
-	if opts.PlanAlphaZero {
-		who = "sdem-on-z"
-	}
-	pool.SetTelemetry(opts.Telemetry, who)
-	arrivals := pool.ArrivalTimes()
-	busyUntil := make([]float64, pool.Cores())
-	// Plan backing reused across arrivals: every step rebinds the same
-	// slice, so one allocation serves the whole run.
-	var scratch []plan
-
-	for k, now := range arrivals {
-		// Cooperative cancellation checkpoint, once per arrival: the
-		// per-arrival re-plan below is the expensive unit of work.
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("online: cancelled at arrival %d of %d: %w", k, len(arrivals), err)
-			}
-		}
-		next := math.Inf(1)
-		if k+1 < len(arrivals) {
-			next = arrivals[k+1]
-		}
-		if err := step(pool, busyUntil, &scratch, now, next, opts); err != nil {
-			return nil, err
-		}
-	}
-	return pool.Finish()
-}
-
-// step plans at time now and executes until next. It runs once per
-// arrival: everything below it is the SDEM-ON hot path.
-//
-//sdem:hotpath
-func step(pool *sim.Pool, busyUntil []float64, scratch *[]plan, now, next float64, opts Options) error {
-	active := pool.Released(now)
-	if len(active) == 0 {
-		return nil
-	}
-	plans, wake, err := makePlans(pool, active, scratch, now, opts)
-	if err != nil {
-		return err
-	}
-	if opts.NoProcrastinate {
-		wake = now
-	}
-	if wake >= next {
-		return nil // keep sleeping; the next arrival re-plans
-	}
-	return execute(pool, busyUntil, plans, wake, next)
-}
-
 // Plan is one job's share of a common-release re-plan at some instant:
 // execute the job's remaining workload for P seconds at Speed. Urgent
-// marks jobs already beyond salvation at a stretched speed, which the plan
-// races at s_up immediately.
+// marks a job already beyond salvation at a stretched speed, which the
+// plan races at s_up immediately.
 type Plan struct {
-	TaskID int
+	Job *sim.Job
 	// P is the planned execution time in seconds.
 	P float64
 	// Speed is the planned constant speed in Hz.
@@ -148,110 +64,20 @@ type Plan struct {
 	Urgent bool
 }
 
-// PlanAt solves the common-release instance formed by the given unfinished
-// jobs at time now — remaining workloads, original deadlines — with the §4
-// schemes, and returns the per-job plans plus the wake time (the earliest
-// latest execution point d_j − p_j over the planned jobs; now itself when
-// any job is urgent). This is the re-planning step SDEM-ON performs on
-// every arrival, exported so the resilient runtime's recovery chain can
-// re-plan mid-execution after a fault. Infeasibility surfaces as an error
-// wrapping schedule.ErrInfeasible.
-//
-//sdem:hotpath
-func PlanAt(pool *sim.Pool, active []*sim.Job, now float64, opts Options) ([]Plan, float64, error) {
-	tel := opts.Telemetry
-	tel.Count("sdem.solver.online.plans", 1)
-	tel.Observe("sdem.solver.online.active_jobs", float64(len(active)))
-	sys := pool.System()
-	planSys := sys
-	if opts.PlanAlphaZero {
-		planSys.Core.Static = 0
-		planSys.Core.BreakEven = 0
-	}
-	virtual := make(task.Set, 0, len(active))
-	var urgent []*sim.Job
-	for _, j := range active {
-		window := j.Task.Deadline - now
-		if window <= 0 || (sys.Core.SpeedMax > 0 && j.Remaining/window > sys.Core.SpeedMax) {
-			// Already beyond salvation at a stretched speed: race at
-			// s_up immediately; the pool records the miss if it is one.
-			//lint:allow hotalloc: urgent stays nil on the feasible fast path; preallocating would cost an allocation on every plan
-			urgent = append(urgent, j)
-			continue
-		}
-		virtual = append(virtual, task.Task{
-			ID:       j.Task.ID,
-			Release:  now,
-			Deadline: j.Task.Deadline,
-			Workload: j.Remaining,
-		})
-	}
-	plans := make([]Plan, 0, len(active))
-	wake := math.Inf(1)
-	if len(virtual) > 0 {
-		sol, err := commonrelease.SolveTel(virtual, planSys, tel)
-		if err != nil {
-			return nil, 0, fmt.Errorf("online: planning at t=%g: %w", now, err)
-		}
-		//lint:allow hotalloc: one size-hinted map per re-plan (per arrival), not per objective evaluation
-		ends := make(map[int]float64, len(virtual))
-		for _, segs := range sol.Schedule.Cores {
-			for _, sg := range segs {
-				if sg.End > ends[sg.TaskID] {
-					ends[sg.TaskID] = sg.End
-				}
-			}
-		}
-		for _, vt := range virtual {
-			p := ends[vt.ID] - now
-			if p <= 0 { // defensive: plan must give every task time
-				p = vt.Workload / raceSpeed(vt.Workload, vt.Release, vt.Deadline, now, sys)
-			}
-			plans = append(plans, Plan{TaskID: vt.ID, P: p, Speed: vt.Workload / p})
-			wake = math.Min(wake, vt.Deadline-p)
-		}
-	}
-	for _, j := range urgent {
-		s := raceSpeed(j.Remaining, j.Task.Release, j.Task.Deadline, now, sys)
-		p := j.Remaining / s
-		plans = append(plans, Plan{TaskID: j.Task.ID, P: p, Speed: s, Urgent: true})
-		wake = now
-	}
-	tel.Count("sdem.solver.online.urgent_jobs", int64(len(urgent)))
-	if wake < now {
-		wake = now
-	}
-	if tel != nil && !math.IsInf(wake, 1) {
-		tel.Observe("sdem.solver.online.procrastination_s", wake-now)
-		tel.Instant("plan", "online", now, 0,
-			telemetry.Int("active", int64(len(active))),
-			telemetry.Int("urgent", int64(len(urgent))),
-			telemetry.Num("wake", wake))
-	}
-	return plans, wake, nil
+// Schedule runs SDEM-ON over the task set and returns the audited result.
+// Deadline misses (possible only under core shortage or infeasible
+// inputs) are reported in the result rather than failing the run.
+func Schedule(tasks task.Set, sys power.System, opts Options) (*sim.Result, error) {
+	var rt Runtime
+	return rt.Schedule(tasks, sys, opts)
 }
 
-// makePlans binds PlanAt's result back to the pool's job objects for the
-// execute step, reusing the caller's scratch backing.
-func makePlans(pool *sim.Pool, active []*sim.Job, scratch *[]plan, now float64, opts Options) ([]plan, float64, error) {
-	pub, wake, err := PlanAt(pool, active, now, opts)
-	if err != nil {
-		return nil, 0, err
+// engineLabel is the "sched" telemetry label of the engine variant.
+func engineLabel(planAlphaZero bool) string {
+	if planAlphaZero {
+		return "sdem-on-z"
 	}
-	plans := (*scratch)[:0]
-	for _, pl := range pub {
-		//lint:allow hotalloc: appends into the reused scratch backing; it grows only until the run's high-water active count
-		plans = append(plans, plan{job: pool.Job(pl.TaskID), p: pl.P, speed: pl.Speed})
-	}
-	*scratch = plans
-	return plans, wake, nil
-}
-
-func effectiveMax(sys power.System) float64 {
-	if sys.Core.SpeedMax > 0 {
-		return sys.Core.SpeedMax
-	}
-	return 1e12 // effectively unbounded
+	return "sdem-on"
 }
 
 // raceSpeed is the finite racing speed for a job that can no longer meet
@@ -259,10 +85,10 @@ func effectiveMax(sys power.System) float64 {
 // platform bounds speed; on an unbounded platform, the remaining work
 // stretched over the remaining window — or over the original window when
 // even that has closed — so the plan carries a physically meaningful
-// speed instead of effectiveMax's 1e12 sentinel (which produced absurd
+// speed instead of the SpeedCeiling sentinel (which produced absurd
 // audited energy and near-zero P for urgent jobs). The final 1-second
 // stretch is unreachable for validated tasks (Deadline > Release) but
-// keeps the result finite for perturbed pools.
+// keeps the result finite for perturbed inputs.
 func raceSpeed(rem, release, deadline, now float64, sys power.System) float64 {
 	if sys.Core.SpeedMax > 0 {
 		return sys.Core.SpeedMax
@@ -278,36 +104,29 @@ func raceSpeed(rem, release, deadline, now float64, sys power.System) float64 {
 
 // plansEDF sorts plans by deadline then task ID. The pointer receiver
 // avoids boxing a fresh slice header into sort.Interface on every step.
-type plansEDF []plan
+type plansEDF []Plan
 
 func (p *plansEDF) Len() int { return len(*p) }
 func (p *plansEDF) Less(a, b int) bool {
 	s := *p
 	//lint:allow floatcmp: sort tie-breaking must be exact to keep the comparator transitive
-	if s[a].job.Task.Deadline != s[b].job.Task.Deadline {
-		return s[a].job.Task.Deadline < s[b].job.Task.Deadline
+	if s[a].Job.Task.Deadline != s[b].Job.Task.Deadline {
+		return s[a].Job.Task.Deadline < s[b].Job.Task.Deadline
 	}
-	return s[a].job.Task.ID < s[b].job.Task.ID
+	return s[a].Job.Task.ID < s[b].Job.Task.ID
 }
 func (p *plansEDF) Swap(a, b int) { (*p)[a], (*p)[b] = (*p)[b], (*p)[a] }
 
-// execute lays the planned executions onto cores from wake until next,
-// EDF-ordered, waiting for cores when oversubscribed.
-// runner is the execution substrate execute drives: the batch Pool and
-// the streaming Stream both satisfy it, so the same executor serves
-// bounded runs and the soak engine.
-type runner interface {
-	Run(taskID, core int, t0, t1, speed float64) (float64, error)
-	System() power.System
-}
-
-func execute(pool runner, busyUntil []float64, plans []plan, wake, next float64) error {
+// execute lays the planned executions onto the executor's cores from
+// wake until next, EDF-ordered, waiting for cores when oversubscribed.
+func execute(st *sim.Stream, busyUntil []float64, plans []Plan, wake, next float64) error {
 	sort.Stable((*plansEDF)(&plans))
-	sys := pool.System()
+	sys := st.System()
 	for _, pl := range plans {
+		j := pl.Job
 		start := wake
 		// Respect the no-migration pin and core availability.
-		core := pl.job.Core
+		core := j.Core
 		if core >= 0 {
 			start = math.Max(start, busyUntil[core])
 		} else {
@@ -320,32 +139,29 @@ func execute(pool runner, busyUntil []float64, plans []plan, wake, next float64)
 			start = math.Max(start, busyUntil[core])
 		}
 		if start >= next {
-			pl.job.Squeezed = true
+			j.Squeezed = true
 			continue // no core frees before the next re-plan
 		}
-		speed := pl.speed
+		speed := pl.Speed
 		// A delayed start may invalidate the plan: compress to the
-		// deadline, capped at s_up (the pool caps further; late
+		// deadline, capped at s_up (the executor caps further; late
 		// completion is recorded as a miss).
-		if slack := pl.job.Task.Deadline - start; slack < pl.job.Remaining/speed {
-			pl.job.Squeezed = true
+		if slack := j.Task.Deadline - start; slack < j.Remaining/speed {
+			j.Squeezed = true
 			if slack > 0 {
-				speed = pl.job.Remaining / slack
-				if max := effectiveMax(sys); speed > max {
-					speed = max
-				}
+				speed = math.Min(j.Remaining/slack, sys.Core.SpeedCeiling())
 			} else {
 				// The start is already at or past the deadline: the miss
 				// is unavoidable, so race at s_up instead of keeping the
 				// stale planned speed and running past the deadline slowly.
-				speed = raceSpeed(pl.job.Remaining, pl.job.Task.Release, pl.job.Task.Deadline, start, sys)
+				speed = raceSpeed(j.Remaining, j.Task.Release, j.Task.Deadline, start, sys)
 			}
 		}
-		end := math.Min(start+pl.job.Remaining/speed, next)
+		end := math.Min(start+j.Remaining/speed, next)
 		if end <= start {
 			continue
 		}
-		actual, err := pool.Run(pl.job.Task.ID, core, start, end, speed)
+		actual, err := st.Run(j.Task.ID, core, start, end, speed)
 		if err != nil {
 			return err
 		}

@@ -12,13 +12,13 @@ import (
 	"sdem/internal/telemetry"
 )
 
-// Runtime is the incremental SDEM-ON engine. Instead of rescanning the
-// pool and re-solving from scratch on every arrival (ScheduleRescan), it
-// maintains:
+// Runtime is the incremental SDEM-ON engine. Every run — a finite task
+// set or an unbounded stream — is one arrival loop (drive) over a
+// sim.Stream; on each arrival the engine re-plans with:
 //
-//   - an EDF-ordered active set updated by a release cursor over the
-//     release-sorted job list (O(log active) insert, O(active) sweep)
-//     instead of the O(jobs) rescan + sort per arrival;
+//   - an EDF-ordered active set updated on admission (O(log active)
+//     insert, O(active) sweep) instead of an O(jobs) rescan + sort per
+//     arrival;
 //   - a retained commonrelease.Solver whose normalization/scan/audit
 //     scratch persists across re-plans, with an ends-only solve that
 //     skips building and auditing the per-plan solution schedule;
@@ -30,22 +30,26 @@ import (
 //     every planned start lands at or past the next arrival, the solve
 //     is skipped entirely — procrastination would sleep through it.
 //
-// Every path is bit-compatible with ScheduleRescan: the equivalence
-// property tests assert byte-identical sim.Result on fault-free and
+// Every path is bit-compatible with a full rescan that re-solves each
+// arrival from scratch: the equivalence property tests assert
+// byte-identical sim.Result against that oracle on fault-free and
 // fault-injected deterministic workloads.
 //
 // A Runtime is not safe for concurrent use, but is reusable: retaining
-// one across Schedule calls (as sdemd does via a sync.Pool) re-plans
+// one across runs (as sdemd does via a sync.Pool) re-plans
 // allocation-free once its buffers reach the high-water instance size.
 type Runtime struct {
 	solver commonrelease.Solver
 
-	byRel     []*sim.Job // release-cursor view, (release, deadline, ID) order
+	set     setSource   // the finite source of a Schedule run
+	pending arrivalHeap // drawn arrivals not yet admitted, (release, ID) order
+	early   []float64   // distinct releases already admitted ahead of their instant
+
 	active    []*sim.Job // EDF order: (deadline, ID)
 	virtual   task.Set   // common-release instance of the current re-plan
 	vjobs     []*sim.Job // vjobs[i] is the job behind virtual[i]
 	urgent    []*sim.Job
-	plans     []plan
+	plans     []Plan
 	busyUntil []float64
 
 	// Plan-delta memo: the (window, workload) bit pattern of the last
@@ -56,81 +60,68 @@ type Runtime struct {
 	memoOK   bool
 }
 
-// Schedule runs SDEM-ON over the task set with the incremental engine
-// and returns the audited result, byte-identical to ScheduleRescan.
+// Schedule runs SDEM-ON over the task set and returns the audited result.
+// The set, validated as a whole and sorted by release, is a finite
+// arrival source driven through a recording executor.
 func (rt *Runtime) Schedule(tasks task.Set, sys power.System, opts Options) (*sim.Result, error) {
-	pool, err := sim.NewPool(tasks, sys, opts.Cores)
+	st, err := sim.NewRecorder(tasks, sys, opts.Cores)
 	if err != nil {
 		return nil, err
 	}
-	who := "sdem-on"
-	if opts.PlanAlphaZero {
-		who = "sdem-on-z"
+	st.SetTelemetry(opts.Telemetry, engineLabel(opts.PlanAlphaZero))
+	rt.set = setSource{tasks: st.Tasks()}
+	_, err = rt.drive(&rt.set, st, StreamOptions{
+		NoProcrastinate: opts.NoProcrastinate,
+		PlanAlphaZero:   opts.PlanAlphaZero,
+		Telemetry:       opts.Telemetry,
+		Ctx:             opts.Ctx,
+	})
+	rt.set = setSource{}
+	if err != nil {
+		return nil, err
 	}
-	pool.SetTelemetry(opts.Telemetry, who)
-	return rt.run(pool, opts)
+	return st.Result()
 }
 
-// run drives the arrival loop over a freshly created pool.
-func (rt *Runtime) run(pool *sim.Pool, opts Options) (*sim.Result, error) {
-	rt.reset()
-	arrivals := pool.ArrivalTimes()
-	rt.byRel = pool.JobsByRelease(rt.byRel[:0])
-	if cap(rt.busyUntil) < pool.Cores() {
-		//lint:allow hotalloc: the per-core backing grows to the high-water core count once per Runtime
-		rt.busyUntil = make([]float64, pool.Cores())
+// setSource is a finite arrival source over a release-sorted task set.
+type setSource struct {
+	tasks task.Set
+	next  int
+}
+
+// Next implements workload.Source.
+func (s *setSource) Next() (task.Task, bool) {
+	if s.next >= len(s.tasks) {
+		return task.Task{}, false
 	}
-	busy := rt.busyUntil[:pool.Cores()]
-	for i := range busy {
-		busy[i] = 0
-	}
-	cursor := 0
-	for k, now := range arrivals {
-		// Cooperative cancellation checkpoint, once per arrival: the
-		// per-arrival re-plan below is the expensive unit of work.
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("online: cancelled at arrival %d of %d: %w", k, len(arrivals), err)
-			}
-		}
-		next := math.Inf(1)
-		if k+1 < len(arrivals) {
-			next = arrivals[k+1]
-		}
-		// Admit newly released jobs into the EDF active set; Released's
-		// predicate is release ≤ now + Tol, which is prefix-closed over
-		// the release-sorted view, so a cursor replaces the rescan.
-		for cursor < len(rt.byRel) && rt.byRel[cursor].Task.Release <= now+schedule.Tol {
-			j := rt.byRel[cursor]
-			cursor++
-			if !j.Done {
-				rt.insertActive(j)
-			}
-		}
-		rt.sweepDone()
-		if len(rt.active) == 0 {
-			continue
-		}
-		if err := rt.step(pool, busy, now, next, opts); err != nil {
-			return nil, err
-		}
-	}
-	return pool.Finish()
+	s.next++
+	return s.tasks[s.next-1], true
 }
 
 // reset clears all per-run state while keeping the backing buffers.
-func (rt *Runtime) reset() {
+func (rt *Runtime) reset(cores int) []float64 {
+	rt.pending = rt.pending[:0]
+	rt.early = rt.early[:0]
 	rt.active = rt.active[:0]
 	rt.virtual = rt.virtual[:0]
 	rt.vjobs = rt.vjobs[:0]
 	rt.urgent = rt.urgent[:0]
 	rt.plans = rt.plans[:0]
 	rt.memoOK = false
+	if cap(rt.busyUntil) < cores {
+		//lint:allow hotalloc: the per-core backing grows to the high-water core count once per Runtime
+		rt.busyUntil = make([]float64, cores)
+	}
+	busy := rt.busyUntil[:cores]
+	for i := range busy {
+		busy[i] = 0
+	}
+	return busy
 }
 
 // insertActive inserts j into the (deadline, ID)-ordered active set.
 // The key is a total order (IDs are unique), so the resulting sequence
-// is exactly what Released's stable EDF sort produces.
+// is exactly what a stable EDF sort of the released jobs produces.
 func (rt *Runtime) insertActive(j *sim.Job) {
 	lo, hi := 0, len(rt.active)
 	for lo < hi {
@@ -166,21 +157,75 @@ func (rt *Runtime) sweepDone() {
 	rt.active = rt.active[:w]
 }
 
-// step re-plans the active set at now and executes until next. It is the
-// incremental counterpart of the legacy step + PlanAt pair and mirrors
-// their float evaluation order exactly.
+// planSystem is the platform the re-plans solve on: the real one, or its
+// α = 0 reduction under PlanAlphaZero.
+func planSystem(sys power.System, opts Options) power.System {
+	if opts.PlanAlphaZero {
+		sys.Core.Static = 0
+		sys.Core.BreakEven = 0
+	}
+	return sys
+}
+
+// step re-plans the active set at now and executes until next. It runs
+// once per arrival: everything below it is the SDEM-ON hot path.
 //
 //sdem:hotpath
-func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Options) error {
-	tel := opts.Telemetry
+func (rt *Runtime) step(st *sim.Stream, busy []float64, now, next float64, opts Options) error {
+	sys := st.System()
+	rt.split(now, sys, opts.Telemetry)
+	if len(rt.urgent) == 0 && !opts.NoProcrastinate && rt.certifySleep(now, next, sys, planSystem(sys, opts)) {
+		// The certificate proves the plan would compute wake ≥ next and
+		// execute nothing: sleep through to the next arrival without
+		// solving.
+		tel := opts.Telemetry
+		tel.Count("sdem.solver.online.skipped_solves", 1)
+		if tel != nil {
+			tel.Instant("sleep-certificate", "online", now, 0,
+				telemetry.Int("active", int64(len(rt.active))),
+				telemetry.Num("until", next))
+		}
+		return nil
+	}
+	wake, err := rt.plan(now, sys, opts)
+	if err != nil {
+		return err
+	}
+	if opts.NoProcrastinate {
+		wake = now
+	}
+	if wake >= next {
+		return nil // keep sleeping; the next arrival re-plans
+	}
+	return execute(st, busy, rt.plans, wake, next)
+}
+
+// Plan solves the common-release instance formed by the given unfinished
+// jobs at time now — remaining workloads, original deadlines — with the
+// §4 schemes, and returns the per-job plans: the planned jobs in EDF
+// order, then the urgent ones. This is the planning half of every
+// SDEM-ON arrival step, exported so the resilient runtime's recovery
+// chain can re-plan mid-execution after a fault. Infeasibility surfaces
+// as an error wrapping schedule.ErrInfeasible. The plans alias the
+// Runtime's scratch and are valid until its next run or Plan call.
+func (rt *Runtime) Plan(jobs []*sim.Job, now float64, sys power.System, opts Options) ([]Plan, error) {
+	rt.active = rt.active[:0]
+	for _, j := range jobs {
+		rt.insertActive(j)
+	}
+	rt.split(now, sys, opts.Telemetry)
+	if _, err := rt.plan(now, sys, opts); err != nil {
+		return nil, err
+	}
+	return rt.plans, nil
+}
+
+// split partitions the active set at now into the common-release
+// instance of the jobs that can still meet their deadline at a stretched
+// speed (virtual, backed by vjobs) and the urgent rest.
+func (rt *Runtime) split(now float64, sys power.System, tel *telemetry.Recorder) {
 	tel.Count("sdem.solver.online.plans", 1)
 	tel.Observe("sdem.solver.online.active_jobs", float64(len(rt.active)))
-	sys := pool.System()
-	planSys := sys
-	if opts.PlanAlphaZero {
-		planSys.Core.Static = 0
-		planSys.Core.BreakEven = 0
-	}
 	rt.virtual = rt.virtual[:0]
 	rt.vjobs = rt.vjobs[:0]
 	rt.urgent = rt.urgent[:0]
@@ -188,7 +233,7 @@ func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Opt
 		window := j.Task.Deadline - now
 		if window <= 0 || (sys.Core.SpeedMax > 0 && j.Remaining/window > sys.Core.SpeedMax) {
 			// Already beyond salvation at a stretched speed: race
-			// immediately; the pool records the miss if it is one.
+			// immediately; the executor records the miss if it is one.
 			//lint:allow hotalloc: appends into the reused urgent backing; it grows only to the run's high-water urgent count
 			rt.urgent = append(rt.urgent, j)
 			continue
@@ -202,32 +247,23 @@ func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Opt
 		})
 		rt.vjobs = append(rt.vjobs, j)
 	}
+}
 
-	if len(rt.urgent) == 0 && !opts.NoProcrastinate && rt.certifySleep(now, next, sys, planSys) {
-		// The certificate proves the legacy path would compute
-		// wake ≥ next and execute nothing: sleep through to the next
-		// arrival without solving.
-		tel.Count("sdem.solver.online.skipped_solves", 1)
-		if tel != nil {
-			tel.Instant("sleep-certificate", "online", now, 0,
-				telemetry.Int("active", int64(len(rt.active))),
-				telemetry.Num("until", next))
-		}
-		return nil
-	}
-
+// plan solves the split instance into rt.plans and returns the wake time.
+func (rt *Runtime) plan(now float64, sys power.System, opts Options) (float64, error) {
+	tel := opts.Telemetry
 	plans := rt.plans[:0]
 	wake := math.Inf(1)
 	if len(rt.virtual) > 0 {
-		ends, err := rt.planEnds(now, planSys, tel)
+		ends, err := rt.planEnds(now, planSystem(sys, opts), tel)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		for i, vt := range rt.virtual {
-			// Replay the legacy build + Normalize + ends-map extraction
+			// Replay the full solve's build + Normalize + ends extraction
 			// bit-for-bit: the task's segment is [now, now+endRel], kept
 			// only when its float duration exceeds Tol/10, and a task
-			// with no kept segment reads 0 from the ends map.
+			// with no kept segment plans from an end of 0.
 			var endAbs float64
 			if endRel := ends[i]; endRel > 0 {
 				if abs := now + endRel; abs-now > schedule.Tol/10 {
@@ -239,14 +275,14 @@ func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Opt
 				p = vt.Workload / raceSpeed(vt.Workload, vt.Release, vt.Deadline, now, sys)
 			}
 			//lint:allow hotalloc: appends into the reused plans backing
-			plans = append(plans, plan{job: rt.vjobs[i], p: p, speed: vt.Workload / p})
+			plans = append(plans, Plan{Job: rt.vjobs[i], P: p, Speed: vt.Workload / p})
 			wake = math.Min(wake, vt.Deadline-p)
 		}
 	}
 	for _, j := range rt.urgent {
 		s := raceSpeed(j.Remaining, j.Task.Release, j.Task.Deadline, now, sys)
 		//lint:allow hotalloc: appends into the reused plans backing
-		plans = append(plans, plan{job: j, p: j.Remaining / s, speed: s})
+		plans = append(plans, Plan{Job: j, P: j.Remaining / s, Speed: s, Urgent: true})
 		wake = now
 	}
 	rt.plans = plans
@@ -261,17 +297,11 @@ func (rt *Runtime) step(pool runner, busy []float64, now, next float64, opts Opt
 			telemetry.Int("urgent", int64(len(rt.urgent))),
 			telemetry.Num("wake", wake))
 	}
-	if opts.NoProcrastinate {
-		wake = now
-	}
-	if wake >= next {
-		return nil // keep sleeping; the next arrival re-plans
-	}
-	return execute(pool, busy, plans, wake, next)
+	return wake, nil
 }
 
 // certifySleep reports whether, without solving, every planned start is
-// provably at or past next, so the legacy planner would execute nothing
+// provably at or past next, so the plan would execute nothing
 // before the next arrival. Soundness: any plan's execution time p is
 // either (now + endRel) − now for some endRel ≤ max natural completion
 // (the busy length never exceeds it, and float addition/subtraction of a

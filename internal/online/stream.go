@@ -54,28 +54,24 @@ type StreamOptions struct {
 //
 // It is a hand-rolled typed binary heap rather than a container/heap
 // implementation: heap.Push and heap.Pop traffic in `any`, which boxes
-// every taskArrival on push AND on pop — two heap allocations per
-// arrival on the engine's hottest path. The typed min-heap keeps the
-// identical (release, ID) order with zero allocations past the backing
-// array's high-water growth.
-type arrivalHeap []taskArrival
-
-type taskArrival struct {
-	t task.Task
-}
+// every task on push AND on pop — two heap allocations per arrival on the
+// engine's hottest path. The typed min-heap keeps the identical
+// (release, ID) order with zero allocations past the backing array's
+// high-water growth.
+type arrivalHeap []task.Task
 
 func (h arrivalHeap) less(i, j int) bool {
 	//lint:allow floatcmp: heap ordering must be exact to stay deterministic
-	if h[i].t.Release != h[j].t.Release {
-		return h[i].t.Release < h[j].t.Release
+	if h[i].Release != h[j].Release {
+		return h[i].Release < h[j].Release
 	}
-	return h[i].t.ID < h[j].t.ID
+	return h[i].ID < h[j].ID
 }
 
-// push inserts a and restores the heap invariant (sift-up).
-func (h *arrivalHeap) push(a taskArrival) {
+// push inserts t and restores the heap invariant (sift-up).
+func (h *arrivalHeap) push(t task.Task) {
 	//lint:allow hotalloc: appends into the reused heap backing; it grows to the high-water overlap size once
-	*h = append(*h, a)
+	*h = append(*h, t)
 	s := *h
 	for i := len(s) - 1; i > 0; {
 		p := (i - 1) / 2
@@ -88,12 +84,12 @@ func (h *arrivalHeap) push(a taskArrival) {
 }
 
 // pop removes and returns the minimum element (sift-down).
-func (h *arrivalHeap) pop() taskArrival {
+func (h *arrivalHeap) pop() task.Task {
 	s := *h
 	n := len(s) - 1
 	top := s[0]
 	s[0] = s[n]
-	s[n] = taskArrival{}
+	s[n] = task.Task{}
 	*h = s[:n]
 	s = s[:n]
 	for i := 0; ; {
@@ -117,7 +113,7 @@ func (h *arrivalHeap) pop() taskArrival {
 // ScheduleStream runs the incremental SDEM-ON engine over an unbounded
 // arrival source in O(active-set) memory: jobs are admitted from the
 // source one arrival at a time, planned with the same per-arrival
-// machinery as Schedule, executed into a sim.Stream whose meter accounts
+// machinery as Schedule, executed into a metered sim.Stream that accounts
 // energy incrementally, and retired on completion. This is the soak
 // engine — days of virtual time under fault injection with live
 // telemetry, no materialized task set or schedule.
@@ -133,12 +129,7 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 	if err != nil {
 		return nil, err
 	}
-	who := "sdem-on"
-	if opts.PlanAlphaZero {
-		who = "sdem-on-z"
-	}
-	tel := opts.Telemetry
-	st.SetTelemetry(tel, who)
+	st.SetTelemetry(opts.Telemetry, engineLabel(opts.PlanAlphaZero))
 	// A miss is explained when the job itself was perturbed (replayed
 	// from its deterministic fault draw) or when the executor squeezed it
 	// behind a full machine — a queueing consequence of overload bursts
@@ -160,30 +151,35 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 			opts.Series.Observe("sdem.stream.response_s", resp)
 		})
 	}
+	end, err := rt.drive(src, st, opts)
+	if err != nil {
+		return nil, err
+	}
+	return st.Finish(end), nil
+}
+
+// drive is the one SDEM-ON arrival loop. Every distinct release is a
+// planning instant: the arrivals released by then (up to schedule.Tol)
+// are admitted — perturbed by opts.Faults first — the active set is
+// re-planned, and the plan executes until the next instant. An arrival
+// within Tol after the instant is admitted with it, but its own release
+// still gets an instant of its own. opts.Cores is ignored: the executor
+// knows its cores. drive returns the end of the run's horizon, the latest
+// admitted deadline or execution end.
+func (rt *Runtime) drive(src workload.Source, st *sim.Stream, opts StreamOptions) (float64, error) {
+	busy := rt.reset(st.Cores())
+	stepOpts := Options{
+		NoProcrastinate: opts.NoProcrastinate,
+		PlanAlphaZero:   opts.PlanAlphaZero,
+		Telemetry:       opts.Telemetry,
+	}
 	// Windowed energy-per-job observations accumulate between batch
 	// seals: the sketch sees the mean energy of each batch's newly
 	// completed jobs.
 	var meteredE float64
 	var meteredN int64
 
-	rt.reset()
-	if cap(rt.busyUntil) < opts.Cores {
-		rt.busyUntil = make([]float64, opts.Cores)
-	}
-	busy := rt.busyUntil[:opts.Cores]
-	for i := range busy {
-		busy[i] = 0
-	}
-
-	stepOpts := Options{
-		Cores:           opts.Cores,
-		NoProcrastinate: opts.NoProcrastinate,
-		PlanAlphaZero:   opts.PlanAlphaZero,
-		Telemetry:       tel,
-	}
-
 	var (
-		pending   arrivalHeap
 		upstream  task.Task
 		hasUp     bool
 		drawn     int64
@@ -193,24 +189,6 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 		exhausted bool
 		arrival   int64
 	)
-	perturb := func(t task.Task) taskArrival {
-		if opts.Faults == nil {
-			return taskArrival{t: t}
-		}
-		f := opts.Faults.Sample(t)
-		if f.None() {
-			return taskArrival{t: t}
-		}
-		t.Workload *= f.WorkFactor
-		t.Release += f.ReleaseDelay
-		if t.Release >= t.Deadline {
-			// Keep the job admissible (Validate rejects an empty window
-			// with work): a sliver-window arrival still exercises the
-			// urgent path and counts as an explained miss.
-			t.Release = t.Deadline - schedule.Tol
-		}
-		return taskArrival{t: t}
-	}
 	pull := func() {
 		if exhausted {
 			return
@@ -234,70 +212,84 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 	for {
 		if opts.Ctx != nil {
 			if err := opts.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("online: stream cancelled at arrival %d: %w", arrival, err)
+				return 0, fmt.Errorf("online: cancelled at arrival %d: %w", arrival, err)
 			}
 		}
-		// Feed the reorder heap until its minimum is safe to emit: once
-		// the upstream release passes the heap minimum, no future task —
-		// delays are non-negative — can arrive earlier.
-		for hasUp && (len(pending) == 0 || upstream.Release <= pending[0].t.Release) {
+		// Feed the reorder heap until its minimum instant is safe to
+		// admit at: once the upstream release passes the heap minimum by
+		// more than Tol, no future task — delays are non-negative — can
+		// join that instant.
+		for hasUp && (len(rt.pending) == 0 || upstream.Release <= rt.pending[0].Release+schedule.Tol) {
 			if admissionOver(upstream.Release) {
 				hasUp = false
 				exhausted = true
 				break
 			}
-			pending.push(perturb(upstream))
+			t := upstream
+			if opts.Faults != nil {
+				t = opts.Faults.Sample(t).Apply(t)
+			}
+			rt.pending.push(t)
 			drawn++
 			pull()
 		}
-		if len(pending) == 0 && st.Active() == 0 {
+		if len(rt.early) == 0 && len(rt.pending) == 0 && st.Active() == 0 {
 			break // drained: no arrivals left and nothing running
 		}
 
-		// The next planning instant: the earliest pending arrival, or a
-		// final drain pass over whatever is still active.
-		now := math.Inf(1)
-		if len(pending) > 0 {
-			now = pending[0].t.Release
-		} else {
+		// The next planning instant: a release already admitted ahead of
+		// its instant, the earliest pending arrival, or a final drain
+		// pass over whatever is still active.
+		var now float64
+		switch {
+		case len(rt.early) > 0:
+			now = rt.early[0]
+			rt.early = rt.early[:copy(rt.early, rt.early[1:])]
+		case len(rt.pending) > 0:
+			now = rt.pending[0].Release
+		default:
 			now = st.Now()
 		}
 		opts.Series.Advance(now)
-		for len(pending) > 0 && pending[0].t.Release <= now+schedule.Tol {
-			a := pending.pop()
-			j, err := st.Admit(a.t)
+		for len(rt.pending) > 0 && rt.pending[0].Release <= now+schedule.Tol {
+			t := rt.pending.pop()
+			j, err := st.Admit(t)
 			if err != nil {
-				return nil, fmt.Errorf("online: admitting task %d: %w", a.t.ID, err)
+				return 0, fmt.Errorf("online: admitting task %d: %w", t.ID, err)
 			}
 			arrival++
 			if !started {
 				started = true
-				first = a.t.Release
+				first = t.Release
 			}
-			if a.t.Deadline > maxDL {
-				maxDL = a.t.Deadline
+			if t.Deadline > maxDL {
+				maxDL = t.Deadline
+			}
+			if t.Release > now && (len(rt.early) == 0 || t.Release > rt.early[len(rt.early)-1]) {
+				//lint:allow hotalloc: appends into the reused early backing; it stays empty unless releases fall within Tol of each other
+				rt.early = append(rt.early, t.Release)
 			}
 			if !j.Done {
 				rt.insertActive(j)
 			}
 		}
 		next := math.Inf(1)
-		if len(pending) > 0 {
-			next = pending[0].t.Release
-		} else if hasUp {
+		switch {
+		case len(rt.early) > 0:
+			next = rt.early[0]
+		case len(rt.pending) > 0:
+			next = rt.pending[0].Release
+		case hasUp:
 			next = upstream.Release
 		}
 		rt.sweepDone()
 		if len(rt.active) > 0 {
 			if err := rt.step(st, busy, now, next, stepOpts); err != nil {
-				return nil, err
+				return 0, err
 			}
 			rt.sweepDone()
 		}
 		st.Seal(next)
-		if tel != nil {
-			tel.Gauge("sdem.solver.online.stream_virtual_s", st.Now()-first)
-		}
 		if opts.Series != nil {
 			if e, n := st.EnergySoFar(), st.Completed(); n > meteredN {
 				opts.Series.Observe("sdem.stream.energy_per_job_j", (e-meteredE)/float64(n-meteredN))
@@ -307,13 +299,12 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 		if math.IsInf(next, 1) && len(rt.active) > 0 {
 			// Final drain executed everything plannable; anything still
 			// active is unschedulable (zero window at +Inf horizon) and
-			// retires as a miss in Finish.
+			// retires as a miss.
 			break
 		}
-		if math.IsInf(next, 1) && len(pending) == 0 && !hasUp && st.Active() == 0 {
+		if math.IsInf(next, 1) && len(rt.pending) == 0 && !hasUp && st.Active() == 0 {
 			break
 		}
 	}
-	end := math.Max(maxDL, st.Now())
-	return st.Finish(end), nil
+	return math.Max(maxDL, st.Now()), nil
 }

@@ -177,6 +177,20 @@ func (c Core) ClampSpeed(s, filled float64) float64 {
 	return s
 }
 
+// unboundedSpeed stands in for s_up on an uncapped core (SpeedMax = 0):
+// finite, so segment arithmetic stays finite, and far above any speed a
+// task of this model needs, so racing at it is effectively instant.
+const unboundedSpeed = 1e12
+
+// SpeedCeiling returns the fastest speed a job may be commanded to: s_up,
+// or the effectively unbounded sentinel on an uncapped core.
+func (c Core) SpeedCeiling() float64 {
+	if c.SpeedMax > 0 {
+		return c.SpeedMax
+	}
+	return unboundedSpeed
+}
+
 // CriticalSpeed returns the per-task critical speed of §4.2,
 // s_0 = min(max(s_m, s_f), s_up), where s_f is the task's filled speed.
 func (c Core) CriticalSpeed(filled float64) float64 {

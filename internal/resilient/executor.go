@@ -35,11 +35,13 @@ type wakeStall struct {
 	wake, delay float64
 }
 
-// executor drives one fault-perturbed replay.
+// executor drives one fault-perturbed replay through a recording
+// sim.Stream: it is the replay policy, the stream is the executor.
 type executor struct {
 	input   *schedule.Schedule
 	tasks   task.Set
-	pool    *sim.Pool
+	st      *sim.Stream
+	rt      online.Runtime // the re-planner of recovery step 2
 	pol     Policy
 	plan    faults.Plan
 	events  []event // pending, sorted by (start, core, taskID)
@@ -65,23 +67,20 @@ func newExecutor(sched *schedule.Schedule, tasks task.Set, sys power.System, pla
 	if len(sched.Cores) > cores {
 		cores = len(sched.Cores)
 	}
-	if cores == 0 && len(tasks) > 0 {
-		cores = len(tasks)
-	}
-	pool, err := sim.NewPool(tasks, sys, cores)
+	st, err := sim.NewRecorder(tasks, sys, cores) // 0 cores: one per task
 	if err != nil {
 		return nil, fmt.Errorf("resilient: %w", err)
 	}
-	pool.SetHorizon(sched.Start, sched.End)
-	pool.SetPolicies(sched.CorePolicy, sched.MemoryPolicy)
-	pool.SetTelemetry(pol.Telemetry, "resilient")
+	st.SetHorizon(sched.Start, sched.End)
+	st.SetPolicies(sched.CorePolicy, sched.MemoryPolicy)
+	st.SetTelemetry(pol.Telemetry, "resilient")
 	e := &executor{
 		input:      sched,
 		tasks:      tasks,
-		pool:       pool,
+		st:         st,
 		pol:        pol,
 		plan:       plan,
-		coreNow:    make([]float64, pool.Cores()),
+		coreNow:    make([]float64, st.Cores()),
 		recoveries: make(map[int]int),
 		threatened: make(map[int]bool),
 		planned:    plannedMisses(sched, tasks),
@@ -90,20 +89,10 @@ func newExecutor(sched *schedule.Schedule, tasks task.Set, sys power.System, pla
 		e.coreNow[i] = sched.Start
 	}
 
-	// Apply the pre-run faults and install the execution-time ones.
-	for _, f := range plan.ByKind(faults.Overrun) {
-		if pool.Job(f.TaskID) == nil {
-			continue // targeting a task absent from this set is a no-op
-		}
-		if err := pool.ScaleWorkload(f.TaskID, f.Factor); err != nil {
-			return nil, fmt.Errorf("resilient: %w", err)
-		}
-	}
-	for _, f := range plan.ByKind(faults.LateRelease) {
-		if pool.Job(f.TaskID) == nil {
-			continue
-		}
-		if err := pool.DelayRelease(f.TaskID, f.Delay); err != nil {
+	// Admission applies the task-level faults (overruns, late releases);
+	// the execution-time ones are installed below.
+	for _, t := range st.Tasks() {
+		if _, err := st.Admit(plan.JobFault(t.ID).Apply(t)); err != nil {
 			return nil, fmt.Errorf("resilient: %w", err)
 		}
 	}
@@ -111,7 +100,7 @@ func newExecutor(sched *schedule.Schedule, tasks task.Set, sys power.System, pla
 	if len(e.caps) > 0 {
 		smax := sys.Core.SpeedMax
 		caps := e.caps
-		pool.SetSpeedLimiter(func(core int, t0, t1, speed float64) float64 {
+		st.SetSpeedLimiter(func(core int, t0, t1, speed float64) float64 {
 			s := speed
 			for _, c := range caps {
 				if c.Core == core && t0 < c.Until-schedule.Tol && t1 > c.At+schedule.Tol {
@@ -206,7 +195,7 @@ func (e *executor) push(ev event) {
 // cancelFuture removes all pending events of the job and returns the core
 // energy their execution would have cost (for the recovery audit).
 func (e *executor) cancelFuture(taskID int) float64 {
-	core := e.pool.System().Core
+	core := e.st.System().Core
 	var cost float64
 	out := e.events[:0]
 	for _, ev := range e.events {
@@ -231,22 +220,15 @@ func (e *executor) futureCapacity(taskID int) float64 {
 	return cap
 }
 
-// effectiveMax mirrors online.effectiveMax: s_up, or effectively unbounded.
-func (e *executor) effectiveMax() float64 {
-	if s := e.pool.System().Core.SpeedMax; s > 0 {
-		return s
-	}
-	return 1e12
-}
-
-// coreMax is the fastest speed the core sustains from t on: effectiveMax,
-// lowered by any speed cap in force at t. Recovery sizes its events with
-// it, so the capacity they promise is capacity the core delivers.
+// coreMax is the fastest speed the core sustains from t on: the speed
+// ceiling, lowered by any speed cap in force at t. Recovery sizes its
+// events with it, so the capacity they promise is capacity the core
+// delivers.
 func (e *executor) coreMax(core int, t float64) float64 {
-	s := e.effectiveMax()
+	s := e.st.System().Core.SpeedCeiling()
 	for _, c := range e.caps {
 		if c.Core == core && t >= c.At-schedule.Tol && t < c.Until-schedule.Tol {
-			s = math.Min(s, c.Factor*e.pool.System().Core.SpeedMax)
+			s = math.Min(s, c.Factor*e.st.System().Core.SpeedMax)
 		}
 	}
 	return s
@@ -258,7 +240,7 @@ func (e *executor) run() (*Result, error) {
 	for len(e.events) > 0 {
 		ev := e.events[0]
 		e.events = e.events[1:]
-		j := e.pool.Job(ev.taskID)
+		j := e.st.Job(ev.taskID)
 		if j == nil {
 			return nil, fmt.Errorf("resilient: schedule references unknown task %d: %w", ev.taskID, schedule.ErrInfeasible)
 		}
@@ -291,7 +273,7 @@ func (e *executor) run() (*Result, error) {
 			sliceEnd = ev.end
 		}
 
-		actual, err := e.pool.Run(ev.taskID, ev.core, start, sliceEnd, ev.speed)
+		actual, err := e.st.Run(ev.taskID, ev.core, start, sliceEnd, ev.speed)
 		if err != nil {
 			return nil, fmt.Errorf("resilient: replay: %w", err)
 		}
@@ -340,8 +322,8 @@ func (e *executor) check(j *sim.Job, now float64) {
 	e.pol.Telemetry.Count("sdem.resilient.detections", 1)
 	e.threatened[id] = true
 	if !e.pol.anyRecovery() {
-		// Pure replay: the shortfall plays out and the miss is recorded
-		// by the pool at Finish.
+		// Pure replay: the shortfall plays out and the executor records
+		// the miss at the end.
 		return
 	}
 	if e.recoveries[id] >= e.pol.MaxRecoveries {
@@ -374,7 +356,7 @@ func (e *executor) logRecovery(r Recovery) {
 // recover walks the chain: boost, re-plan, race.
 func (e *executor) recover(j *sim.Job, now float64) {
 	id := j.Task.ID
-	sys := e.pool.System()
+	sys := e.st.System()
 	reason := fmt.Sprintf("%.4g cycles beyond plan capacity", j.Remaining-e.futureCapacity(id))
 
 	// Step 1: local speed boost — run the remainder at the larger of the
@@ -457,46 +439,47 @@ func (e *executor) placement(j *sim.Job, now float64) (int, float64) {
 // affected jobs' pending events for the new plan. Returns false when the
 // re-plan is infeasible or does not save the triggering job.
 func (e *executor) replan(trigger *sim.Job, now float64, reason string) bool {
-	active := e.pool.Released(now)
+	var active []*sim.Job
+	for _, t := range e.st.Tasks() {
+		if j := e.st.Job(t.ID); !j.Done && j.Task.Release <= now+schedule.Tol {
+			active = append(active, j)
+		}
+	}
 	if len(active) == 0 {
 		return false
 	}
-	opts := online.Options{Cores: e.pool.Cores(), PlanAlphaZero: e.pol.PlanAlphaZero, Telemetry: e.pol.Telemetry}
-	plans, _, err := online.PlanAt(e.pool, active, now, opts)
+	opts := online.Options{PlanAlphaZero: e.pol.PlanAlphaZero, Telemetry: e.pol.Telemetry}
+	plans, err := e.rt.Plan(active, now, e.st.System(), opts)
 	if err != nil {
 		return false // wraps schedule.ErrInfeasible: no schedule can help
 	}
 	for _, pl := range plans {
-		if pl.TaskID == trigger.Task.ID && pl.Urgent {
+		if pl.Job == trigger && pl.Urgent {
 			// The trigger is beyond any stretched-speed plan; do not
 			// disturb the other jobs — racing is the only option left.
 			return false
 		}
 	}
-	sys := e.pool.System()
+	sys := e.st.System()
 
 	// EDF layout of the new plans onto the cores, respecting pins.
-	byID := make(map[int]*sim.Job, len(active))
-	for _, j := range active {
-		byID[j.Task.ID] = j
-	}
 	sort.SliceStable(plans, func(a, b int) bool {
-		da, db := byID[plans[a].TaskID].Task.Deadline, byID[plans[b].TaskID].Task.Deadline
+		ja, jb := plans[a].Job, plans[b].Job
 		//lint:allow floatcmp: sort tie-breaking must be exact to keep the comparator transitive
-		if da != db {
-			return da < db
+		if ja.Task.Deadline != jb.Task.Deadline {
+			return ja.Task.Deadline < jb.Task.Deadline
 		}
-		return plans[a].TaskID < plans[b].TaskID
+		return ja.Task.ID < jb.Task.ID
 	})
 	var cancelled, newCost float64
 	for _, pl := range plans {
-		cancelled += e.cancelFuture(pl.TaskID)
+		cancelled += e.cancelFuture(pl.Job.Task.ID)
 	}
 	busy := make([]float64, len(e.coreNow))
 	copy(busy, e.coreNow)
 	triggerOK := false
 	for _, pl := range plans {
-		j := byID[pl.TaskID]
+		j := pl.Job
 		core := j.Core
 		if core < 0 {
 			core = 0
@@ -509,12 +492,12 @@ func (e *executor) replan(trigger *sim.Job, now float64, reason string) bool {
 		start := math.Max(now, busy[core])
 		start = math.Max(start, j.Task.Release)
 		start = e.stallAdjust(start)
-		ev := event{taskID: pl.TaskID, core: core, start: start, end: start + pl.P, speed: pl.Speed}
+		ev := event{taskID: j.Task.ID, core: core, start: start, end: start + pl.P, speed: pl.Speed}
 		ev.quantum = (ev.end - ev.start) / float64(e.pol.Checkpoints)
 		e.push(ev)
 		busy[core] = ev.end
 		newCost += sys.Core.EnergyFor(j.Remaining, pl.Speed)
-		if pl.TaskID == trigger.Task.ID {
+		if j == trigger {
 			triggerOK = ev.end <= j.Task.Deadline+schedule.Tol
 		}
 	}
@@ -528,7 +511,7 @@ func (e *executor) replan(trigger *sim.Job, now float64, reason string) bool {
 
 // finish wraps up: audit, miss classification, fault energy extras.
 func (e *executor) finish() (*Result, error) {
-	simRes, err := e.pool.Finish()
+	simRes, err := e.st.Result()
 	if err != nil {
 		return nil, err
 	}
@@ -561,7 +544,7 @@ func (e *executor) finish() (*Result, error) {
 	}
 	sort.Ints(averted)
 	for _, id := range averted {
-		j := e.pool.Job(id)
+		j := e.st.Job(id)
 		res.Averted = append(res.Averted, schedule.Miss{
 			TaskID:      id,
 			Deadline:    j.Task.Deadline,
@@ -571,7 +554,7 @@ func (e *executor) finish() (*Result, error) {
 		})
 	}
 
-	mem := e.pool.System().Memory
+	mem := e.st.System().Memory
 	for _, s := range e.stalls {
 		res.WakeStallEnergy += mem.Static * s.delay
 	}
@@ -595,7 +578,7 @@ func (e *executor) spuriousEnergy(s *schedule.Schedule) float64 {
 	if len(sw) == 0 {
 		return 0
 	}
-	mem := e.pool.System().Memory
+	mem := e.st.System().Memory
 	sleeps := sleepGaps(s, mem.BreakEven)
 	var total float64
 	for _, f := range sw {

@@ -70,7 +70,7 @@ type Policy struct {
 	// online.Options.PlanAlphaZero).
 	PlanAlphaZero bool
 	// Telemetry, when non-nil, records detection/recovery metrics and
-	// trace events (sdem.resilient.* plus the pool's sdem.sim.* series).
+	// trace events (sdem.resilient.* plus the executor's sdem.sim.* series).
 	Telemetry *telemetry.Recorder
 }
 

@@ -371,3 +371,29 @@ func TestBoostOnThrottledCore(t *testing.T) {
 		t.Errorf("want a single boost, got %d; log: %v", n, res.Recoveries)
 	}
 }
+
+// A late release past the task's whole window leaves no time to run in:
+// admission clamps the release to a sliver before the deadline, the job
+// still executes (late), and the outcome is a fault-induced miss — never
+// an error — with or without recovery.
+func TestLateReleasePastWindowIsFaultMiss(t *testing.T) {
+	sys := power.DefaultSystem()
+	tasks := benchTasks(t, 8, 3)
+	sched, _ := offline(t, tasks, sys)
+	victim := tasks[1]
+	plan := faults.Plan{Faults: []faults.Fault{
+		{Kind: faults.LateRelease, TaskID: victim.ID, Core: -1, Delay: 2 * victim.Window()},
+	}}
+	for _, pol := range []Policy{DefaultPolicy(), NoRecovery()} {
+		res, err := Execute(sched, tasks, sys, plan, pol)
+		if err != nil {
+			t.Fatalf("policy %+v: %v", pol, err)
+		}
+		if len(res.FaultMisses) != 1 || res.FaultMisses[0].TaskID != victim.ID {
+			t.Fatalf("policy %+v: fault misses %v, want task %d", pol, res.FaultMisses, victim.ID)
+		}
+		if res.FaultMisses[0].Class != schedule.MissFaultInduced {
+			t.Errorf("policy %+v: miss classified %v", pol, res.FaultMisses[0].Class)
+		}
+	}
+}

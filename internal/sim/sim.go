@@ -1,23 +1,20 @@
 // Package sim provides the online-scheduling substrate shared by the
-// SDEM-ON heuristic and the baseline policies: a job pool that tracks
-// remaining workloads as segments are emitted, detects completions and
-// deadline misses, and assembles the final schedule for auditing.
+// SDEM-ON heuristic, the baseline policies and the resilient runtime: one
+// executor (Stream) that admits jobs, tracks their remaining workloads as
+// segments are emitted, detects completions and deadline misses, and
+// accounts the energy of what ran.
 //
-// Policies drive the pool through Run calls; the pool owns all
-// bookkeeping so that every policy's output is validated by the same
-// machinery.
+// Policies drive the executor through Admit and Run calls; the executor
+// owns all bookkeeping so that every policy's output is validated by the
+// same machinery.
 package sim
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
-	"sdem/internal/numeric"
 	"sdem/internal/power"
 	"sdem/internal/schedule"
 	"sdem/internal/task"
-	"sdem/internal/telemetry"
 )
 
 // workTol is the relative remaining-workload tolerance below which a job
@@ -59,269 +56,12 @@ type Job struct {
 // segments at perturbation boundaries before calling Run.
 type SpeedLimiter func(core int, t0, t1, speed float64) float64
 
-// Pool tracks all jobs of an online run.
-type Pool struct {
-	sys     power.System
-	tasks   task.Set
-	jobs    map[int]*Job
-	order   []int // task IDs sorted by (release, deadline, ID)
-	sched   *schedule.Schedule
-	now     float64
-	limiter SpeedLimiter
-
-	tel      *telemetry.Recorder
-	telLabel string
-}
-
-// NewPool prepares an online run over the task set. cores is the number
-// of physical cores (0 means one per task). The schedule horizon is
-// [earliest release, latest deadline].
-func NewPool(tasks task.Set, sys power.System, cores int) (*Pool, error) {
-	if err := tasks.Validate(); err != nil {
-		return nil, err
-	}
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	if cores <= 0 {
-		cores = len(tasks)
-	}
-	start, end := tasks.Span()
-	p := &Pool{
-		sys:   sys,
-		tasks: tasks.Clone(),
-		jobs:  make(map[int]*Job, len(tasks)),
-		sched: schedule.New(cores, start, end),
-		now:   start,
-	}
-	p.tasks.SortByRelease()
-	// One slab for every job of the run instead of a per-task allocation:
-	// the serve path builds a Pool per request, so construction cost is
-	// user-visible. The slab lives exactly as long as the jobs map.
-	slab := make([]Job, len(p.tasks))
-	p.order = make([]int, 0, len(p.tasks))
-	for i, t := range p.tasks {
-		slab[i] = Job{Task: t, Remaining: t.Workload, Core: -1, Done: numeric.IsZero(t.Workload, 0)}
-		p.jobs[t.ID] = &slab[i]
-		p.order = append(p.order, t.ID)
-	}
-	return p, nil
-}
-
-// Tasks returns the release-sorted task set of the run.
-func (p *Pool) Tasks() task.Set { return p.tasks }
-
-// System returns the platform model.
-func (p *Pool) System() power.System { return p.sys }
-
-// Cores returns the physical core count of the run.
-func (p *Pool) Cores() int { return p.sched.NumCores }
-
-// Now returns the latest time any segment has been emitted up to.
-func (p *Pool) Now() float64 { return p.now }
-
-// Job returns the job of the given task ID, or nil.
-func (p *Pool) Job(id int) *Job { return p.jobs[id] }
-
-// Unfinished returns the jobs not yet complete, in release order.
-func (p *Pool) Unfinished() []*Job {
-	var out []*Job
-	for _, id := range p.order {
-		if j := p.jobs[id]; !j.Done {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
-// Slack returns the laxity of the job at time t: the time to its deadline
-// minus the time needed to finish the remaining workload at the platform's
-// maximum speed. Negative slack means the deadline is no longer reachable
-// even by racing. An unbounded platform (SpeedMax = 0) has no workload
-// term. Unknown or completed jobs have +Inf slack.
-func (p *Pool) Slack(id int, t float64) float64 {
-	j, ok := p.jobs[id]
-	if !ok || j.Done {
-		return math.Inf(1)
-	}
-	slack := j.Task.Deadline - t
-	if p.sys.Core.SpeedMax > 0 {
-		slack -= j.Remaining / p.sys.Core.SpeedMax
-	}
-	return slack
-}
-
-// ScaleWorkload multiplies the job's remaining workload by factor — the
-// fault-injection hook for WCET misestimation (overrun for factor > 1,
-// underrun below). It must be applied before the job executes.
-func (p *Pool) ScaleWorkload(id int, factor float64) error {
-	j, ok := p.jobs[id]
-	switch {
-	case !ok:
-		return fmt.Errorf("sim: unknown task %d", id)
-	case factor < 0 || math.IsNaN(factor) || math.IsInf(factor, 0):
-		return fmt.Errorf("sim: bad workload factor %g for task %d", factor, id)
-	}
-	j.Remaining *= factor
-	j.Done = numeric.IsZero(j.Remaining, 0)
-	return nil
-}
-
-// DelayRelease postpones the job's effective release by dt ≥ 0 — the
-// fault-injection hook for late arrivals. The deadline is unchanged;
-// Released and Run honour the delayed release.
-func (p *Pool) DelayRelease(id int, dt float64) error {
-	j, ok := p.jobs[id]
-	switch {
-	case !ok:
-		return fmt.Errorf("sim: unknown task %d", id)
-	case dt < 0 || math.IsNaN(dt) || math.IsInf(dt, 0):
-		return fmt.Errorf("sim: bad release delay %g for task %d", dt, id)
-	}
-	j.Task.Release += dt
-	for i := range p.tasks {
-		if p.tasks[i].ID == id {
-			p.tasks[i].Release = j.Task.Release
-		}
-	}
-	return nil
-}
-
-// SetTelemetry attaches a telemetry recorder; who names the policy
-// driving the pool and becomes the "sched" label on every sdem.sim.*
-// metric (empty for unlabeled). A nil recorder disables instrumentation.
-func (p *Pool) SetTelemetry(tel *telemetry.Recorder, who string) {
-	p.tel = tel
-	p.telLabel = ""
-	if who != "" {
-		p.telLabel = "sched=" + who
-	}
-}
-
-// SetSpeedLimiter installs an execution-time speed perturbation applied to
-// every subsequent Run. A nil limiter removes it.
-func (p *Pool) SetSpeedLimiter(f SpeedLimiter) { p.limiter = f }
-
-// SetHorizon overrides the audit horizon of the assembled schedule. A
-// replay of an existing schedule uses this so idle and sleep intervals are
-// accounted over the same span as the input. End may still grow if
-// execution runs past it.
-func (p *Pool) SetHorizon(start, end float64) {
-	if end > start {
-		p.sched.Start, p.sched.End = start, end
-		if start > p.now {
-			p.now = start
-		}
-	}
-}
-
-// SetPolicies sets the sleep policies the final audit uses, so a replay
-// is accounted under the same conventions as the schedule it replays.
-func (p *Pool) SetPolicies(core, mem schedule.SleepPolicy) {
-	p.sched.CorePolicy = core
-	p.sched.MemoryPolicy = mem
-}
-
-// ArrivalTimes returns the distinct release times in increasing order.
-func (p *Pool) ArrivalTimes() []float64 {
-	var out []float64
-	for _, t := range p.tasks {
-		if len(out) == 0 || t.Release > out[len(out)-1] {
-			out = append(out, t.Release)
-		}
-	}
-	return out
-}
-
-// jobsEDF sorts jobs by deadline then task ID. The pointer receiver
-// avoids boxing a fresh slice header into sort.Interface on every
-// Released call (once per arrival on the online hot path).
-type jobsEDF []*Job
-
-func (s *jobsEDF) Len() int { return len(*s) }
-func (s *jobsEDF) Less(a, b int) bool {
-	js := *s
-	//lint:allow floatcmp: sort tie-breaking must be exact to keep the comparator transitive
-	if js[a].Task.Deadline != js[b].Task.Deadline {
-		return js[a].Task.Deadline < js[b].Task.Deadline
-	}
-	return js[a].Task.ID < js[b].Task.ID
-}
-func (s *jobsEDF) Swap(a, b int) { (*s)[a], (*s)[b] = (*s)[b], (*s)[a] }
-
-// JobsByRelease appends the run's jobs in (release, deadline, ID) order —
-// the order Released scans — to buf and returns it. The incremental
-// online engine walks this once with a release cursor instead of
-// rescanning the pool on every arrival. The order reflects the releases
-// at pool creation; DelayRelease does not re-sort it.
-func (p *Pool) JobsByRelease(buf []*Job) []*Job {
-	for _, id := range p.order {
-		buf = append(buf, p.jobs[id])
-	}
-	return buf
-}
-
-// Released returns the unfinished jobs with release ≤ t, by deadline
-// order (EDF). The result is freshly allocated — callers hold it across
-// a planning step — but sized up front so the append loop never regrows.
-func (p *Pool) Released(t float64) []*Job {
-	out := make([]*Job, 0, len(p.order))
-	for _, id := range p.order {
-		j := p.jobs[id]
-		if !j.Done && j.Task.Release <= t+schedule.Tol {
-			out = append(out, j)
-		}
-	}
-	sort.Stable((*jobsEDF)(&out))
-	return out
-}
-
-// Run executes the job on the given core from t0 to t1 at the given
-// speed, emitting a segment and decrementing the remaining workload. The
-// executed work is capped at the job's remaining amount (the segment is
-// shortened accordingly). It returns the actual segment end time. Every
-// planned segment of every online run lands here.
-//
-//sdem:hotpath
-func (p *Pool) Run(taskID, core int, t0, t1, speed float64) (float64, error) {
-	j, ok := p.jobs[taskID]
-	switch {
-	case !ok:
-		return 0, fmt.Errorf("sim: unknown task %d", taskID)
-	case j.Done:
-		return 0, fmt.Errorf("sim: task %d already complete", taskID)
-	case t1 <= t0 || speed <= 0:
-		return 0, fmt.Errorf("sim: bad segment [%g,%g] speed %g for task %d", t0, t1, speed, taskID)
-	case t0 < j.Task.Release-schedule.Tol:
-		return 0, fmt.Errorf("sim: task %d started at %g before release %g", taskID, t0, j.Task.Release)
-	case core < 0 || core >= p.sched.NumCores:
-		return 0, fmt.Errorf("sim: core %d out of range", core)
-	case j.Core >= 0 && j.Core != core:
-		return 0, fmt.Errorf("sim: task %d would migrate from core %d to %d", taskID, j.Core, core)
-	}
-	t1, speed, capped, throttled := runSegment(j, p.sys, p.limiter, core, t0, t1, speed)
-	if capped {
-		p.tel.CountL("sdem.sim.speed_caps", p.telLabel, 1)
-	}
-	if throttled {
-		p.tel.CountL("sdem.sim.throttles", p.telLabel, 1)
-	}
-	p.sched.Add(core, schedule.Segment{TaskID: taskID, Start: t0, End: t1, Speed: speed})
-	p.tel.CountL("sdem.sim.segments", p.telLabel, 1)
-	p.tel.ObserveL("sdem.sim.segment_s", p.telLabel, t1-t0)
-	if t1 > p.now {
-		p.now = t1
-	}
-	return t1, nil
-}
-
-// runSegment is the execution core shared by Pool.Run and Stream.Run:
-// it caps the commanded speed at s_up, applies the limiter, executes
-// work, detects completion — preserving the caller's end time when it is
-// the exact completion point up to Tol, so replaying a planned segment
-// reproduces it bit-for-bit — and flags deadline misses. It returns the
-// actual segment end and speed plus whether the speed was capped or
-// throttled (for telemetry).
+// runSegment is the execution core of Stream.Run: it caps the commanded
+// speed at s_up, applies the limiter, executes work, detects completion —
+// preserving the caller's end time when it is the exact completion point
+// up to Tol, so replaying a planned segment reproduces it bit-for-bit —
+// and flags deadline misses. It returns the actual segment end and speed
+// plus whether the speed was capped or throttled (for telemetry).
 //
 //sdem:hotpath
 func runSegment(j *Job, sys power.System, limiter SpeedLimiter, core int, t0, t1, speed float64) (end, actual float64, capped, throttled bool) {
@@ -371,7 +111,7 @@ type Metrics struct {
 	Completed int
 }
 
-// Result is the outcome of an online run.
+// Result is the outcome of a recorded run.
 type Result struct {
 	// Schedule is the assembled schedule; its policies default to
 	// SleepBreakEven and callers adjust them per baseline semantics.
@@ -388,61 +128,6 @@ type Result struct {
 	Breakdown schedule.Breakdown
 	// Metrics summarizes response times.
 	Metrics Metrics
-}
-
-// Finish validates completion, audits and wraps the schedule. Policies on
-// the schedule may be adjusted before calling Audit again via Reaudit.
-func (p *Pool) Finish() (*Result, error) {
-	p.sched.Normalize()
-	var misses []int
-	var details []schedule.Miss
-	for _, id := range p.order {
-		j := p.jobs[id]
-		if !j.Done || j.missed {
-			misses = append(misses, id)
-			m := schedule.Miss{TaskID: id, Deadline: j.Task.Deadline}
-			if j.Done {
-				m.CompletedAt = j.Completed
-				m.Lateness = j.Completed - j.Task.Deadline
-			} else {
-				m.Remaining = j.Remaining
-			}
-			details = append(details, m)
-		}
-	}
-	// Extend the horizon if execution ran past the last deadline (only
-	// possible for missed schedules).
-	if p.now > p.sched.End {
-		p.sched.End = p.now
-	}
-	var m Metrics
-	for _, id := range p.order {
-		j := p.jobs[id]
-		if !j.Done || numeric.IsZero(j.Task.Workload, 0) {
-			continue
-		}
-		resp := j.Completed - j.Task.Release
-		m.MeanResponse += resp
-		m.MaxResponse = math.Max(m.MaxResponse, resp)
-		m.MeanLaxity += j.Task.Deadline - j.Completed
-		m.Completed++
-	}
-	if m.Completed > 0 {
-		m.MeanResponse /= float64(m.Completed)
-		m.MeanLaxity /= float64(m.Completed)
-	}
-	b := schedule.Audit(p.sched, p.sys)
-	if p.tel != nil {
-		p.recordFinish(b, misses, m)
-	}
-	return &Result{
-		Schedule:    p.sched,
-		Misses:      misses,
-		MissDetails: details,
-		Energy:      b.Total(),
-		Breakdown:   b,
-		Metrics:     m,
-	}, nil
 }
 
 // Reaudit recomputes a result's energy under different sleep policies,

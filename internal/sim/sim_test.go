@@ -18,41 +18,28 @@ func TestPoolLifecycle(t *testing.T) {
 		{ID: 2, Release: 0.1, Deadline: 0.3, Workload: 1e8},
 		{ID: 1, Release: 0, Deadline: 0.2, Workload: 1e8},
 	}
-	pool, err := NewPool(tasks, testSystem(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.ArrivalTimes(); len(got) != 2 || got[0] != 0 || got[1] != 0.1 {
-		t.Errorf("ArrivalTimes = %v", got)
-	}
-	if got := pool.Released(0.05); len(got) != 1 || got[0].Task.ID != 1 {
-		t.Errorf("Released(0.05) = %v", got)
-	}
-	if got := pool.Released(0.5); len(got) != 2 || got[0].Task.ID != 1 {
-		t.Errorf("Released(0.5) should be EDF ordered, got %v", got)
-	}
-
+	st := admitAll(t, tasks, testSystem(), 2)
 	// Execute task 1 fully, task 2 partially then fully.
-	end, err := pool.Run(1, 0, 0, 0.2, 1e9)
+	end, err := st.Run(1, 0, 0, 0.2, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEq(end, 0.1, 1e-9) { // 1e8 cycles at 1e9 Hz = 0.1 s
 		t.Errorf("task 1 end = %g, want 0.1", end)
 	}
-	if j := pool.Job(1); !j.Done || j.Remaining != 0 {
+	if j := st.Job(1); !j.Done || j.Remaining != 0 {
 		t.Errorf("task 1 not complete: %+v", j)
 	}
-	if _, err := pool.Run(2, 1, 0.1, 0.15, 1e9); err != nil {
+	if _, err := st.Run(2, 1, 0.1, 0.15, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	if j := pool.Job(2); j.Done || !almostEq(j.Remaining, 0.5e8, 1e-9) {
+	if j := st.Job(2); j.Done || !almostEq(j.Remaining, 0.5e8, 1e-9) {
 		t.Errorf("task 2 remaining = %g, want 5e7", j.Remaining)
 	}
-	if _, err := pool.Run(2, 1, 0.2, 0.3, 1e9); err != nil {
+	if _, err := st.Run(2, 1, 0.2, 0.3, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.Finish()
+	res, err := st.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +56,7 @@ func TestPoolLifecycle(t *testing.T) {
 
 func TestPoolRejectsBadRuns(t *testing.T) {
 	tasks := task.Set{{ID: 1, Release: 0.1, Deadline: 1, Workload: 1e8}}
-	pool, _ := NewPool(tasks, testSystem(), 2)
+	st := admitAll(t, tasks, testSystem(), 2)
 	cases := []struct {
 		name          string
 		id, core      int
@@ -82,22 +69,22 @@ func TestPoolRejectsBadRuns(t *testing.T) {
 		{"core out of range", 1, 5, 0.1, 0.2, 1e9},
 	}
 	for _, tc := range cases {
-		if _, err := pool.Run(tc.id, tc.core, tc.t0, tc.t1, tc.speed); err == nil {
+		if _, err := st.Run(tc.id, tc.core, tc.t0, tc.t1, tc.speed); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
 	// Migration.
-	if _, err := pool.Run(1, 0, 0.1, 0.11, 1e9); err != nil {
+	if _, err := st.Run(1, 0, 0.1, 0.11, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Run(1, 1, 0.2, 0.21, 1e9); err == nil {
+	if _, err := st.Run(1, 1, 0.2, 0.21, 1e9); err == nil {
 		t.Error("migration must be rejected")
 	}
 	// Double completion.
-	if _, err := pool.Run(1, 0, 0.3, 1, 1e9); err != nil {
+	if _, err := st.Run(1, 0, 0.3, 1, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Run(1, 0, 0.9, 1, 1e9); err == nil {
+	if _, err := st.Run(1, 0, 0.9, 1, 1e9); err == nil {
 		t.Error("running a completed task must be rejected")
 	}
 }
@@ -107,12 +94,12 @@ func TestMissDetection(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: 0.1, Workload: 1e8},
 		{ID: 2, Release: 0, Deadline: 0.1, Workload: 1e8},
 	}
-	pool, _ := NewPool(tasks, testSystem(), 2)
+	st := admitAll(t, tasks, testSystem(), 2)
 	// Task 1 completes late; task 2 never completes.
-	if _, err := pool.Run(1, 0, 0.05, 0.2, 1e9); err != nil {
+	if _, err := st.Run(1, 0, 0.05, 0.2, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.Finish()
+	res, err := st.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +115,14 @@ func TestMissDetection(t *testing.T) {
 func TestSpeedCapSilentClamp(t *testing.T) {
 	sys := testSystem()
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: 1, Workload: 1e8}}
-	pool, _ := NewPool(tasks, sys, 1)
-	// Ask for an impossible speed; the pool caps it at s_up, so less work
+	st := admitAll(t, tasks, sys, 1)
+	// Ask for an impossible speed; the st caps it at s_up, so less work
 	// is done than requested.
-	if _, err := pool.Run(1, 0, 0, 0.01, 1e10); err != nil {
+	if _, err := st.Run(1, 0, 0, 0.01, 1e10); err != nil {
 		t.Fatal(err)
 	}
 	want := sys.Core.SpeedMax * 0.01
-	if j := pool.Job(1); !almostEq(j.Remaining, 1e8-want, 1e-9) {
+	if j := st.Job(1); !almostEq(j.Remaining, 1e8-want, 1e-9) {
 		t.Errorf("remaining = %g, want %g", j.Remaining, 1e8-want)
 	}
 }
@@ -143,11 +130,11 @@ func TestSpeedCapSilentClamp(t *testing.T) {
 func TestReaudit(t *testing.T) {
 	sys := testSystem()
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: 1, Workload: 1e8}}
-	pool, _ := NewPool(tasks, sys, 1)
-	if _, err := pool.Run(1, 0, 0, 1, 1e8); err != nil {
+	st := admitAll(t, tasks, sys, 1)
+	if _, err := st.Run(1, 0, 0, 1, 1e8); err != nil {
 		t.Fatal(err)
 	}
-	res, err := pool.Finish()
+	res, err := st.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +149,30 @@ func TestReaudit(t *testing.T) {
 
 func TestZeroWorkloadTasksAreBorn_Done(t *testing.T) {
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: 1, Workload: 0}}
-	pool, _ := NewPool(tasks, testSystem(), 1)
-	if j := pool.Job(1); !j.Done {
+	st := admitAll(t, tasks, testSystem(), 1)
+	if j := st.Job(1); !j.Done {
 		t.Error("zero-workload job must be born complete")
 	}
-	res, err := pool.Finish()
+	res, err := st.Result()
 	if err != nil || len(res.Misses) != 0 {
 		t.Errorf("zero-workload run: %v, misses %v", err, res.Misses)
 	}
+}
+
+// admitAll records a run over the task set with every task admitted up
+// front, the way the batch policies drive the executor.
+func admitAll(t *testing.T, tasks task.Set, sys power.System, cores int) *Stream {
+	t.Helper()
+	st, err := NewRecorder(tasks, sys, cores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tk := range st.Tasks() {
+		if _, err := st.Admit(tk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
 }
 
 func almostEq(a, b, tol float64) bool {
@@ -181,14 +184,14 @@ func TestMetrics(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: 0.5, Workload: 1e8},
 		{ID: 2, Release: 0.1, Deadline: 0.6, Workload: 1e8},
 	}
-	pool, _ := NewPool(tasks, testSystem(), 2)
-	if _, err := pool.Run(1, 0, 0.1, 0.3, 1e9); err != nil { // completes at 0.2
+	st := admitAll(t, tasks, testSystem(), 2)
+	if _, err := st.Run(1, 0, 0.1, 0.3, 1e9); err != nil { // completes at 0.2
 		t.Fatal(err)
 	}
-	if _, err := pool.Run(2, 1, 0.2, 0.5, 1e9); err != nil { // completes at 0.3
+	if _, err := st.Run(2, 1, 0.2, 0.5, 1e9); err != nil { // completes at 0.3
 		t.Fatal(err)
 	}
-	res, err := pool.Finish()
+	res, err := st.Result()
 	if err != nil {
 		t.Fatal(err)
 	}
