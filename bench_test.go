@@ -171,6 +171,15 @@ func BenchmarkSolveCommonRelease(b *testing.B) {
 	sys := DefaultSystem()
 	sys.Core.BreakEven = 0
 	sys.Memory.BreakEven = 0
+	benchCommonRelease(b, sys)
+}
+
+// BenchmarkSolveCommonReleaseOverhead is the same 100 tasks on the
+// default platform with its break-even times left on, so Solve takes
+// the §7 overhead scan.
+func BenchmarkSolveCommonReleaseOverhead(b *testing.B) { benchCommonRelease(b, DefaultSystem()) }
+
+func benchCommonRelease(b *testing.B, sys System) {
 	tasks, err := SyntheticWorkload(SyntheticConfig{N: 100, MaxInterArrival: 1e-12}, 3)
 	if err != nil {
 		b.Fatal(err)

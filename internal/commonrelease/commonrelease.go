@@ -90,9 +90,13 @@ type instance struct {
 	aud     schedule.Auditor
 
 	// Overhead-scan scratch (overhead.go), retained across solves.
-	points  []float64
+	bounds  []float64 // lower bound of each scan piece, in breakpoint order
 	sufMaxW []float64
 	evalFn  func(float64) float64
+
+	// Per-scan work tallies of the overhead scan, flushed into tel once
+	// per scan so the probes never touch the recorder's lock.
+	evals, searched int64
 
 	// Closed-form objective tables (overhead.go), retained across solves.
 	sufPow  []float64
@@ -413,21 +417,34 @@ func (in *instance) energyAt(cd caseData, i int, L float64, alphaPerCore float64
 // Theorems 2 and 3 prove optimal.
 func (in *instance) scanAll(alphaPerCore float64) (int, float64) {
 	best, bestL, bestE := -1, 0.0, math.Inf(1)
-	for i, cd := range in.cases(alphaPerCore, true) {
-		in.tel.Count("sdem.solver.cr.case_scans", 1)
+	cds := in.cases(alphaPerCore, true)
+	var infeasible, clamps int64
+	for i, cd := range cds {
 		if cd.lo > cd.hi+schedule.Tol {
-			in.tel.Count("sdem.solver.cr.infeasible_cases", 1)
+			infeasible++
 			continue // speed cap excludes this case entirely
 		}
 		if cd.lstar < cd.lo || cd.lstar > cd.hi {
-			in.tel.Count("sdem.solver.cr.clamps", 1)
+			clamps++
 		}
 		L := numeric.Clamp(cd.lstar, cd.lo, cd.hi)
 		if e := in.energyAt(cd, i, L, alphaPerCore); e < bestE {
 			best, bestL, bestE = i, L, e
 		}
 	}
+	countNonzero(in.tel, "sdem.solver.cr.case_scans", int64(len(cds)))
+	countNonzero(in.tel, "sdem.solver.cr.infeasible_cases", infeasible)
+	countNonzero(in.tel, "sdem.solver.cr.clamps", clamps)
 	return best, bestL
+}
+
+// countNonzero adds a per-call tally to the named counter, skipping a
+// zero tally so a recorder never gains a key for work that did not
+// happen.
+func countNonzero(tel *telemetry.Recorder, name string, n int64) {
+	if n != 0 {
+		tel.Count(name, n)
+	}
 }
 
 // SolveAlphaZero solves §4.1: common release time, negligible core static
@@ -581,9 +598,9 @@ func BinarySearchScan(tasks task.Set, sys power.System) (int, float64, error) {
 	return BinarySearchScanTel(tasks, sys, nil)
 }
 
-// BinarySearchScanTel is BinarySearchScan with telemetry attached: each
-// bisection step increments sdem.solver.cr.bsearch_iters, making the
-// O(log n) bound observable.
+// BinarySearchScanTel is BinarySearchScan with telemetry attached: the
+// call adds its bisection steps to sdem.solver.cr.bsearch_iters, making
+// the O(log n) bound observable.
 func BinarySearchScanTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (int, float64, error) {
 	in, err := normalize(tasks, sys, naturalFilled, 0, tel)
 	if err != nil {
@@ -592,11 +609,19 @@ func BinarySearchScanTel(tasks task.Set, sys power.System, tel *telemetry.Record
 	if len(in.tasks) == 0 || numeric.IsZero(in.sys.Memory.Static, 0) {
 		return 0, 0, errors.New("commonrelease: BinarySearchScan needs positive work and memory power")
 	}
-	cds := in.cases(0, false)
+	caseIdx, L, iters := bisectCases(in.cases(0, false))
+	countNonzero(in.tel, "sdem.solver.cr.bsearch_iters", iters)
+	return caseIdx, L, nil
+}
+
+// bisectCases is the Lemma 1 binary search over the uncapped §4.1 cases:
+// it returns the 1-based case index, its busy length, and the number of
+// bisection steps taken.
+func bisectCases(cds []caseData) (caseIdx int, L float64, iters int64) {
 	lo, hi := 0, len(cds)-1
 	var lastJustFit = -1
 	for lo <= hi {
-		in.tel.Count("sdem.solver.cr.bsearch_iters", 1)
+		iters++
 		mid := (lo + hi) / 2
 		cd := cds[mid]
 		switch {
@@ -610,12 +635,12 @@ func BinarySearchScanTel(tasks task.Set, sys power.System, tel *telemetry.Record
 			lastJustFit = mid
 			lo = mid + 1
 		default:
-			return mid + 1, cd.lstar, nil
+			return mid + 1, cd.lstar, iters
 		}
 	}
 	if lastJustFit >= 0 {
-		return lastJustFit + 1, cds[lastJustFit].hi, nil
+		return lastJustFit + 1, cds[lastJustFit].hi, iters
 	}
 	// All cases invalid: the global optimum is the boundary of case 1.
-	return 1, cds[0].lo, nil
+	return 1, cds[0].lo, iters
 }

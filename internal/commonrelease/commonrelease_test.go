@@ -1,6 +1,7 @@
 package commonrelease
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"sdem/internal/power"
 	"sdem/internal/schedule"
 	"sdem/internal/task"
+	"sdem/internal/telemetry"
 )
 
 // testSystem returns the paper's default platform with transitions free
@@ -485,5 +487,65 @@ func TestEqualWorkloadsSymmetry(t *testing.T) {
 		if !almost(s, speeds[0], 1e-9) {
 			t.Errorf("identical tasks must share one speed: %v", speeds)
 		}
+	}
+}
+
+// TestScanCounterTotals pins the metrics dump of the §4 scans on fixed
+// instances. The counters are tallied per call and flushed once, and
+// must total what bumping them once per case or bisection step gave;
+// a zero tally (no infeasible case in the second dump) adds no key.
+func TestScanCounterTotals(t *testing.T) {
+	dump := func(tel *telemetry.Recorder) string {
+		var buf bytes.Buffer
+		if err := tel.WriteMetrics(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	tel := telemetry.New()
+	r := rand.New(rand.NewSource(7))
+	tasks := randomCommonRelease(r, 24)
+	// Two heavy tasks whose s_up floors exclude the shortest busy lengths.
+	tasks = append(tasks,
+		task.Task{ID: 100, Deadline: power.Milliseconds(3), Workload: 5.5e6},
+		task.Task{ID: 101, Deadline: power.Milliseconds(4), Workload: 7e6})
+	sys := testSystem()
+	if _, err := SolveWithStaticTel(tasks, sys, tel); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SolveAlphaZeroTel(tasks, sys, tel); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := BinarySearchScanTel(tasks, sys, tel); err != nil {
+		t.Fatal(err)
+	}
+	want := `# sdem telemetry metrics v1
+counter sdem.solver.cr.bsearch_iters{} 3
+counter sdem.solver.cr.case_scans{} 52
+counter sdem.solver.cr.clamps{} 38
+counter sdem.solver.cr.critical_clamps{} 2
+counter sdem.solver.cr.infeasible_cases{} 12
+counter sdem.solver.cr.solves{scheme=alpha_zero} 1
+counter sdem.solver.cr.solves{scheme=with_static} 1
+counter sdem.solver.cr.tasks{} 52
+`
+	if got := dump(tel); got != want {
+		t.Errorf("capped instance dump:\n%s\nwant:\n%s", got, want)
+	}
+
+	tel = telemetry.New()
+	r = rand.New(rand.NewSource(3))
+	if _, err := SolveWithStaticTel(randomCommonRelease(r, 6), testSystem(), tel); err != nil {
+		t.Fatal(err)
+	}
+	want = `# sdem telemetry metrics v1
+counter sdem.solver.cr.case_scans{} 6
+counter sdem.solver.cr.clamps{} 5
+counter sdem.solver.cr.solves{scheme=with_static} 1
+counter sdem.solver.cr.tasks{} 6
+`
+	if got := dump(tel); got != want {
+		t.Errorf("uncapped instance dump:\n%s\nwant:\n%s", got, want)
 	}
 }

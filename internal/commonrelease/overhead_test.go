@@ -3,11 +3,15 @@ package commonrelease
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"sdem/internal/numeric"
 	"sdem/internal/power"
 	"sdem/internal/schedule"
 	"sdem/internal/task"
+	"sdem/internal/telemetry"
+	"sdem/internal/workload"
 )
 
 // sweepOverhead densely sweeps busy lengths for the overhead model using
@@ -248,4 +252,234 @@ func TestEnergyClosedMatchesAudit(t *testing.T) {
 			}
 		}
 	}
+}
+
+// overheadScanOracle is the unpruned §7 scan that overheadScan's bound
+// prunes: golden-section search every piece in breakpoint order and keep
+// the first strictly better result. overheadScan must return its bits.
+func (in *instance) overheadScanOracle() (bestL float64, caseIdx int) {
+	n := len(in.tasks)
+	in.prepOverheadScan()
+	points := append([]float64(nil), in.c...)
+	for _, p := range [2]float64{in.horizon - in.sys.Memory.BreakEven, in.horizon - in.sys.Core.BreakEven} {
+		if p > 0 && p < in.c[n-1] {
+			points = append(points, p)
+		}
+	}
+	sort.Float64s(points)
+	bestL, bestE := in.c[n-1], in.evalFn(in.c[n-1])
+	prev := math.Max(in.capFor(in.c[0]), in.c[0]*relTol)
+	for _, p := range points {
+		if p <= prev+schedule.Tol {
+			continue
+		}
+		x, e := numeric.MinimizeConvex(in.evalFn, prev, p, numeric.DefaultTol)
+		if e < bestE {
+			bestL, bestE = x, e
+		}
+		prev = p
+	}
+	caseIdx = sort.SearchFloat64s(in.c, bestL-schedule.Tol) + 1
+	if caseIdx > n {
+		caseIdx = n
+	}
+	return bestL, caseIdx
+}
+
+// randomOverheadCase draws a §7 instance from a mix meant to reach every
+// branch of the piece bound: the A57 and A7 cores and an uncapped core,
+// leak-free and leaky, tasks whose filled speed sits at or near s_up,
+// duplicated natural completions, a nonzero common release, and
+// break-even times from zero to past the horizon, so idle tails fall on
+// both sides of ξ and ξ_m.
+func randomOverheadCase(r *rand.Rand) (task.Set, power.System) {
+	sys := power.DefaultSystem()
+	switch r.Intn(3) {
+	case 1:
+		sys.Core = power.CortexA7()
+	case 2:
+		sys.Core.SpeedMax = 0
+	}
+	if r.Intn(4) == 0 {
+		sys.Core.Static = 0
+	}
+	release := 0.0
+	if r.Intn(3) == 0 {
+		release = r.Float64()
+	}
+	n := 1 + r.Intn(100)
+	tasks := make(task.Set, n)
+	var horizon float64
+	for i := range tasks {
+		if i > 0 && r.Intn(5) == 0 {
+			// A duplicated natural completion, or one within a few Tol.
+			tasks[i] = tasks[r.Intn(i)]
+			tasks[i].ID = i
+			if r.Intn(2) == 0 {
+				tasks[i].Deadline += schedule.Tol * 4 * r.Float64()
+			}
+			continue
+		}
+		d := power.Milliseconds(2 + 118*r.Float64())
+		w := 1e5 + 5e6*r.Float64()
+		if sys.Core.SpeedMax > 0 {
+			if r.Intn(4) == 0 {
+				w = d * sys.Core.SpeedMax * (0.9 + 0.1*r.Float64())
+			}
+			w = math.Min(w, d*sys.Core.SpeedMax)
+		}
+		tasks[i] = task.Task{ID: i, Release: release, Deadline: release + d, Workload: w}
+		horizon = math.Max(horizon, d)
+	}
+	breakEven := func() float64 {
+		if r.Intn(5) == 0 {
+			return 0
+		}
+		return horizon * 1.2 * r.Float64()
+	}
+	sys.Core.BreakEven, sys.Memory.BreakEven = breakEven(), breakEven()
+	if sys.Core.BreakEven == 0 && sys.Memory.BreakEven == 0 { //lint:allow floatcmp: exact zero is the drawn "no overhead" value
+		sys.Memory.BreakEven = horizon / 2
+	}
+	// Put a tail breakpoint d_max − ξ within a few Tol of a natural
+	// completion, where the pieces' slivers are.
+	for _, xi := range [2]*float64{&sys.Core.BreakEven, &sys.Memory.BreakEven} {
+		if r.Intn(4) == 0 {
+			c := NaturalCompletion(tasks[r.Intn(n)], sys, horizon)
+			*xi = math.Max(0, horizon-c+schedule.Tol*(4*r.Float64()-2))
+		}
+	}
+	return tasks, sys
+}
+
+// overheadInstance normalizes a §7 instance as SolveWithOverhead does.
+func overheadInstance(tasks task.Set, sys power.System) (*instance, error) {
+	return normalize(tasks, sys, overheadMode(sys), overheadHorizon(tasks), nil)
+}
+
+// checkAgainstOracle runs the pruned scan and the oracle on one
+// normalized instance and fails unless they return the same bits; it
+// also checks every piece's bound against the oracle's golden-section
+// minimum on that piece. It returns the pieces searched and the pieces
+// in the scan.
+func checkAgainstOracle(t testing.TB, in *instance) (searched, pieces int) {
+	t.Helper()
+	if len(in.tasks) == 0 {
+		return 0, 0
+	}
+	gotL, gotCase := in.overheadScan()
+	searched, pieces = int(in.searched), len(in.bounds)
+	w := in.walkPieces()
+	for k, lb := range in.bounds {
+		a, b, _ := w.next()
+		_, e := numeric.MinimizeConvex(in.evalFn, a, b, numeric.DefaultTol)
+		if lb > e {
+			t.Fatalf("piece %d [%.17g, %.17g]: bound %.17g above its golden minimum %.17g", k, a, b, lb, e)
+		}
+	}
+	if _, _, ok := w.next(); ok {
+		t.Fatalf("walk has more pieces than the scan's %d bounds", len(in.bounds))
+	}
+	wantL, wantCase := in.overheadScanOracle()
+	if math.Float64bits(gotL) != math.Float64bits(wantL) || gotCase != wantCase {
+		t.Fatalf("pruned scan (L %.17g, case %d) != oracle (L %.17g, case %d)", gotL, gotCase, wantL, wantCase)
+	}
+	return searched, pieces
+}
+
+// TestOverheadScanMatchesOracle pins the pruned scan to the unpruned
+// oracle bit for bit on random instances, and every piece bound below
+// the oracle's golden-section minimum on its piece.
+func TestOverheadScanMatchesOracle(t *testing.T) {
+	var searched, pieces int
+	for seed := int64(0); seed < 1000; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		in, err := overheadInstance(randomOverheadCase(r))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		s, p := checkAgainstOracle(t, in)
+		searched += s
+		pieces += p
+	}
+	t.Logf("searched %d of %d pieces", searched, pieces)
+}
+
+// benchOverheadTasks is the 100-task common-release set of the §7 layer
+// benchmark (BenchmarkSolveCommonReleaseOverhead).
+func benchOverheadTasks(t testing.TB) task.Set {
+	tasks, err := workload.Synthetic(workload.SyntheticConfig{N: 100, MaxInterArrival: 1e-12}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range tasks {
+		tasks[i].Release = 0
+		tasks[i].Deadline = power.Milliseconds(10) + tasks[i].Deadline/10
+	}
+	return tasks
+}
+
+// TestOverheadScanPrunesBenchInstance checks the point of the bound: on
+// the n = 100 benchmark instance the scan golden-section searches at
+// most three of its pieces, and counts only those in telemetry.
+func TestOverheadScanPrunesBenchInstance(t *testing.T) {
+	tasks, sys := benchOverheadTasks(t), power.DefaultSystem()
+	in, err := overheadInstance(tasks, sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	searched, pieces := checkAgainstOracle(t, in)
+	if searched > 3 {
+		t.Errorf("searched %d of %d pieces, want at most 3", searched, pieces)
+	}
+	tel := telemetry.New()
+	if _, err := SolveWithOverheadTel(tasks, sys, tel); err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.CounterValue("sdem.solver.cr.pieces", ""); got != int64(searched) {
+		t.Errorf("pieces counter %d, want the %d searched", got, searched)
+	}
+	t.Logf("searched %d of %d pieces, %d objective evaluations", searched, pieces,
+		tel.CounterValue("sdem.solver.cr.objective_evals", ""))
+}
+
+// FuzzOverheadScan differentially fuzzes the pruned §7 scan against the
+// unpruned oracle: each 4-byte group of raw is one task (deadline and
+// workload), and ξ, ξ_m, the core static power α and s_up are mapped
+// into physical ranges. The two scans must return the same bits and
+// every piece bound must hold.
+func FuzzOverheadScan(f *testing.F) {
+	f.Add([]byte{10, 200, 40, 90, 255, 255, 128, 0, 64, 64, 64, 64}, 0.01, 0.04, 0.31, 1.9e9)
+	f.Add([]byte{1, 1, 255, 255, 1, 1, 255, 255}, 0.0, 0.2, 0.0, 0.0)
+	f.Add([]byte{200, 10, 200, 10, 30, 30, 250, 250, 90, 9, 9, 90}, 0.1, 0.0, 1.0, 7e8)
+	f.Fuzz(func(t *testing.T, raw []byte, xi, xiMem, alpha, speedMax float64) {
+		for _, v := range [4]float64{xi, xiMem, alpha, speedMax} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip("non-finite parameter")
+			}
+		}
+		sys := power.DefaultSystem()
+		sys.Core.BreakEven = math.Mod(math.Abs(xi), 0.2)
+		sys.Memory.BreakEven = math.Mod(math.Abs(xiMem), 0.2)
+		sys.Core.Static = math.Mod(math.Abs(alpha), 5)
+		sys.Core.SpeedMax = math.Mod(math.Abs(speedMax), 5e9)
+		if sys.Core.SpeedMax < 1e8 {
+			sys.Core.SpeedMax = 0
+		}
+		sys.Core.SpeedMin = 0
+		var tasks task.Set
+		for i := 0; i+4 <= len(raw) && len(tasks) < 100; i += 4 {
+			d := power.Milliseconds(0.1 + 119.9*float64(uint16(raw[i])<<8|uint16(raw[i+1]))/65535)
+			w := 1e3 + 1e7*float64(uint16(raw[i+2])<<8|uint16(raw[i+3]))/65535
+			if sys.Core.SpeedMax > 0 {
+				w = math.Min(w, d*sys.Core.SpeedMax)
+			}
+			tasks = append(tasks, task.Task{ID: len(tasks), Deadline: d, Workload: w})
+		}
+		in, err := overheadInstance(tasks, sys)
+		if err != nil {
+			t.Skipf("instance rejected: %v", err)
+		}
+		checkAgainstOracle(t, in)
+	})
 }
