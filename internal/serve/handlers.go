@@ -7,6 +7,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -117,14 +118,6 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 // writeJSON encodes and writes one response, bracketing the encode and
 // write stages with spans and emitting the Server-Timing stage breakdown
 // (every stage ended so far — admission, decode, cache, encode) before
@@ -178,21 +171,46 @@ func errorCode(err error) int {
 	}
 }
 
-// decode parses the JSON request body (bounded by MaxBody) into req,
-// under the request's decode span. An over-long body is the client's
-// size problem (413), not a parse error.
+// maxPooledBody is the largest body buffer returned to bodies; a buffer
+// that grew past it served a rare large request and is left to the GC.
+const maxPooledBody = 64 << 10
+
+// bodies recycles the buffers request bodies are read into.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decode reads the request body (bounded by MaxBody) in full and parses
+// it into req, under the request's decode span. A body over the limit is
+// the client's size problem (413), not a parse error, even when its first
+// JSON value ends inside the limit. A *TaskRequest goes through the
+// single-pass decoder first; whatever that declines — and every other
+// request type — is decoded by json.Decoder with unknown fields
+// disallowed, which also supplies every 400 body.
 func (s *Server) decode(rc *requestCtx, w http.ResponseWriter, r *http.Request, req any) bool {
 	sp := rc.span("decode")
 	defer sp.End()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			buf.Reset()
+			bodies.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			httpError(rc, w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
 			return false
 		}
+		httpError(rc, w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return false
+	}
+	if tr, ok := req.(*TaskRequest); ok && !s.stdlibDecode && decodeTaskRequest(buf.Bytes(), tr) {
+		return true
+	}
+	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
 		httpError(rc, w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return false
 	}

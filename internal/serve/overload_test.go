@@ -339,6 +339,45 @@ func TestBodyTooLarge413(t *testing.T) {
 	}
 }
 
+// TestBodyLimitWholeBody pins the 413 contract of the whole-body read:
+// the limit applies to the body, not to its first JSON value. A body
+// whose value ends inside MaxBody but whose trailing bytes cross it is
+// 413; trailing bytes inside the limit are ignored, as json.Decoder
+// ignores them; a body of exactly MaxBody bytes is accepted.
+func TestBodyLimitWholeBody(t *testing.T) {
+	const limit = 256
+	s := configuredServer(t, func(c *Config) { c.MaxBody = limit })
+	value := `{"tasks":[{"ID":0,"Deadline":0.05,"Workload":2e6}]}`
+	send := func(body string) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(body)))
+		return w
+	}
+	plain := send(value)
+	if plain.Code != http.StatusOK {
+		t.Fatalf("plain body: %d\n%s", plain.Code, plain.Body)
+	}
+	for _, c := range []struct {
+		name string
+		body string
+		code int
+	}{
+		{"value inside, body over", value + strings.Repeat(" ", limit+1-len(value)), http.StatusRequestEntityTooLarge},
+		{"trailing garbage over", value + strings.Repeat("x", limit), http.StatusRequestEntityTooLarge},
+		{"exactly at the limit", value + strings.Repeat(" ", limit-len(value)), http.StatusOK},
+		{"trailing bytes inside", value + " trailing bytes", http.StatusOK},
+	} {
+		w := send(c.body)
+		if w.Code != c.code {
+			t.Errorf("%s: %d, want %d\n%s", c.name, w.Code, c.code, w.Body)
+			continue
+		}
+		if c.code == http.StatusOK && stampStripped(t, w.Body.Bytes()) != stampStripped(t, plain.Body.Bytes()) {
+			t.Errorf("%s: response differs from the plain body's:\n%s\nvs\n%s", c.name, w.Body, plain.Body)
+		}
+	}
+}
+
 // TestDrainMidBatch is the graceful-drain contract under load: shutdown
 // arriving while a batch is mid-flight must never tear the response —
 // the client still receives the complete JSON body, and Run returns nil.

@@ -187,6 +187,10 @@ type Server struct {
 	// col windows the root recorder on the request-completion ordinal for
 	// /debug/series; nil when disabled (every method no-ops on nil).
 	col *series.Collector
+	// stdlibDecode routes every body through json.Decoder, skipping the
+	// single-pass TaskRequest decoder: the oracle its parity tests
+	// compare against. New never sets it.
+	stdlibDecode bool
 }
 
 // New builds a Server and its route table.
