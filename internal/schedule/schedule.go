@@ -330,19 +330,26 @@ func (s *Schedule) MemoryBusy() []Interval {
 // gaps.
 func gaps(busy []Interval, start, end float64) []Interval {
 	var out []Interval
+	walkGaps(busy, start, end, func(g Interval) { out = append(out, g) })
+	return out
+}
+
+// walkGaps calls fn, in time order, for each idle interval of the horizon
+// [start, end] not covered by the (merged, sorted) busy intervals,
+// including leading and trailing gaps.
+func walkGaps(busy []Interval, start, end float64, fn func(Interval)) {
 	cur := start
 	for _, iv := range busy {
 		if iv.Start > cur+Tol {
-			out = append(out, Interval{cur, iv.Start})
+			fn(Interval{cur, iv.Start})
 		}
 		if iv.End > cur {
 			cur = iv.End
 		}
 	}
 	if end > cur+Tol {
-		out = append(out, Interval{cur, end})
+		fn(Interval{cur, end})
 	}
-	return out
 }
 
 // CommonIdle returns the total common idle time Δ of the schedule — the
@@ -496,6 +503,24 @@ func (a *Auditor) mergedAll(s *Schedule) []Interval {
 		}
 	}
 	return a.merge()
+}
+
+// MemoryGaps calls fn for each idle gap of the memory — the horizon
+// [s.Start, s.End] minus every core's execution — in time order: the
+// intervals of Gaps(s.MemoryBusy(), s.Start, s.End), merged in the
+// auditor's scratch instead of fresh slices. fn must not use the
+// auditor: the walk reads its scratch.
+func (a *Auditor) MemoryGaps(s *Schedule, fn func(Interval)) {
+	walkGaps(a.mergedAll(s), s.Start, s.End, fn)
+}
+
+// CoreGaps calls fn for each idle gap of one core running segs within the
+// horizon of s, in time order: the intervals of
+// Gaps(BusyIntervals(segs), s.Start, s.End), merged in the auditor's
+// scratch (same rule for fn). A core with no segments has one gap, the
+// whole horizon.
+func (a *Auditor) CoreGaps(s *Schedule, segs []Segment, fn func(Interval)) {
+	walkGaps(a.mergedCore(segs), s.Start, s.End, fn)
 }
 
 // merge sorts (if needed) and merges the scratch in place. Merging is

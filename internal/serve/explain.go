@@ -3,17 +3,22 @@
 // from the finished schedule against the platform's break-even
 // thresholds (ξ for cores, ξ_m for memory) and critical speeds.
 //
-// An Explanation is computed inside the schedule cache's compute
-// closure, so cached responses carry it for free and a cache hit
-// explains itself without re-deriving anything. It is stored on the
-// canonical TaskResponse in an unexported field (encoding/json skips
-// it), keeping the byte-identity contract between cached and fresh
-// response bodies intact; /v1/explain and /debug/trace/{id} are the
-// surfaces that serialize it.
+// A computed response keeps only a provenance: the schedule the solver
+// returned, the platform, and the ExplainSummary counts. The summary is
+// filled inside the schedule cache's compute closure by one walk over
+// pooled interval scratch, and the solve span's notes read it. The full
+// Explanation — the capped per-gap and per-segment lists — is built from
+// the kept schedule only when a reader asks: /v1/explain and
+// /debug/trace/{id}. Nothing memoizes the document, so cache entries and
+// trace-ring entries hold the schedule and the summary, never the lists.
+// The provenance rides on the canonical TaskResponse in an unexported
+// field (encoding/json skips it), keeping the byte-identity contract
+// between cached and fresh response bodies intact.
 package serve
 
 import (
 	"strconv"
+	"sync"
 
 	"sdem/internal/power"
 	"sdem/internal/schedule"
@@ -100,38 +105,88 @@ type Explanation struct {
 // within this relative tolerance of s_up / s_m.
 const speedTol = 1e-9 //lint:allow tolconst: classification tolerance matching schedule.Tol
 
-// explainSchedule replays the per-gap and per-segment decisions of a
-// finished schedule. Pure and read-only: it walks the schedule with the
-// same interval helpers the audit uses and prices gaps with
-// schedule.SleepPolicy.Decide, so the provenance can never disagree
-// with the energy accounting.
-func explainSchedule(sched string, s *schedule.Schedule, sys power.System) *Explanation {
+// provenance is what a computed response keeps of its schedule's
+// decision provenance: the summary the span notes read, and what explain
+// needs to rebuild the full document. The schedule is the solver's own
+// result — fresh per run, never pooled scratch — and is never mutated.
+type provenance struct {
+	scheduler string
+	sched     *schedule.Schedule
+	sys       power.System
+	summary   ExplainSummary
+}
+
+// auditors recycles the interval scratch the decision walks merge in.
+var auditors = sync.Pool{New: func() any { return new(schedule.Auditor) }}
+
+// newProvenance summarizes a finished schedule's decisions without
+// building the per-gap lists; nil for a nil schedule.
+func newProvenance(scheduler string, s *schedule.Schedule, sys power.System) *provenance {
 	if s == nil {
 		return nil
 	}
-	ex := &Explanation{
-		Scheduler:        sched,
-		CorePolicy:       s.CorePolicy.String(),
-		MemoryPolicy:     s.MemoryPolicy.String(),
-		CoreBreakEvenS:   sys.Core.BreakEven,
-		MemoryBreakEvenS: sys.Memory.BreakEven,
-		CriticalSpeed:    sys.Core.CriticalSpeed(0),
-	}
+	p := &provenance{scheduler: scheduler, sched: s, sys: sys}
+	a := auditors.Get().(*schedule.Auditor)
+	replay(a, s, sys, &p.summary, nil)
+	auditors.Put(a)
+	return p
+}
 
-	appendGap := func(component string, g schedule.Interval, pol schedule.SleepPolicy, alpha, xi float64) {
+// explain builds the full decision-provenance document from the kept
+// schedule; nil on a nil provenance. Each call builds a fresh document.
+func (p *provenance) explain() *Explanation {
+	if p == nil {
+		return nil
+	}
+	ex := &Explanation{
+		Scheduler:        p.scheduler,
+		CorePolicy:       p.sched.CorePolicy.String(),
+		MemoryPolicy:     p.sched.MemoryPolicy.String(),
+		CoreBreakEvenS:   p.sys.Core.BreakEven,
+		MemoryBreakEvenS: p.sys.Memory.BreakEven,
+		CriticalSpeed:    p.sys.Core.CriticalSpeed(0),
+	}
+	if n := min(p.summary.Gaps, explainGapCap); n > 0 {
+		ex.Gaps = make([]GapDecision, 0, n)
+	}
+	if n := min(p.summary.Segments, explainGapCap); n > 0 {
+		ex.Speeds = make([]SpeedDecision, 0, n)
+	}
+	a := auditors.Get().(*schedule.Auditor)
+	replay(a, p.sched, p.sys, &ex.Summary, ex)
+	auditors.Put(a)
+	return ex
+}
+
+// replay walks a finished schedule's decisions in document order —
+// memory gaps, then each core's gaps and segments in s.Cores order —
+// counting every one into sum and, when ex is non-nil, appending its
+// record to ex's detail lists up to explainGapCap each. Gaps come from
+// the auditor's merge and are priced with schedule.SleepPolicy.Decide,
+// so the provenance can never disagree with the energy accounting.
+func replay(a *schedule.Auditor, s *schedule.Schedule, sys power.System, sum *ExplainSummary, ex *Explanation) {
+	// gap counts one idle gap of core k (k < 0: the memory).
+	gap := func(k int, g schedule.Interval, pol schedule.SleepPolicy, alpha, xi float64) {
 		d := pol.Decide(g.Len(), alpha, xi)
-		ex.Summary.Gaps++
+		sum.Gaps++
 		decision := "idle"
 		if d.Sleeps {
 			decision = "sleep"
-			ex.Summary.Sleeps++
-			ex.Summary.SleepGainJ += d.NetGain
+			sum.Sleeps++
+			sum.SleepGainJ += d.NetGain
 		} else {
-			ex.Summary.Idles++
+			sum.Idles++
+		}
+		if ex == nil {
+			return
 		}
 		if len(ex.Gaps) >= explainGapCap {
 			ex.Truncated = true
 			return
+		}
+		component := "memory"
+		if k >= 0 {
+			component = coreName(k)
 		}
 		ex.Gaps = append(ex.Gaps, GapDecision{
 			Component:  component,
@@ -147,33 +202,36 @@ func explainSchedule(sched string, s *schedule.Schedule, sys power.System) *Expl
 
 	// Memory gaps: the union of all cores' busy time defines when the
 	// memory may sleep — the paper's central coupling.
-	memBusy := s.MemoryBusy()
-	for _, g := range schedule.Gaps(memBusy, s.Start, s.End) {
-		appendGap("memory", g, s.MemoryPolicy, sys.Memory.Static, sys.Memory.BreakEven)
-		if g.Len() >= sys.Memory.BreakEven && s.MemoryPolicy.Sleeps(g.Len(), sys.Memory.Static, sys.Memory.BreakEven) {
-			ex.Summary.MemorySleep = true
+	mem := sys.Memory
+	a.MemoryGaps(s, func(g schedule.Interval) {
+		gap(-1, g, s.MemoryPolicy, mem.Static, mem.BreakEven)
+		if g.Len() >= mem.BreakEven && s.MemoryPolicy.Sleeps(g.Len(), mem.Static, mem.BreakEven) {
+			sum.MemorySleep = true
 		}
-	}
+	})
 
 	// Per-core gaps and segment speed classes.
-	sUp := sys.Core.SpeedMax
-	sCrit := ex.CriticalSpeed
+	core := sys.Core
+	sUp, sCrit := core.SpeedMax, core.CriticalSpeed(0)
 	for k, segs := range s.Cores {
-		for _, g := range schedule.Gaps(schedule.BusyIntervals(segs), s.Start, s.End) {
-			appendGap(coreName(k), g, s.CorePolicy, sys.Core.Static, sys.Core.BreakEven)
-		}
+		a.CoreGaps(s, segs, func(g schedule.Interval) {
+			gap(k, g, s.CorePolicy, core.Static, core.BreakEven)
+		})
 		for _, sg := range segs {
-			ex.Summary.Segments++
+			sum.Segments++
 			decision := "dvs"
 			switch {
 			case sUp > 0 && sg.Speed >= sUp*(1-speedTol):
 				decision = "race"
-				ex.Summary.Races++
+				sum.Races++
 			case sCrit > 0 && sg.Speed <= sCrit*(1+speedTol):
 				decision = "crawl"
-				ex.Summary.Crawls++
+				sum.Crawls++
 			default:
-				ex.Summary.Dvs++
+				sum.Dvs++
+			}
+			if ex == nil {
+				continue
 			}
 			if len(ex.Speeds) >= explainGapCap {
 				ex.Truncated = true
@@ -190,21 +248,20 @@ func explainSchedule(sched string, s *schedule.Schedule, sys power.System) *Expl
 			})
 		}
 	}
-	return ex
 }
 
-// noteProvenance summarizes an explanation onto a solve span, so the
-// wall trace alone answers "what did the scheduler decide" without a
-// second lookup. Inert on nil spans and nil explanations.
-func noteProvenance(sp wspan.Span, ex *Explanation) {
-	if ex == nil {
+// noteProvenance summarizes a schedule's decisions onto a solve span, so
+// the wall trace alone answers "what did the scheduler decide" without a
+// second lookup. Inert on nil spans and nil provenance.
+func noteProvenance(sp wspan.Span, p *provenance) {
+	if p == nil {
 		return
 	}
-	sp.NoteInt("gaps", int64(ex.Summary.Gaps))
-	sp.NoteInt("sleeps", int64(ex.Summary.Sleeps))
-	sp.NoteInt("races", int64(ex.Summary.Races))
-	sp.NoteInt("crawls", int64(ex.Summary.Crawls))
-	sp.Note("memory_sleeps", strconv.FormatBool(ex.Summary.MemorySleep))
+	sp.NoteInt("gaps", int64(p.summary.Gaps))
+	sp.NoteInt("sleeps", int64(p.summary.Sleeps))
+	sp.NoteInt("races", int64(p.summary.Races))
+	sp.NoteInt("crawls", int64(p.summary.Crawls))
+	sp.Note("memory_sleeps", strconv.FormatBool(p.summary.MemorySleep))
 }
 
 // coreName interns the "core <k>" component names for small k.

@@ -105,12 +105,12 @@ type TaskResponse struct {
 	// in the replay ring.
 	TraceURL string `json:"trace_url"`
 
-	// prov is the schedule's decision provenance, computed inside the
-	// cacheable compute closure so cached responses explain themselves.
-	// Unexported: encoding/json skips it, which keeps cached and fresh
-	// response bodies byte-identical; /v1/explain and /debug/trace are
-	// the surfaces that serialize it.
-	prov *Explanation
+	// prov is the schedule's decision provenance: the summary, computed
+	// inside the cacheable compute closure, and the schedule the full
+	// document is built from on read. Unexported: encoding/json skips it,
+	// which keeps cached and fresh response bodies byte-identical;
+	// /v1/explain and /debug/trace are the surfaces that serialize it.
+	prov *provenance
 }
 
 // errorResponse is the JSON error shape of every endpoint.
@@ -326,7 +326,7 @@ func (s *Server) solveOne(ctx context.Context, tel *telemetry.Recorder, req *Tas
 			N:          len(req.Tasks),
 			EnergyJ:    e.Total(),
 			Components: componentsOf(e),
-			prov:       explainSchedule("auto", sol.Schedule, sys),
+			prov:       newProvenance("auto", sol.Schedule, sys),
 		}
 		sp.Note("scheme", sol.Scheme)
 		noteProvenance(sp, resp.prov)
@@ -428,7 +428,7 @@ func (s *Server) simulateOne(ctx context.Context, tel *telemetry.Recorder, req *
 			EnergyJ:    e.Total(),
 			Components: componentsOf(e),
 			Misses:     res.Misses,
-			prov:       explainSchedule(sched, res.Schedule, sys),
+			prov:       newProvenance(sched, res.Schedule, sys),
 		}
 		noteProvenance(sp, resp.prov)
 		if req.IncludeSchedule {
@@ -486,10 +486,10 @@ func (s *Server) handleExecute(rc *requestCtx, w http.ResponseWriter, r *http.Re
 		httpError(rc, w, errorCode(err), err)
 		return
 	}
-	ex := explainSchedule(planner, res.Sim.Schedule, sys)
-	noteProvenance(sp, ex)
+	prov := newProvenance(planner, res.Sim.Schedule, sys)
+	noteProvenance(sp, prov)
 	sp.End()
-	rc.setProv(ex)
+	rc.setProv(prov)
 
 	e := res.Sim.EnergyBreakdown()
 	resp := &TaskResponse{
@@ -504,7 +504,7 @@ func (s *Server) handleExecute(rc *requestCtx, w http.ResponseWriter, r *http.Re
 		FaultMisses: len(res.FaultMisses),
 		Averted:     len(res.Averted),
 		TraceURL:    "/debug/trace/" + rc.id,
-		prov:        ex,
+		prov:        prov,
 	}
 	if req.IncludeSchedule {
 		resp.Schedule = res.Sim.Schedule
@@ -575,7 +575,7 @@ func (s *Server) handleExplain(rc *requestCtx, w http.ResponseWriter, r *http.Re
 		Scheduler:   resp.Scheduler,
 		N:           resp.N,
 		EnergyJ:     resp.EnergyJ,
-		Explanation: resp.prov,
+		Explanation: resp.prov.explain(),
 		TraceURL:    resp.TraceURL,
 	})
 }

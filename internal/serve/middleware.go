@@ -77,7 +77,7 @@ type requestCtx struct {
 
 	mu    sync.Mutex
 	attrs []slog.Attr
-	prov  *Explanation // decision provenance of the request's schedule
+	prov  *provenance // decision provenance of the request's schedule
 }
 
 // Set attaches a structured-log field to the request's completion line
@@ -99,12 +99,12 @@ func (rc *requestCtx) root() wspan.Span { return rc.wall.Root() }
 
 // setProv attaches the request's decision provenance for /debug/trace
 // and /v1/explain. Handlers call it once the schedule is known.
-func (rc *requestCtx) setProv(ex *Explanation) {
-	if ex == nil {
+func (rc *requestCtx) setProv(p *provenance) {
+	if p == nil {
 		return
 	}
 	rc.mu.Lock()
-	rc.prov = ex
+	rc.prov = p
 	rc.mu.Unlock()
 }
 

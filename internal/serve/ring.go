@@ -48,14 +48,14 @@ type traceEntry struct {
 	// Payload, valid after <-done:
 	rec    *telemetry.Recorder
 	wall   *wspan.Trace
-	prov   *Explanation
+	prov   *provenance
 	route  string
 	status int
 }
 
 // seal publishes the entry's payload and wakes every waiting reader.
 // Must be called exactly once; nil entries (ring disabled) no-op.
-func (e *traceEntry) seal(rec *telemetry.Recorder, wall *wspan.Trace, prov *Explanation, route string, status int) {
+func (e *traceEntry) seal(rec *telemetry.Recorder, wall *wspan.Trace, prov *provenance, route string, status int) {
 	if e == nil {
 		return
 	}

@@ -354,7 +354,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			s.log.Error("wall trace write failed", "err", err)
 		}
 	default:
-		doc := traceDoc{Request: e.id, Route: e.route, Status: e.status, Provenance: e.prov}
+		doc := traceDoc{Request: e.id, Route: e.route, Status: e.status, Provenance: e.prov.explain()}
 		if e.wall != nil {
 			doc.TraceID = e.wall.TraceID()
 			doc.WallTrace = e.wall.AppendJSON(nil)
