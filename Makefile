@@ -21,13 +21,16 @@ lint:
 	$(GO) run ./cmd/sdemlint ./...
 
 # fuzz is a short smoke run of each fuzz target: the resilient runtime,
-# the pruned §7 overhead scan against its unpruned oracle, and sdemd's
-# single-pass request decoder against encoding/json. CI runs it on every
-# push, longer campaigns are manual (-fuzztime 10m etc.).
+# the pruned §7 overhead scan against its unpruned oracle, sdemd's
+# single-pass request decoder against encoding/json, and the offline
+# solver dispatch (a typed error or a valid, audited schedule at or above
+# the lower bound). CI runs it on every push, longer campaigns are manual
+# (-fuzztime 10m etc.).
 fuzz:
 	$(GO) test ./internal/resilient -run '^$$' -fuzz FuzzExecute -fuzztime 10s
 	$(GO) test ./internal/commonrelease -run '^$$' -fuzz FuzzOverheadScan -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecode -fuzztime 10s
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolve -fuzztime 10s
 
 # fault-sweep is the quick fault-injection acceptance sweep; its table
 # must match EXPERIMENTS.md's.
@@ -66,33 +69,39 @@ trace-demo:
 		-telemetry -metrics-out=trace-demo.metrics -trace-out=trace-demo.json
 	@echo "wrote trace-demo.metrics and trace-demo.json (load the .json in ui.perfetto.dev)"
 
-# bench runs the fast micro-benchmarks and snapshots them to
-# BENCH_15.json via cmd/benchreport, comparing allocs/op against the
-# committed BENCH_14.json baseline (fails on >5% growth). The request
-# decoder's pair, DecodeTaskRequest (single pass) and DecodeTaskRequestStd
-# (encoding/json), is new in BENCH_15 and has no baseline to hold a floor
-# against; the ScheduleStream10k floor of the BENCH_14 era is retired as
-# banked. The figure-scale sweeps (Fig6*/Fig7*/Table3/Sweep*) are
-# excluded: they take minutes and are run manually when sweep performance
-# is the topic. ScheduleStreamMillion runs at a single iteration (one
-# million-arrival pass is the statement) and lands in the snapshot
-# alongside the pattern benchmarks; the 10k sibling rides in the alloc
-# gate too.
-BENCH_PATTERN = SolveCommonRelease|SolveAgreeableDP|SolveHeterogeneous|ScheduleOnline|ScheduleStream10k|MBKPBaseline|Audit|FFT1024|PartitionExact|Quantize|LowerBound|Telemetry|Uninstrumented|SnapshotDisabled|CanonicalKey|DecodeTaskRequest
+# BENCH_BASE is the newest committed BENCH_<n>.json, by numeric n
+# (BENCH_5 sorts after BENCH_15 as text); BENCH_NEXT is the snapshot
+# `make bench` writes, BENCH_<n+1>.json. Outside a git checkout the files
+# on disk stand in for the committed ones.
+BENCH_N := $(shell { git ls-files 'BENCH_*.json' 2>/dev/null || ls BENCH_*.json; } \
+	| sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -1)
+BENCH_BASE = BENCH_$(BENCH_N).json
+BENCH_NEXT = BENCH_$(shell expr $(BENCH_N) + 1).json
+
+# bench runs the fast micro-benchmarks and snapshots them to $(BENCH_NEXT)
+# via cmd/benchreport, comparing allocs/op against the $(BENCH_BASE)
+# baseline (fails on >5% growth). The figure-scale sweeps
+# (Fig6*/Fig7*/Table3/Sweep*) are excluded: they take minutes and are run
+# manually when sweep performance is the topic. ScheduleStreamMillion
+# runs at a single iteration (one million-arrival pass is the statement)
+# and lands in the snapshot alongside the pattern benchmarks; the 10k
+# sibling rides in the alloc gate too. Serve* are whole sdemd requests
+# through the in-process handler chain.
+BENCH_PATTERN = SolveCommonRelease|SolveAgreeableDP|SolveHeterogeneous|ScheduleOnline|ScheduleStream10k|MBKPBaseline|Audit|FFT1024|PartitionExact|Quantize|LowerBound|Telemetry|Uninstrumented|SnapshotDisabled|CanonicalKey|DecodeTaskRequest|Serve
 
 bench:
 	( $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem ./... && \
 	  $(GO) test ./internal/online -run '^$$' -bench ScheduleStreamMillion -benchmem -benchtime 1x ) \
-		| tee /dev/stderr | $(GO) run ./cmd/benchreport -out BENCH_15.json -compare BENCH_14.json
-	@echo "wrote BENCH_15.json"
+		| tee /dev/stderr | $(GO) run ./cmd/benchreport -out $(BENCH_NEXT) -compare $(BENCH_BASE)
+	@echo "wrote $(BENCH_NEXT)"
 
 # bench-gate re-runs the micro-benchmarks without touching the committed
-# snapshot and fails if any allocs/op regressed >5% vs the BENCH_15.json
+# snapshot and fails if any allocs/op regressed >5% vs the $(BENCH_BASE)
 # baseline. This is the CI alloc-regression gate; allocs/op (unlike ns/op)
 # is deterministic for a fixed binary, so it never flakes under load.
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 100x \
-		-benchmem ./... | $(GO) run ./cmd/benchreport -compare BENCH_15.json > /dev/null
+		-benchmem ./... | $(GO) run ./cmd/benchreport -compare $(BENCH_BASE) > /dev/null
 
 # bench-stream pushes one million sporadic arrivals through the streaming
 # engine in a single pass: allocations must track the active set (the
@@ -192,8 +201,9 @@ watch-smoke:
 
 # campaign replays the seeded million-request mixed hot/cold simulate
 # campaign against a local sdemd and merges the benchreport-compatible
-# summary line into the committed BENCH_15.json baseline. Minutes-long
-# by design; run manually when serve throughput is the topic.
+# summary line into the newest snapshot: $(BENCH_NEXT) once `make bench`
+# wrote it, the committed $(BENCH_BASE) otherwise. Minutes-long by
+# design; run manually when serve throughput is the topic.
 campaign:
 	$(GO) build -o sdemd.smoke ./cmd/sdemd && $(GO) build -o sdemload.smoke ./cmd/sdemload
 	./sdemd.smoke -addr 127.0.0.1:0 -addr-file sdemd.smoke.addr & \
@@ -202,8 +212,9 @@ campaign:
 	ADDR=$$(cat sdemd.smoke.addr); \
 	./sdemload.smoke -addr "$$ADDR" -campaign -out campaign.json > campaign.txt; \
 	STATUS=$$?; cat campaign.txt; kill $$PID 2>/dev/null; wait $$PID 2>/dev/null; \
+	SNAP=$(BENCH_BASE); [ -f $(BENCH_NEXT) ] && SNAP=$(BENCH_NEXT); \
 	if [ $$STATUS -eq 0 ]; then \
-		$(GO) run ./cmd/benchreport -merge BENCH_15.json -out BENCH_15.json < campaign.txt || STATUS=1; \
+		$(GO) run ./cmd/benchreport -merge $$SNAP -out $$SNAP < campaign.txt || STATUS=1; \
 	fi; \
 	rm -f sdemd.smoke sdemload.smoke sdemd.smoke.addr campaign.txt; exit $$STATUS
 

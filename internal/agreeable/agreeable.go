@@ -117,7 +117,7 @@ func newSolver(tasks task.Set, sys power.System, m mode) (*solver, error) {
 		return nil, ErrNotAgreeable
 	}
 	if !tasks.Feasible(sys.Core.SpeedMax) {
-		return nil, fmt.Errorf("agreeable: some task exceeds s_up even at filled speed")
+		return nil, fmt.Errorf("agreeable: some task exceeds s_up even at filled speed: %w", schedule.ErrInfeasible)
 	}
 	s := &solver{sys: sys, mode: m}
 	if m == modeAlphaZero {
