@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"sdem/internal/power"
-	"sdem/internal/workload"
 )
 
 // stdDecode decodes data exactly as the json.Decoder path of
@@ -61,22 +60,11 @@ func requestDiff(a, b *TaskRequest) string {
 	return ""
 }
 
-// syntheticBody marshals a §8.1.2 task set of n tasks the way sdembench
-// and sdemload write request bodies; commonRelease moves every release to
-// 0 with a window of 10 ms plus a tenth of the drawn one.
+// syntheticBody marshals a syntheticSet the way sdembench and sdemload
+// write request bodies.
 func syntheticBody(tb testing.TB, n int, seed int64, commonRelease, sched bool) []byte {
 	tb.Helper()
-	ts, err := workload.Synthetic(workload.SyntheticConfig{N: n}, seed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if commonRelease {
-		for i := range ts {
-			ts[i].Deadline = power.Milliseconds(10) + ts[i].Window()/10
-			ts[i].Release = 0
-		}
-	}
-	body, err := json.Marshal(TaskRequest{Tasks: ts, IncludeSchedule: sched})
+	body, err := json.Marshal(TaskRequest{Tasks: syntheticSet(tb, n, seed, commonRelease), IncludeSchedule: sched})
 	if err != nil {
 		tb.Fatal(err)
 	}
