@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -65,130 +64,6 @@ func (s *sporadicSource) Next() (task.Task, bool) {
 	return t, true
 }
 
-// PeriodicConfig parameterizes one strictly periodic stream: an instance
-// every Period seconds starting at Phase, each with the given Window and
-// Workload. Instances repeat the same (window, workload) parameters, so
-// the online engine's plan-delta memo hits on most instances (deadline −
-// release re-rounds per instance, so window bits can differ by one ULP).
-type PeriodicConfig struct {
-	// Period between releases (> 0).
-	Period float64
-	// Phase is the first release time (≥ 0).
-	Phase float64
-	// Window is the feasible-region length (deadline − release, > 0).
-	Window float64
-	// Workload in cycles (> 0).
-	Workload float64
-}
-
-type periodicSource struct {
-	cfg  PeriodicConfig
-	k    int64
-	left int64
-}
-
-// Periodic streams a strictly periodic task. limit bounds the number of
-// instances (≤ 0 = unbounded). IDs are sequential from 0; Merge
-// renumbers when several periodic streams are interleaved.
-func Periodic(cfg PeriodicConfig, limit int64) (Source, error) {
-	switch {
-	case cfg.Period <= 0:
-		return nil, fmt.Errorf("workload: period %g must be positive", cfg.Period)
-	case cfg.Window <= 0:
-		return nil, fmt.Errorf("workload: window %g must be positive", cfg.Window)
-	case cfg.Workload <= 0:
-		return nil, fmt.Errorf("workload: workload %g must be positive", cfg.Workload)
-	case cfg.Phase < 0:
-		return nil, fmt.Errorf("workload: phase %g must be non-negative", cfg.Phase)
-	}
-	if limit <= 0 {
-		limit = -1
-	}
-	return &periodicSource{cfg: cfg, left: limit}, nil
-}
-
-func (s *periodicSource) Next() (task.Task, bool) {
-	if s.left == 0 {
-		return task.Task{}, false
-	}
-	if s.left > 0 {
-		s.left--
-	}
-	// k·Period + Phase rather than repeated addition: the release of the
-	// n-th instance is then independent of how many were drawn before,
-	// and bit-identical across runs of any length.
-	rel := s.cfg.Phase + float64(s.k)*s.cfg.Period
-	t := task.Task{
-		ID:       int(s.k),
-		Release:  rel,
-		Deadline: rel + s.cfg.Window,
-		Workload: s.cfg.Workload,
-	}
-	s.k++
-	return t, true
-}
-
-// mergeHeap orders pending heads by (release, source index) — the source
-// index breaks ties deterministically.
-type mergeHeap []mergeHead
-
-type mergeHead struct {
-	t   task.Task
-	src int
-}
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	//lint:allow floatcmp: heap ordering must be exact to stay deterministic
-	if h[i].t.Release != h[j].t.Release {
-		return h[i].t.Release < h[j].t.Release
-	}
-	return h[i].src < h[j].src
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeHead)) }
-func (h *mergeHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-type mergedSource struct {
-	srcs []Source
-	h    mergeHeap
-	id   int
-}
-
-// Merge interleaves several sources into one release-ordered stream via
-// a k-way heap merge — the streaming construction of a hyperperiod: the
-// merge of Periodic streams with rationally related periods repeats its
-// (window, workload) pattern every least common multiple. Emitted tasks
-// are renumbered with sequential IDs so instances from different
-// sources never collide.
-func Merge(srcs ...Source) Source {
-	m := &mergedSource{srcs: srcs, h: make(mergeHeap, 0, len(srcs))}
-	for i, s := range srcs {
-		if t, ok := s.Next(); ok {
-			m.h = append(m.h, mergeHead{t, i})
-		}
-	}
-	heap.Init(&m.h)
-	return m
-}
-
-func (m *mergedSource) Next() (task.Task, bool) {
-	if len(m.h) == 0 {
-		return task.Task{}, false
-	}
-	head := m.h[0]
-	if t, ok := m.srcs[head.src].Next(); ok {
-		m.h[0] = mergeHead{t, head.src}
-		heap.Fix(&m.h, 0)
-	} else {
-		heap.Pop(&m.h)
-	}
-	out := head.t
-	out.ID = m.id
-	m.id++
-	return out, true
-}
-
 // Collect drains up to n tasks from the source into a set — the bridge
 // from streaming generators to the batch APIs (and the tool tests use it
 // to compare a stream against its batch counterpart).
@@ -202,20 +77,4 @@ func Collect(src Source, n int) task.Set {
 		out = append(out, t)
 	}
 	return out
-}
-
-// Utilization estimates the long-run per-core utilization of a merged
-// periodic system at reference speed ref: Σ workload/(period·ref·cores).
-// The soak harness uses it to pick feasible configurations.
-func Utilization(cfgs []PeriodicConfig, ref float64, cores int) float64 {
-	if ref <= 0 || cores <= 0 {
-		return 0
-	}
-	var u float64
-	for _, c := range cfgs {
-		if c.Period > 0 {
-			u += c.Workload / (c.Period * ref)
-		}
-	}
-	return u / float64(cores)
 }

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 // TestSporadicStreamMatchesSynthetic pins the stream to the batch
 // generator: same seed, same draws, so the collected prefix must equal
@@ -45,132 +42,5 @@ func TestSporadicStreamLimit(t *testing.T) {
 	}
 	if _, ok := src.Next(); ok {
 		t.Error("exhausted stream still emitting")
-	}
-}
-
-// TestPeriodicBitStable checks that the n-th instance of a periodic
-// stream is bit-identical no matter how many instances were drawn before
-// it or how long the run is — the property the plan-delta memo leans on.
-func TestPeriodicBitStable(t *testing.T) {
-	cfg := PeriodicConfig{Period: 0.1, Phase: 0.03, Window: 0.05, Workload: 3e6}
-	short, err := Periodic(cfg, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long, err := Periodic(cfg, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := Collect(short, 10), Collect(long, 1000)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("instance %d differs across run lengths: %+v vs %+v", i, a[i], b[i])
-		}
-		//lint:allow floatcmp: bit-stability is exactly the property under test
-		if want := cfg.Phase + float64(i)*cfg.Period; a[i].Release != want {
-			t.Errorf("instance %d released at %g, want %g", i, a[i].Release, want)
-		}
-	}
-	// Every instance carries the identical workload bits and a window
-	// equal to the configured one up to one rounding of the release sum
-	// (deadline − release re-rounds, so only near-bit equality holds).
-	for i := 1; i < len(b); i++ {
-		//lint:allow floatcmp: workload is copied verbatim from the config
-		if b[i].Workload != b[0].Workload {
-			t.Fatalf("instance %d workload differs from instance 0", i)
-		}
-		if w := b[i].Deadline - b[i].Release; math.Abs(w-cfg.Window) > 1e-12 {
-			t.Fatalf("instance %d window %g drifted from %g", i, w, cfg.Window)
-		}
-	}
-}
-
-// TestPeriodicRejectsBadConfig covers the validation paths.
-func TestPeriodicRejectsBadConfig(t *testing.T) {
-	bad := []PeriodicConfig{
-		{Period: 0, Window: 1, Workload: 1},
-		{Period: 1, Window: 0, Workload: 1},
-		{Period: 1, Window: 1, Workload: 0},
-		{Period: 1, Window: 1, Workload: 1, Phase: -1},
-	}
-	for _, cfg := range bad {
-		if _, err := Periodic(cfg, 1); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-}
-
-// TestMergeHyperperiod interleaves periodic streams with rationally
-// related periods and checks release order, sequential renumbering, and
-// the hyperperiod pattern: task counts per hyperperiod match the ratio
-// of the least common multiple to each period.
-func TestMergeHyperperiod(t *testing.T) {
-	p2, err := Periodic(PeriodicConfig{Period: 0.02, Window: 0.015, Workload: 2e6}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p5, err := Periodic(PeriodicConfig{Period: 0.05, Window: 0.04, Workload: 4e6}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Collect(Merge(p2, p5), 100)
-	if len(got) != 70 {
-		t.Fatalf("merged %d tasks, want 70", len(got))
-	}
-	prev := math.Inf(-1)
-	for i, tk := range got {
-		if tk.ID != i {
-			t.Fatalf("task %d renumbered to %d, want sequential IDs", i, tk.ID)
-		}
-		if tk.Release < prev {
-			t.Fatalf("task %d released at %g after %g — merge out of order", i, tk.Release, prev)
-		}
-		prev = tk.Release
-	}
-	// One hyperperiod is lcm(0.02, 0.05) = 0.1 s: 5 instances of the fast
-	// stream, 2 of the slow one.
-	fast, slow := 0, 0
-	for _, tk := range got {
-		if tk.Release >= 0.1-1e-12 {
-			break
-		}
-		//lint:allow floatcmp: workloads are exact stream constants
-		if tk.Workload == 2e6 {
-			fast++
-		} else {
-			slow++
-		}
-	}
-	if fast != 5 || slow != 2 {
-		t.Errorf("hyperperiod holds %d fast + %d slow instances, want 5 + 2", fast, slow)
-	}
-}
-
-// TestMergedTasksValidate checks that merged periodic instances pass the
-// task validator — the admission path of the streaming engine.
-func TestMergedTasksValidate(t *testing.T) {
-	p, err := Periodic(PeriodicConfig{Period: 0.03, Window: 0.02, Workload: 1e6}, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tk := range Collect(p, 10) {
-		if err := tk.Validate(); err != nil {
-			t.Fatalf("periodic instance %d invalid: %v", tk.ID, err)
-		}
-	}
-}
-
-// TestUtilization sanity-checks the feasibility estimator.
-func TestUtilization(t *testing.T) {
-	cfgs := []PeriodicConfig{
-		{Period: 0.01, Workload: 5e6},
-		{Period: 0.02, Workload: 1e7},
-	}
-	got := Utilization(cfgs, 1e9, 2)
-	if rel := math.Abs(got-0.5) / 0.5; rel > 1e-12 {
-		t.Errorf("utilization %g, want 0.5", got)
-	}
-	if Utilization(cfgs, 0, 2) != 0 || Utilization(cfgs, 1e9, 0) != 0 {
-		t.Error("degenerate reference or core count must yield zero")
 	}
 }

@@ -4,7 +4,11 @@
 // with maximum inter-arrival time x) and the DSPstone benchmark workload
 // of §8.1.1 (FFT and matrix-multiply instances whose windows derive from
 // their cycle counts at the 16.5 MHz reference clock, released with
-// period |d−r|·U).
+// period |d−r|·U). The benchmark workload is a periodic task system, and
+// the related work the paper builds on (Zhong & Xu 2008, Chen et al.
+// 2006) is formulated over periodic tasks, so PeriodicSystem models
+// periodic and sporadic streams natively and expands them into the job
+// sets the SDEM schedulers consume.
 //
 // All generators are deterministic in their seed.
 package workload

@@ -34,7 +34,6 @@ import (
 	"sdem/internal/faults"
 	"sdem/internal/online"
 	"sdem/internal/partition"
-	"sdem/internal/periodic"
 	"sdem/internal/power"
 	"sdem/internal/resilient"
 	"sdem/internal/schedule"
@@ -256,8 +255,8 @@ func CortexA7() Core { return power.CortexA7() }
 // Stream is one periodic (or sporadic, via Jitter) real-time task
 // stream; PeriodicSystem is a set of streams.
 type (
-	Stream         = periodic.Stream
-	PeriodicSystem = periodic.System
+	Stream         = workload.PeriodicStream
+	PeriodicSystem = workload.PeriodicSystem
 )
 
 // ExpandStreams instantiates every job the streams release in
