@@ -59,23 +59,6 @@ func seriesAvgImprovementZ(s Series) float64 {
 	return sum / float64(len(s.Points))
 }
 
-// AvgImprovementZ averages the α=0-planned variant's improvement over
-// MBKPS across all points of all series.
-func AvgImprovementZ(series []Series) float64 {
-	var sum float64
-	var n int
-	for _, s := range series {
-		for _, p := range s.Points {
-			sum += p.ImprovementZ.Mean
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // AvgImprovement averages the SDEM-ON-over-MBKPS improvement across all
 // points of all series — the paper's headline per-figure number.
 func AvgImprovement(series []Series) float64 {

@@ -261,78 +261,3 @@ func IsZero(v, tol float64) bool {
 	}
 	return math.Abs(v) <= tol
 }
-
-// SumPow returns Σ w_i^λ for the given workloads. Negative workloads are
-// invalid inputs and contribute NaN, which callers surface via validation.
-func SumPow(ws []float64, lambda float64) float64 {
-	var s float64
-	for _, w := range ws {
-		s += math.Pow(w, lambda)
-	}
-	return s
-}
-
-// Brent finds a root of f in [lo, hi] using Brent's method (inverse
-// quadratic interpolation with bisection fallback) — faster than Bisect
-// on smooth functions, identical bracketing guarantees. ok is false when
-// the bracket does not straddle a sign change.
-func Brent(f func(float64) float64, lo, hi, tol float64) (root float64, ok bool) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	a, b := lo, hi
-	fa, fb := f(a), f(b)
-	if fa == 0 { //lint:allow floatcmp: an exact root short-circuits bracketing; near-roots converge normally
-		return a, true
-	}
-	if fb == 0 { //lint:allow floatcmp: see above
-		return b, true
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, false
-	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b, fa, fb = b, a, fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	eps := tol * math.Max(1, math.Max(math.Abs(lo), math.Abs(hi)))
-	//lint:allow floatcmp: Brent's termination and interpolation-degeneracy guards are exact by construction
-	for i := 0; i < 200 && fb != 0 && math.Abs(b-a) > eps; i++ {
-		var s float64
-		if fa != fc && fb != fc { //lint:allow floatcmp: inverse quadratic interpolation divides by these differences; the guard must be exact
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		bound1 := (3*a + b) / 4
-		lo1, hi1 := math.Min(bound1, b), math.Max(bound1, b)
-		cond := s < lo1 || s > hi1 ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < eps) ||
-			(!mflag && math.Abs(c-d) < eps)
-		if cond {
-			s = (a + b) / 2
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		d, c, fc = c, b, fb
-		if math.Signbit(fa) != math.Signbit(fs) {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b, fa, fb = b, a, fb, fa
-		}
-	}
-	return b, true
-}

@@ -130,16 +130,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestSumPow(t *testing.T) {
-	got := SumPow([]float64{1, 2, 3}, 3)
-	if got != 36 {
-		t.Errorf("SumPow = %g, want 36", got)
-	}
-	if SumPow(nil, 3) != 0 {
-		t.Error("SumPow(nil) must be 0")
-	}
-}
-
 func TestPropertyMinimizeConvexBeatsSamples(t *testing.T) {
 	// Property: for random convex parabolas on random intervals the
 	// numeric minimum is no worse than any sampled point.
@@ -198,50 +188,6 @@ func TestAlmostEqual(t *testing.T) {
 	}
 	if !AlmostEqual(0, 1e-12, 1e-9) {
 		t.Error("absolute comparison near zero failed")
-	}
-}
-
-func TestBrentAgreesWithBisect(t *testing.T) {
-	funcs := []struct {
-		name   string
-		f      func(float64) float64
-		lo, hi float64
-		want   float64
-	}{
-		{"cubic", func(x float64) float64 { return x*x*x - 8 }, 0, 10, 2},
-		{"line", func(x float64) float64 { return 3*x - 6 }, -10, 10, 2},
-		{"transcendental", func(x float64) float64 { return math.Exp(x) - 5 }, 0, 5, math.Log(5)},
-		{"sdem stationarity", func(x float64) float64 { return 4 - 2*2.53e-4*math.Pow(0.1-x, -3) }, 0, 0.0999, 0.1 - math.Pow(2*2.53e-4/4, 1.0/3)},
-	}
-	for _, tc := range funcs {
-		br, ok := Brent(tc.f, tc.lo, tc.hi, 1e-13)
-		if !ok || math.Abs(br-tc.want) > 1e-8*(1+math.Abs(tc.want)) {
-			t.Errorf("%s: Brent = %.12g ok=%v, want %.12g", tc.name, br, ok, tc.want)
-		}
-		bi, ok := Bisect(tc.f, tc.lo, tc.hi, 1e-13)
-		if !ok || math.Abs(br-bi) > 1e-7*(1+math.Abs(bi)) {
-			t.Errorf("%s: Brent %.12g != Bisect %.12g", tc.name, br, bi)
-		}
-	}
-	if _, ok := Brent(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12); ok {
-		t.Error("Brent must reject a bracket without a sign change")
-	}
-	if r, ok := Brent(func(x float64) float64 { return x }, 0, 5, 1e-12); !ok || r != 0 {
-		t.Errorf("exact endpoint root: %g %v", r, ok)
-	}
-}
-
-func TestPropertyBrentMonotone(t *testing.T) {
-	f := func(aRaw, bRaw uint32) bool {
-		a := 0.5 + float64(aRaw%100)/10
-		b := -20 + float64(bRaw%400)/10
-		fun := func(x float64) float64 { return a*x + b }
-		want := -b / a
-		root, ok := Brent(fun, -100, 100, 1e-12)
-		return ok && math.Abs(root-want) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
