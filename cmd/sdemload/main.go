@@ -262,8 +262,8 @@ func (w *loadWindows) stats() []windowStat {
 			Requests:   a.requests,
 			OK:         a.ok,
 			Shed:       a.shed,
-			LatencyP50: quantile(a.lat, 0.50),
-			LatencyP99: quantile(a.lat, 0.99),
+			LatencyP50: stats.Quantile(a.lat, 0.50),
+			LatencyP99: stats.Quantile(a.lat, 0.99),
 		}
 		if a.requests > 0 {
 			s.ShedRate = float64(a.shed) / float64(a.requests)
@@ -758,9 +758,9 @@ func summarize(o options, c *counters, elapsed time.Duration, slowCutoffs int64)
 		Errors4xx:   c.err4xx.Load(),
 		Errors5xx:   c.err5xx.Load(),
 		Transport:   c.transport.Load(),
-		LatencyP50:  quantile(lat, 0.50),
-		LatencyP90:  quantile(lat, 0.90),
-		LatencyP99:  quantile(lat, 0.99),
+		LatencyP50:  stats.Quantile(lat, 0.50),
+		LatencyP90:  stats.Quantile(lat, 0.90),
+		LatencyP99:  stats.Quantile(lat, 0.99),
 		SlowClients: o.slow,
 		SlowCutoffs: slowCutoffs,
 	}
@@ -774,21 +774,6 @@ func summarize(o options, c *counters, elapsed time.Duration, slowCutoffs int64)
 		rep.Throughput = float64(rep.OK) / elapsed.Seconds()
 	}
 	return rep
-}
-
-// quantile reads the q-quantile from sorted xs (nearest-rank).
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(xs) {
-		i = len(xs) - 1
-	}
-	return xs[i]
 }
 
 func printReport(r report) {

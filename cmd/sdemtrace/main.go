@@ -31,6 +31,8 @@ import (
 	"os"
 	"sort"
 	"text/tabwriter"
+
+	"sdem/internal/stats"
 )
 
 // span mirrors one element of wspan's AppendJSON spans array.
@@ -272,23 +274,7 @@ func attribute(w io.Writer, traces []trace) error {
 		share := 100 * float64(a.totalNs) / float64(rootTotalNs)
 		fmt.Fprintf(tw, "%s\t%d\t%.3f\t%.3f\t%.3f\t%.1f\t\n",
 			a.name, len(a.durs),
-			quantile(a.durs, 0.50), quantile(a.durs, 0.99), a.durs[len(a.durs)-1], share)
+			stats.Quantile(a.durs, 0.50), stats.Quantile(a.durs, 0.99), a.durs[len(a.durs)-1], share)
 	}
 	return tw.Flush()
-}
-
-// quantile reads the q-quantile from sorted xs (nearest-rank, matching
-// sdemload's report quantiles).
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(xs) {
-		i = len(xs) - 1
-	}
-	return xs[i]
 }

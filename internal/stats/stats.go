@@ -1,7 +1,8 @@
 // Package stats provides the small statistics toolbox used by the
 // experiment harness: means, standard deviations, confidence intervals
 // and multi-seed aggregation matching the paper's "10 random cases per
-// data point" protocol (§8.2).
+// data point" protocol (§8.2), plus the nearest-rank quantile of the
+// sdemload and sdemtrace reports.
 package stats
 
 import (
@@ -74,6 +75,23 @@ func SavingRatio(base, x float64) float64 {
 		return 0
 	}
 	return (base - x) / base
+}
+
+// Quantile reads the q-quantile from sorted xs by nearest rank: the
+// smallest element with at least a q share of xs at or below it, so it
+// is always one of the samples. It returns 0 for an empty slice.
+func Quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(len(xs)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(xs) {
+		i = len(xs) - 1
+	}
+	return xs[i]
 }
 
 // Percent formats a ratio as a percentage string.

@@ -55,6 +55,29 @@ func TestSavingRatio(t *testing.T) {
 	}
 }
 
+func TestQuantile(t *testing.T) {
+	odd := []float64{1, 2, 3, 4, 5}
+	even := []float64{1, 2, 3, 4}
+	cases := []struct {
+		name string
+		xs   []float64
+		q    float64
+		want float64
+	}{
+		{"empty", nil, 0.5, 0},
+		{"q=0 is the minimum", odd, 0, 1},
+		{"q=1 is the maximum", odd, 1, 5},
+		{"odd median", odd, 0.5, 3},
+		{"even median is the lower middle", even, 0.5, 2},
+		{"p99 of a short slice is its maximum", even, 0.99, 4},
+	}
+	for _, c := range cases {
+		if got := Quantile(c.xs, c.q); got != c.want {
+			t.Errorf("%s: Quantile(%v, %g) = %g, want %g", c.name, c.xs, c.q, got, c.want)
+		}
+	}
+}
+
 func TestPropertyMeanBounds(t *testing.T) {
 	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
