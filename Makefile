@@ -11,8 +11,11 @@ check: build vet test lint
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would rewrite any file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 test:
 	$(GO) test -race ./...
