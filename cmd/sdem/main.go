@@ -112,7 +112,7 @@ func run(algo, wl string, n int, seed int64, x, u float64, cores int, alphaM, xi
 	var sched *sdem.Schedule
 	switch algo {
 	case "auto":
-		sol, err := sdem.SolveTel(tasks, sys, tel)
+		sol, err := sdem.SolveCtx(nil, tasks, sys, tel)
 		switch {
 		case err == nil:
 			sched = sol.Schedule
@@ -145,13 +145,13 @@ func run(algo, wl string, n int, seed int64, x, u float64, cores int, alphaM, xi
 		case "sdem-on":
 			res, err = sdem.ScheduleOnline(tasks, sys, sdem.OnlineOptions{Cores: cores, Telemetry: tel})
 		case "mbkp":
-			res, err = baseline.MBKPTel(tasks, sys, cores, tel)
+			res, err = baseline.MBKP(tasks, sys, cores, tel)
 		case "mbkps":
-			res, err = baseline.MBKPSTel(tasks, sys, cores, tel)
+			res, err = baseline.MBKPS(tasks, sys, cores, tel)
 		case "race":
-			res, err = baseline.RaceToIdleTel(tasks, sys, cores, tel)
+			res, err = baseline.RaceToIdle(tasks, sys, cores, tel)
 		case "critical":
-			res, err = baseline.CriticalSpeedTel(tasks, sys, cores, tel)
+			res, err = baseline.CriticalSpeed(tasks, sys, cores, tel)
 		}
 		if err != nil {
 			return err

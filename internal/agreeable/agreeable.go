@@ -69,15 +69,6 @@ type Solution struct {
 	Energy float64
 }
 
-// mode selects the core model of the block-local objective.
-type mode int
-
-const (
-	modeAlphaZero mode = iota // §5.1: α = 0
-	modeStatic                // §5.2: α ≠ 0, free transitions
-	modeOverhead              // §7: α ≠ 0 with break-even times
-)
-
 // solver carries the normalized instance.
 type solver struct {
 	sys   power.System
@@ -85,7 +76,6 @@ type solver struct {
 	zeros task.Set
 	start float64 // min release
 	end   float64 // max deadline
-	mode  mode
 	// static[k] is the core static power task k pays while it runs: zero
 	// in α = 0 mode, and zero in overhead mode when task k's core cannot
 	// profitably sleep (its idle tail would be shorter than ξ), so its
@@ -106,7 +96,10 @@ type solver struct {
 	ctx context.Context
 }
 
-func newSolver(tasks task.Set, sys power.System, m mode) (*solver, error) {
+// newSolver normalizes the instance for the block-local objective of
+// system model m: §5.1 α = 0, §5.2 α ≠ 0 with free transitions, or §7
+// with break-even times.
+func newSolver(tasks task.Set, sys power.System, m power.Model) (*solver, error) {
 	if err := tasks.Validate(); err != nil {
 		return nil, err
 	}
@@ -119,11 +112,11 @@ func newSolver(tasks task.Set, sys power.System, m mode) (*solver, error) {
 	if !tasks.Feasible(sys.Core.SpeedMax) {
 		return nil, fmt.Errorf("agreeable: some task exceeds s_up even at filled speed: %w", schedule.ErrInfeasible)
 	}
-	s := &solver{sys: sys, mode: m}
-	if m == modeAlphaZero {
+	s := &solver{sys: sys}
+	if m == power.ModelAlphaZero {
 		s.sys.Core.Static = 0
 	}
-	if m != modeOverhead {
+	if m != power.ModelOverhead {
 		s.sys.Core.BreakEven = 0
 		s.sys.Memory.BreakEven = 0
 	}
@@ -148,7 +141,7 @@ func newSolver(tasks task.Set, sys power.System, m mode) (*solver, error) {
 	horizon := s.end - s.start
 	for k, t := range s.tasks {
 		s.static[k] = core.Static
-		if m == modeOverhead {
+		if m == power.ModelOverhead {
 			sc := core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon)
 			s0 := core.CriticalSpeed(t.FilledSpeed())
 			// ConstrainedCriticalSpeed returns the filled speed when the
@@ -272,16 +265,35 @@ func (s *solver) buildSchedule(blocks []Block) *schedule.Schedule {
 	return sched
 }
 
-func (s *solver) solve(scheme string, blockExtra float64) (*Solution, error) {
+// schemes labels each system model's solves in telemetry.
+var schemes = [...]string{
+	power.ModelAlphaZero: "alpha_zero",
+	power.ModelStatic:    "static",
+	power.ModelOverhead:  "overhead",
+}
+
+// solve runs the scheme of system model m; ctx, when non-nil, is polled
+// by the DP.
+func solve(ctx context.Context, m power.Model, tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
+	s, err := newSolver(tasks, sys, m)
+	if err != nil {
+		return nil, err
+	}
+	s.tel, s.ctx = tel, ctx
+	// The §7 DP charges one memory transition α_m·ξ_m per block.
+	var blockExtra float64
+	if m == power.ModelOverhead {
+		blockExtra = sys.Memory.TransitionEnergy()
+	}
 	blocks := s.dp(blockExtra)
-	if s.ctx != nil {
-		if err := s.ctx.Err(); err != nil {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("agreeable: solve cancelled: %w", err)
 		}
 	}
 	sched := s.buildSchedule(blocks)
 	energy := schedule.Audit(sched, s.sys).Total()
-	if s.mode == modeOverhead {
+	if m == power.ModelOverhead {
 		// The DP's block objective values memory compression as if the
 		// freed time always slept, but gaps below ξ_m save nothing
 		// (Table 3's Δ = 0 row). Audit the no-compression alternative —
@@ -291,14 +303,14 @@ func (s *solver) solve(scheme string, blockExtra float64) (*Solution, error) {
 		if fb := s.buildNaturalFallback(); fb != nil {
 			if e := schedule.Audit(fb, s.sys).Total(); e < energy {
 				sched, energy = fb, e
-				s.tel.Count("sdem.solver.agr.fallback_used", 1)
+				tel.Count("sdem.solver.agr.fallback_used", 1)
 			}
 		}
 	}
-	if s.tel != nil {
-		s.tel.CountL("sdem.solver.agr.solves", "scheme="+scheme, 1)
-		s.tel.Count("sdem.solver.agr.blocks", int64(len(blocks)))
-		s.tel.Instant("agr solve "+scheme, "solver", s.start, 0,
+	if tel != nil {
+		tel.CountL("sdem.solver.agr.solves", "scheme="+schemes[m], 1)
+		tel.Count("sdem.solver.agr.blocks", int64(len(blocks)))
+		tel.Instant("agr solve "+schemes[m], "solver", s.start, 0,
 			telemetry.Int("blocks", int64(len(blocks))),
 			telemetry.Int("tasks", int64(len(s.tasks))),
 			telemetry.Num("energy_j", energy))
@@ -332,95 +344,34 @@ func (s *solver) buildNaturalFallback() *schedule.Schedule {
 }
 
 // SolveAlphaZero solves §5.1: agreeable deadlines, negligible core static
-// power, free transitions. The returned schedule is optimal.
-func SolveAlphaZero(tasks task.Set, sys power.System) (*Solution, error) {
-	return SolveAlphaZeroTel(tasks, sys, nil)
-}
-
-// SolveAlphaZeroTel is SolveAlphaZero with telemetry attached; a nil
-// recorder is the uninstrumented path.
-func SolveAlphaZeroTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	s, err := newSolver(tasks, sys, modeAlphaZero)
-	if err != nil {
-		return nil, err
-	}
-	s.tel = tel
-	return s.solve("alpha_zero", 0)
+// power, free transitions. The returned schedule is optimal. A nil tel is
+// the uninstrumented path.
+func SolveAlphaZero(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
+	return solve(nil, power.ModelAlphaZero, tasks, sys, tel)
 }
 
 // SolveWithStatic solves §5.2: agreeable deadlines, non-negligible core
-// static power, free transitions. The returned schedule is optimal.
-func SolveWithStatic(tasks task.Set, sys power.System) (*Solution, error) {
-	return SolveWithStaticTel(tasks, sys, nil)
-}
-
-// SolveWithStaticTel is SolveWithStatic with telemetry attached; a nil
-// recorder is the uninstrumented path.
-func SolveWithStaticTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	s, err := newSolver(tasks, sys, modeStatic)
-	if err != nil {
-		return nil, err
-	}
-	s.tel = tel
-	return s.solve("static", 0)
+// static power, free transitions. The returned schedule is optimal. A nil
+// tel is the uninstrumented path.
+func SolveWithStatic(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
+	return solve(nil, power.ModelStatic, tasks, sys, tel)
 }
 
 // SolveWithOverhead solves the §7 agreeable-deadline problem with mode
 // transition overhead: the block-local solver keeps the §5 structure with
 // constrained critical speeds, and the DP charges one memory transition
-// α_m·ξ_m per block.
-func SolveWithOverhead(tasks task.Set, sys power.System) (*Solution, error) {
-	return SolveWithOverheadTel(tasks, sys, nil)
+// α_m·ξ_m per block. A nil tel is the uninstrumented path.
+func SolveWithOverhead(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
+	return solve(nil, power.ModelOverhead, tasks, sys, tel)
 }
 
-// SolveWithOverheadTel is SolveWithOverhead with telemetry attached; a
-// nil recorder is the uninstrumented path.
-func SolveWithOverheadTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	s, err := newSolver(tasks, sys, modeOverhead)
-	if err != nil {
-		return nil, err
-	}
-	s.tel = tel
-	return s.solve("overhead", sys.Memory.TransitionEnergy())
-}
-
-// Solve dispatches to the appropriate §5/§7 scheme based on the system
-// model, mirroring Table 1.
-func Solve(tasks task.Set, sys power.System) (*Solution, error) {
-	return SolveTel(tasks, sys, nil)
-}
-
-// SolveTel is Solve with telemetry attached; a nil recorder is the
-// uninstrumented path.
-func SolveTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	return SolveCtx(nil, tasks, sys, tel)
-}
-
-// SolveCtx is SolveTel with a cooperative-cancellation context: the DP
+// SolveCtx dispatches to the §5/§7 scheme of sys's Table 1 column
+// (power.System.Model) under a cooperative-cancellation context: the DP
 // polls ctx at row boundaries and abandons the solve with ctx's error
-// once it is done. A nil ctx never cancels — SolveTel delegates here
-// with one.
+// once it is done. A nil ctx never cancels; a nil tel is the
+// uninstrumented path.
 func SolveCtx(ctx context.Context, tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	var (
-		m      mode
-		scheme string
-		extra  float64
-	)
-	switch {
-	case sys.Core.BreakEven > 0 || sys.Memory.BreakEven > 0:
-		m, scheme, extra = modeOverhead, "overhead", sys.Memory.TransitionEnergy()
-	case sys.Core.Static > 0:
-		m, scheme = modeStatic, "static"
-	default:
-		m, scheme = modeAlphaZero, "alpha_zero"
-	}
-	s, err := newSolver(tasks, sys, m)
-	if err != nil {
-		return nil, err
-	}
-	s.tel = tel
-	s.ctx = ctx
-	return s.solve(scheme, extra)
+	return solve(ctx, sys.Model(), tasks, sys, tel)
 }
 
 // TaskType is the §5.2 classification of Table 2.
@@ -451,7 +402,7 @@ type Classification struct {
 // inside the interval, Type-II tasks align with it at speeds within
 // [s₀, s₁]. It exists to make the paper's structural claim checkable.
 func ClassifyBlock(tasks task.Set, sys power.System) (*Classification, error) {
-	s, err := newSolver(tasks, sys, modeStatic)
+	s, err := newSolver(tasks, sys, power.ModelStatic)
 	if err != nil {
 		return nil, err
 	}

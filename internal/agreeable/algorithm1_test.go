@@ -17,7 +17,7 @@ func TestAlgorithm1AgreesWithConvexSolver(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomAgreeable(r, 1+r.Intn(5))
-		s, err := newSolver(tasks, sys, modeStatic)
+		s, err := newSolver(tasks, sys, power.ModelStatic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestAlgorithm1CommonReleaseInstances(t *testing.T) {
 				Workload: 2e6 + r.Float64()*3e6,
 			}
 		}
-		s, err := newSolver(tasks, sys, modeStatic)
+		s, err := newSolver(tasks, sys, power.ModelStatic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestAlgorithm1Degenerate(t *testing.T) {
 	// Algorithm 1's golden-section probes miss so narrow a feasible
 	// region and settle on the filled speed, so it may only trail.
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: power.Milliseconds(3), Workload: 5e6}}
-	s, err := newSolver(tasks, sys, modeStatic)
+	s, err := newSolver(tasks, sys, power.ModelStatic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,7 @@ func oracleSystems() map[string]power.System {
 // that coreEnergy clamps, which the root finding never enters.
 func TestBlockSolveMatchesGoldenSection(t *testing.T) {
 	for name, sys := range oracleSystems() {
-		for _, m := range []mode{modeAlphaZero, modeStatic, modeOverhead} {
+		for _, m := range []power.Model{power.ModelAlphaZero, power.ModelStatic, power.ModelOverhead} {
 			for seed := int64(0); seed < 12; seed++ {
 				r := rand.New(rand.NewSource(seed))
 				s, err := newSolver(randomAgreeable(r, 1+r.Intn(7)), sys, m)
@@ -110,7 +110,7 @@ func randomTight(r *rand.Rand, n int) task.Set {
 func TestBlockSolveMatchesGoldenSectionTight(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		s, err := newSolver(randomTight(r, 1+r.Intn(6)), power.DefaultSystem(), modeStatic)
+		s, err := newSolver(randomTight(r, 1+r.Intn(6)), power.DefaultSystem(), power.ModelStatic)
 		if err != nil {
 			continue // infeasible at s_up
 		}
@@ -135,13 +135,13 @@ func TestDPPartitionsMatchGoldenSection(t *testing.T) {
 		for seed := int64(100); seed < 112; seed++ {
 			r := rand.New(rand.NewSource(seed))
 			tasks := randomAgreeable(r, 3+r.Intn(6))
-			sol, err := Solve(tasks, sys)
+			sol, err := SolveCtx(nil, tasks, sys, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, extra := modeStatic, 0.0
+			m, extra := power.ModelStatic, 0.0
 			if sys.Memory.BreakEven > 0 {
-				m, extra = modeOverhead, sys.Memory.TransitionEnergy()
+				m, extra = power.ModelOverhead, sys.Memory.TransitionEnergy()
 			}
 			s, err := newSolver(tasks, sys, m)
 			if err != nil {

@@ -77,14 +77,9 @@ func clampSpeed(sys power.System, s float64) float64 {
 // run executes the per-core EDF simulation under the given speed rule:
 // round-robin assignment in arrival order, independent cores,
 // re-evaluation of the speed at every arrival, completion and
-// critical-deadline event.
-func run(tasks task.Set, sys power.System, cores int, rule SpeedRule) (*sim.Result, error) {
-	return runTel(tasks, sys, cores, rule, nil, "")
-}
-
-// runTel is run with a telemetry recorder attached to the executor under
-// the given scheduler name; a nil recorder is the uninstrumented path.
-func runTel(tasks task.Set, sys power.System, cores int, rule SpeedRule, tel *telemetry.Recorder, name string) (*sim.Result, error) {
+// critical-deadline event. A non-nil tel records the executor under the
+// given scheduler name.
+func run(tasks task.Set, sys power.System, cores int, rule SpeedRule, tel *telemetry.Recorder, name string) (*sim.Result, error) {
 	st, err := sim.NewRecorder(tasks, sys, cores)
 	if err != nil {
 		return nil, err
@@ -189,13 +184,8 @@ func criticalDeadline(queue []*sim.Job, now, _ float64) float64 {
 
 // MBKP schedules with the memory-oblivious OA policy and accounts energy
 // with no sleeping anywhere (the paper's MBKP reference).
-func MBKP(tasks task.Set, sys power.System, cores int) (*sim.Result, error) {
-	return MBKPTel(tasks, sys, cores, nil)
-}
-
-// MBKPTel is MBKP with telemetry attached.
-func MBKPTel(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*sim.Result, error) {
-	res, err := runTel(tasks, sys, cores, OASpeed, tel, "mbkp")
+func MBKP(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*sim.Result, error) {
+	res, err := run(tasks, sys, cores, OASpeed, tel, "mbkp")
 	if err != nil {
 		return nil, err
 	}
@@ -210,13 +200,8 @@ func MBKPTel(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorde
 // is audited with SleepBreakEven accounting. This reproduces the paper's
 // observation that MBKPS degenerates to MBKP when the system is busy
 // (gaps too short to be worth anything) and only profits from long gaps.
-func MBKPS(tasks task.Set, sys power.System, cores int) (*sim.Result, error) {
-	return MBKPSTel(tasks, sys, cores, nil)
-}
-
-// MBKPSTel is MBKPS with telemetry attached.
-func MBKPSTel(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*sim.Result, error) {
-	res, err := runTel(tasks, sys, cores, OASpeed, tel, "mbkps")
+func MBKPS(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*sim.Result, error) {
+	res, err := run(tasks, sys, cores, OASpeed, tel, "mbkps")
 	if err != nil {
 		return nil, err
 	}
@@ -225,13 +210,8 @@ func MBKPSTel(tasks task.Set, sys power.System, cores int, tel *telemetry.Record
 
 // RaceToIdle schedules every job at s_up and lets cores and memory sleep
 // at break-even gaps — the "race" pole of the title question.
-func RaceToIdle(tasks task.Set, sys power.System, cores int) (*sim.Result, error) {
-	return RaceToIdleTel(tasks, sys, cores, nil)
-}
-
-// RaceToIdleTel is RaceToIdle with telemetry attached.
-func RaceToIdleTel(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*sim.Result, error) {
-	res, err := runTel(tasks, sys, cores, RaceSpeed, tel, "race")
+func RaceToIdle(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*sim.Result, error) {
+	res, err := run(tasks, sys, cores, RaceSpeed, tel, "race")
 	if err != nil {
 		return nil, err
 	}
@@ -240,13 +220,8 @@ func RaceToIdleTel(tasks task.Set, sys power.System, cores int, tel *telemetry.R
 
 // CriticalSpeed schedules every job at the per-core optimal speed s_0
 // with break-even sleeping — per-core optimal but memory-oblivious.
-func CriticalSpeed(tasks task.Set, sys power.System, cores int) (*sim.Result, error) {
-	return CriticalSpeedTel(tasks, sys, cores, nil)
-}
-
-// CriticalSpeedTel is CriticalSpeed with telemetry attached.
-func CriticalSpeedTel(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*sim.Result, error) {
-	res, err := runTel(tasks, sys, cores, CriticalSpeedRule, tel, "critical")
+func CriticalSpeed(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*sim.Result, error) {
+	res, err := run(tasks, sys, cores, CriticalSpeedRule, tel, "critical")
 	if err != nil {
 		return nil, err
 	}

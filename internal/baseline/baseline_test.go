@@ -9,6 +9,7 @@ import (
 	"sdem/internal/schedule"
 	"sdem/internal/sim"
 	"sdem/internal/task"
+	"sdem/internal/telemetry"
 )
 
 func testSystem() power.System {
@@ -56,7 +57,7 @@ func TestMBKPSchedulesFeasibly(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := sporadic(r, 30, power.Milliseconds(150))
-		res, err := MBKP(tasks, sys, 8)
+		res, err := MBKP(tasks, sys, 8, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -73,7 +74,7 @@ func TestMBKPNeverSleeps(t *testing.T) {
 	sys := testSystem()
 	r := rand.New(rand.NewSource(1))
 	tasks := sporadic(r, 10, power.Milliseconds(400))
-	res, err := MBKP(tasks, sys, 8)
+	res, err := MBKP(tasks, sys, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +92,11 @@ func TestMBKPSSleepsInGaps(t *testing.T) {
 	sys := testSystem()
 	r := rand.New(rand.NewSource(2))
 	tasks := sporadic(r, 10, power.Milliseconds(500)) // sparse: real gaps
-	mbkp, err := MBKP(tasks, sys, 8)
+	mbkp, err := MBKP(tasks, sys, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mbkps, err := MBKPS(tasks, sys, 8)
+	mbkps, err := MBKPS(tasks, sys, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,11 @@ func TestMBKPSDegeneratesToMBKPUnderPressure(t *testing.T) {
 	sys.Memory.BreakEven = 0.5 // 500 ms: no gap completes a transition
 	r := rand.New(rand.NewSource(3))
 	tasks := sporadic(r, 25, power.Milliseconds(120))
-	mbkp, err := MBKP(tasks, sys, 8)
+	mbkp, err := MBKP(tasks, sys, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mbkps, err := MBKPS(tasks, sys, 8)
+	mbkps, err := MBKPS(tasks, sys, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +151,11 @@ func TestRaceToIdleVsCriticalSpeed(t *testing.T) {
 	sys := testSystem()
 	r := rand.New(rand.NewSource(4))
 	tasks := sporadic(r, 20, power.Milliseconds(300))
-	race, err := RaceToIdle(tasks, sys, 8)
+	race, err := RaceToIdle(tasks, sys, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crit, err := CriticalSpeed(tasks, sys, 8)
+	crit, err := CriticalSpeed(tasks, sys, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestRoundRobinAssignment(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: 0.1, Workload: 3e6},
 		{ID: 2, Release: 0.001, Deadline: 0.1, Workload: 3e6},
 	}
-	res, err := MBKP(tasks, sys, 2)
+	res, err := MBKP(tasks, sys, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestQueueBacklogOnOneCore(t *testing.T) {
 		{ID: 2, Release: power.Milliseconds(1), Deadline: power.Milliseconds(60), Workload: 3e6},
 		{ID: 3, Release: power.Milliseconds(2), Deadline: power.Milliseconds(90), Workload: 3e6},
 	}
-	res, err := MBKP(tasks, sys, 1)
+	res, err := MBKP(tasks, sys, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +208,8 @@ func TestQueueBacklogOnOneCore(t *testing.T) {
 }
 
 func TestEmptySet(t *testing.T) {
-	for _, f := range []func(task.Set, power.System, int) (*sim.Result, error){MBKP, MBKPS, RaceToIdle, CriticalSpeed} {
-		res, err := f(task.Set{}, testSystem(), 4)
+	for _, f := range []func(task.Set, power.System, int, *telemetry.Recorder) (*sim.Result, error){MBKP, MBKPS, RaceToIdle, CriticalSpeed} {
+		res, err := f(task.Set{}, testSystem(), 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func TestOAPreemptsForTighterArrival(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: power.Milliseconds(200), Workload: 1e7},
 		{ID: 2, Release: power.Milliseconds(5), Deadline: power.Milliseconds(15), Workload: 5e6},
 	}
-	res, err := MBKP(tasks, sys, 1)
+	res, err := MBKP(tasks, sys, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestOverloadedCoreRecordsMisses(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: power.Milliseconds(2), Workload: 3e6},
 		{ID: 2, Release: 0, Deadline: power.Milliseconds(2), Workload: 3e6},
 	}
-	res, err := MBKP(tasks, sys, 1)
+	res, err := MBKP(tasks, sys, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -449,109 +449,92 @@ func countNonzero(tel *telemetry.Recorder, name string, n int64) {
 
 // SolveAlphaZero solves §4.1: common release time, negligible core static
 // power (the solver ignores sys.Core.Static), zero transition overhead.
-// The returned schedule is optimal (Theorem 2).
-func SolveAlphaZero(tasks task.Set, sys power.System) (*Solution, error) {
-	return SolveAlphaZeroTel(tasks, sys, nil)
-}
-
-// SolveAlphaZeroTel is SolveAlphaZero with telemetry attached; a nil
-// recorder is the uninstrumented path.
-func SolveAlphaZeroTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	in, err := normalize(tasks, sys, naturalFilled, 0, tel)
-	if err != nil {
-		return nil, err
-	}
-	L, caseIdx := in.alphaZeroPlan()
-	if len(in.tasks) == 0 {
-		return in.empty(), nil
-	}
-	sol := in.solution(L, caseIdx)
-	in.record("alpha_zero", sol)
-	return sol, nil
-}
-
-// alphaZeroPlan applies the §4.1 audit-model adjustments and picks the
-// optimal busy length; callers with no positive-workload tasks must take
-// the empty solution instead. Shared by SolveAlphaZeroTel and
-// Solver.PlanEnds so the two can never diverge.
-func (in *instance) alphaZeroPlan() (L float64, caseIdx int) {
-	// Audit must not charge core static power in the α=0 model.
-	in.sys.Core.Static = 0
-	in.sys.Core.BreakEven = 0
-	in.sys.Memory.BreakEven = 0
-	if len(in.tasks) == 0 {
-		return 0, 0
-	}
-	if numeric.IsZero(in.sys.Memory.Static, 0) {
-		// Without memory leakage each task independently prefers its
-		// filled speed; the busy length is the latest deadline.
-		return in.c[len(in.c)-1], 1
-	}
-	i, L := in.scanAll(0)
-	return L, i + 1
+// The returned schedule is optimal (Theorem 2). A nil tel is the
+// uninstrumented path.
+func SolveAlphaZero(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
+	return solve(power.ModelAlphaZero, tasks, sys, tel)
 }
 
 // SolveWithStatic solves §4.2: common release time, non-negligible core
 // static power, zero transition overhead. Tasks not aligned to the memory
 // busy interval run at their critical speed s_0; the returned schedule is
-// optimal (Theorem 3).
-func SolveWithStatic(tasks task.Set, sys power.System) (*Solution, error) {
-	return SolveWithStaticTel(tasks, sys, nil)
+// optimal (Theorem 3). A non-nil tel also counts the tasks whose critical
+// speed s_0 was raised to the filled-speed floor
+// (sdem.solver.cr.critical_clamps).
+func SolveWithStatic(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
+	return solve(power.ModelStatic, tasks, sys, tel)
 }
 
-// SolveWithStaticTel is SolveWithStatic with telemetry attached; a nil
-// recorder is the uninstrumented path. It additionally counts the tasks
-// whose critical speed s_0 was raised to the filled-speed floor
-// (sdem.solver.cr.critical_clamps).
-func SolveWithStaticTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	in, err := normalize(tasks, sys, naturalCritical, 0, tel)
+// Solve dispatches on the system model of Table 1 (power.System.Model):
+// SolveWithOverhead when any break-even time is set, otherwise
+// SolveWithStatic for α ≠ 0 and SolveAlphaZero for α = 0. SDEM-ON
+// re-plans through here on every arrival, making this the module's
+// hottest solver entry point. A nil tel is the uninstrumented path.
+//
+//sdem:hotpath
+func Solve(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
+	return solve(sys.Model(), tasks, sys, tel)
+}
+
+// schemes labels each system model's solves in telemetry.
+var schemes = [...]string{
+	power.ModelAlphaZero: "alpha_zero",
+	power.ModelStatic:    "with_static",
+	power.ModelOverhead:  "overhead",
+}
+
+// solve runs the scheme of system model m on a fresh instance.
+func solve(m power.Model, tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
+	in := &instance{}
+	L, caseIdx, err := in.plan(m, tasks, sys, tel)
 	if err != nil {
 		return nil, err
 	}
-	L, caseIdx := in.withStaticPlan()
 	if len(in.tasks) == 0 {
 		return in.empty(), nil
 	}
 	sol := in.solution(L, caseIdx)
-	in.record("with_static", sol)
+	in.record(schemes[m], sol)
 	return sol, nil
 }
 
-// withStaticPlan applies the §4.2 audit-model adjustments and picks the
-// optimal busy length; callers with no positive-workload tasks must take
-// the empty solution instead. Shared by SolveWithStaticTel and
-// Solver.PlanEnds.
-func (in *instance) withStaticPlan() (L float64, caseIdx int) {
-	in.sys.Core.BreakEven = 0
-	in.sys.Memory.BreakEven = 0
-	if len(in.tasks) == 0 {
-		return 0, 0
+// plan normalizes tasks for the scheme of system model m and picks the
+// optimal busy length L with its 1-based case index. With no
+// positive-workload task it returns L = 0 and the caller takes the empty
+// solution. The one-shot solvers and Solver.PlanEndsRel share it, so the
+// two can never diverge.
+func (in *instance) plan(m power.Model, tasks task.Set, sys power.System, tel *telemetry.Recorder) (L float64, caseIdx int, err error) {
+	natural, horizon0 := naturalFilled, 0.0
+	switch m {
+	case power.ModelOverhead:
+		natural, horizon0 = overheadMode(sys), overheadHorizon(tasks)
+	case power.ModelStatic:
+		natural = naturalCritical
+	}
+	if err := in.normalizeInto(tasks, sys, natural, horizon0, tel); err != nil {
+		return 0, 0, err
+	}
+	if m != power.ModelOverhead {
+		// The audit must not charge transitions in the §4 models, nor
+		// core static power in the α = 0 model.
+		in.sys.Core.BreakEven, in.sys.Memory.BreakEven = 0, 0
+		if m == power.ModelAlphaZero {
+			in.sys.Core.Static = 0
+		}
+	}
+	switch {
+	case len(in.tasks) == 0:
+		return 0, 0, nil
+	case m == power.ModelOverhead:
+		L, caseIdx = in.overheadScan()
+		return L, caseIdx, nil
+	case m == power.ModelAlphaZero && numeric.IsZero(in.sys.Memory.Static, 0):
+		// Without memory leakage each task independently prefers its
+		// filled speed; the busy length is the latest deadline.
+		return in.c[len(in.c)-1], 1, nil
 	}
 	i, L := in.scanAll(in.sys.Core.Static)
-	return L, i + 1
-}
-
-// Solve dispatches to the right §4 scheme based on the system model:
-// SolveWithOverhead when any break-even time is set, otherwise
-// SolveWithStatic for α ≠ 0 and SolveAlphaZero for α = 0.
-func Solve(tasks task.Set, sys power.System) (*Solution, error) {
-	return SolveTel(tasks, sys, nil)
-}
-
-// SolveTel is Solve with telemetry attached; a nil recorder is the
-// uninstrumented path. SDEM-ON re-plans through here on every arrival,
-// making this the module's hottest solver entry point.
-//
-//sdem:hotpath
-func SolveTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	switch {
-	case sys.Core.BreakEven > 0 || sys.Memory.BreakEven > 0:
-		return SolveWithOverheadTel(tasks, sys, tel)
-	case sys.Core.Static > 0:
-		return SolveWithStaticTel(tasks, sys, tel)
-	default:
-		return SolveAlphaZeroTel(tasks, sys, tel)
-	}
+	return L, i + 1, nil
 }
 
 // Theorem2Scan reproduces the literal Theorem 2 procedure for §4.1: walk
@@ -593,15 +576,10 @@ func Theorem2Scan(tasks task.Set, sys power.System) (int, float64, error) {
 
 // BinarySearchScan is the O(log n) Lemma 1 accelerator for §4.1: binary
 // search over cases for the unique valid minimizer, falling back to the
-// best just-fit boundary when no case is valid.
-func BinarySearchScan(tasks task.Set, sys power.System) (int, float64, error) {
-	return BinarySearchScanTel(tasks, sys, nil)
-}
-
-// BinarySearchScanTel is BinarySearchScan with telemetry attached: the
-// call adds its bisection steps to sdem.solver.cr.bsearch_iters, making
-// the O(log n) bound observable.
-func BinarySearchScanTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (int, float64, error) {
+// best just-fit boundary when no case is valid. A non-nil tel gains the
+// bisection steps in sdem.solver.cr.bsearch_iters, making the O(log n)
+// bound observable.
+func BinarySearchScan(tasks task.Set, sys power.System, tel *telemetry.Recorder) (int, float64, error) {
 	in, err := normalize(tasks, sys, naturalFilled, 0, tel)
 	if err != nil {
 		return 0, 0, err

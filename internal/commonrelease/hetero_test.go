@@ -112,7 +112,7 @@ func TestSolveHeteroReducesToHomogeneous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hom, err := SolveWithStatic(tasks, sys)
+		hom, err := SolveWithStatic(tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,8 +27,12 @@ import (
 // keeps the best. This subsumes every row of the paper's Table 3: the
 // candidates Δ = Δ_mi, Δ = ξ and Δ = 0 are all piece boundaries or
 // interior minima of some piece.
-func SolveWithOverhead(tasks task.Set, sys power.System) (*Solution, error) {
-	return SolveWithOverheadTel(tasks, sys, nil)
+//
+// A non-nil tel counts the golden-section objective evaluations
+// (sdem.solver.cr.objective_evals) and the convex pieces searched
+// (sdem.solver.cr.pieces); pieces the bound rules out count in neither.
+func SolveWithOverhead(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
+	return solve(power.ModelOverhead, tasks, sys, tel)
 }
 
 // overheadHorizon is the §7 maximal interval max_j (d_j − r_j) over the
@@ -50,25 +54,6 @@ func overheadMode(sys power.System) naturalMode {
 		return naturalFilled
 	}
 	return naturalConstrained
-}
-
-// SolveWithOverheadTel is SolveWithOverhead with telemetry attached; a
-// nil recorder is the uninstrumented path. It counts the golden-section
-// objective evaluations (sdem.solver.cr.objective_evals) and the convex
-// pieces searched (sdem.solver.cr.pieces); pieces the bound rules out
-// count in neither.
-func SolveWithOverheadTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	in, err := normalize(tasks, sys, overheadMode(sys), overheadHorizon(tasks), tel)
-	if err != nil {
-		return nil, err
-	}
-	if len(in.tasks) == 0 {
-		return in.empty(), nil
-	}
-	bestL, caseIdx := in.overheadScan()
-	sol := in.solution(bestL, caseIdx)
-	in.record("overhead", sol)
-	return sol, nil
 }
 
 // capFor is the smallest feasible busy length when the aligned set is

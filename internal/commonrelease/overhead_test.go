@@ -66,7 +66,7 @@ func TestOverheadMatchesSweep(t *testing.T) {
 		sys.Memory.BreakEven = power.Milliseconds(15 + r.Float64()*55)
 		sys.Core.BreakEven = power.Milliseconds(r.Float64() * 20)
 		tasks := overheadTasks(r, 1+r.Intn(7))
-		sol, err := SolveWithOverhead(tasks, sys)
+		sol, err := SolveWithOverhead(tasks, sys, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -89,11 +89,11 @@ func TestOverheadReducesToStaticWhenFree(t *testing.T) {
 	for seed := int64(50); seed < 56; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := overheadTasks(r, 1+r.Intn(6))
-		a, err := SolveWithOverhead(tasks, sys)
+		a, err := SolveWithOverhead(tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SolveWithStatic(tasks, sys)
+		b, err := SolveWithStatic(tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestTable3CaseSelection(t *testing.T) {
 	sys := power.DefaultSystem()
 	sys.Memory.BreakEven = power.Milliseconds(1)
 	sys.Core.BreakEven = power.Milliseconds(0.5)
-	sol, err := SolveWithOverhead(tasks, sys)
+	sol, err := SolveWithOverhead(tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestTable3CaseSelection(t *testing.T) {
 	if b.MemorySleeps == 0 {
 		t.Error("row 1: memory should sleep when break-even is tiny")
 	}
-	free, _ := SolveWithStatic(tasks, sys)
+	free, _ := SolveWithStatic(tasks, sys, nil)
 	if !almost(sol.BusyLen, free.BusyLen, 1e-6) {
 		t.Errorf("row 1: busy length %g, want the ξ=0 optimum %g", sol.BusyLen, free.BusyLen)
 	}
@@ -135,7 +135,7 @@ func TestTable3CaseSelection(t *testing.T) {
 	sys = power.DefaultSystem()
 	sys.Memory.BreakEven = 10 // far beyond any possible sleep
 	sys.Core.BreakEven = power.Milliseconds(1)
-	sol, err = SolveWithOverhead(tasks, sys)
+	sol, err = SolveWithOverhead(tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestTable3CaseSelection(t *testing.T) {
 	sys = power.DefaultSystem()
 	sys.Memory.BreakEven = power.Milliseconds(5)
 	sys.Core.BreakEven = 10
-	sol, err = SolveWithOverhead(tasks, sys)
+	sol, err = SolveWithOverhead(tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestOverheadConstrainedSpeedUsed(t *testing.T) {
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: d, Workload: w}}
 
 	sys.Core.BreakEven = power.Milliseconds(100) // cannot sleep: stretch
-	sol, err := SolveWithOverhead(tasks, sys)
+	sol, err := SolveWithOverhead(tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestOverheadConstrainedSpeedUsed(t *testing.T) {
 	}
 
 	sys.Core.BreakEven = power.Milliseconds(1) // can sleep: race to s_m
-	sol, err = SolveWithOverhead(tasks, sys)
+	sol, err = SolveWithOverhead(tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestOverheadConstrainedSpeedUsed(t *testing.T) {
 
 func TestOverheadEmptyAndErrors(t *testing.T) {
 	sys := power.DefaultSystem()
-	sol, err := SolveWithOverhead(task.Set{}, sys)
+	sol, err := SolveWithOverhead(task.Set{}, sys, nil)
 	if err != nil || sol.Energy != 0 {
 		t.Errorf("empty: sol=%v err=%v", sol, err)
 	}
@@ -211,7 +211,7 @@ func TestOverheadEmptyAndErrors(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: 1, Workload: 1e6},
 		{ID: 2, Release: 0.25, Deadline: 1, Workload: 1e6},
 	}
-	if _, err := SolveWithOverhead(bad, sys); err == nil {
+	if _, err := SolveWithOverhead(bad, sys, nil); err == nil {
 		t.Error("non-common release must be rejected")
 	}
 }
@@ -433,7 +433,7 @@ func TestOverheadScanPrunesBenchInstance(t *testing.T) {
 		t.Errorf("searched %d of %d pieces, want at most 3", searched, pieces)
 	}
 	tel := telemetry.New()
-	if _, err := SolveWithOverheadTel(tasks, sys, tel); err != nil {
+	if _, err := SolveWithOverhead(tasks, sys, tel); err != nil {
 		t.Fatal(err)
 	}
 	if got := tel.CounterValue("sdem.solver.cr.pieces", ""); got != int64(searched) {

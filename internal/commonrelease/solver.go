@@ -21,7 +21,7 @@ type Solver struct {
 }
 
 // PlanEndsRel solves the common-release instance with the same scheme
-// dispatch as SolveTel and returns only the per-task completion ends,
+// dispatch as Solve and returns only the per-task completion ends,
 // relative to the common release: ends[i] is the busy-aligned completion
 // of input task i (its natural completion c_i, or the busy length L when
 // aligned), or 0 for a zero-workload task scheduled nowhere.
@@ -34,41 +34,22 @@ type Solver struct {
 // depends only on the (deadline − release, workload) bit pattern of each
 // task plus sys — two instances that agree on those produce identical
 // bits at any release. The segment that task i receives in the
-// corresponding SolveTel solution schedule spans exactly
+// corresponding Solve solution schedule spans exactly
 // [release, release + ends[i]] — unless that float interval is no longer
 // than schedule.Tol/10, in which case Normalize drops it and the task
 // has no segment. Callers recover the absolute picture by replaying that
 // shift-and-filter; PlanEndsRel itself skips building and auditing the
-// final schedule, which is what makes it cheaper than SolveTel — the
-// busy-length search is shared code.
+// final schedule, which is what makes it cheaper than Solve — the
+// busy-length search is shared code (instance.plan).
 func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.Recorder) ([]float64, error) {
 	in := &sv.in
-	var L float64
-	var scheme string
-	switch {
-	case sys.Core.BreakEven > 0 || sys.Memory.BreakEven > 0:
-		scheme = "overhead"
-		if err := in.normalizeInto(tasks, sys, overheadMode(sys), overheadHorizon(tasks), tel); err != nil {
-			return nil, err
-		}
-		if len(in.tasks) > 0 {
-			L, _ = in.overheadScan()
-		}
-	case sys.Core.Static > 0:
-		scheme = "with_static"
-		if err := in.normalizeInto(tasks, sys, naturalCritical, 0, tel); err != nil {
-			return nil, err
-		}
-		L, _ = in.withStaticPlan()
-	default:
-		scheme = "alpha_zero"
-		if err := in.normalizeInto(tasks, sys, naturalFilled, 0, tel); err != nil {
-			return nil, err
-		}
-		L, _ = in.alphaZeroPlan()
+	m := sys.Model()
+	L, _, err := in.plan(m, tasks, sys, tel)
+	if err != nil {
+		return nil, err
 	}
 	if tel != nil {
-		tel.CountL("sdem.solver.cr.solves", "scheme="+scheme, 1)
+		tel.CountL("sdem.solver.cr.solves", "scheme="+schemes[m], 1)
 		tel.Count("sdem.solver.cr.tasks", int64(len(in.tasks)))
 	}
 
@@ -93,7 +74,7 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 }
 
 // NaturalCompletion returns the completion time, relative to release,
-// that SolveTel's normalization assigns the task when it runs at its
+// that Solve's normalization assigns the task when it runs at its
 // natural speed under sys: the same bits as the corresponding in.c entry
 // of normalizeInto. horizon is the §7 maximal interval max_j (d_j − r_j)
 // of the instance the task belongs to (only read in overhead mode on a
@@ -106,14 +87,14 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 // running the solve.
 func NaturalCompletion(t task.Task, sys power.System, horizon float64) float64 {
 	var s float64
-	switch {
-	case sys.Core.BreakEven > 0 || sys.Memory.BreakEven > 0:
+	switch sys.Model() {
+	case power.ModelOverhead:
 		if overheadMode(sys) == naturalFilled {
 			s = t.FilledSpeed()
 		} else {
 			s = sys.Core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon)
 		}
-	case sys.Core.Static > 0:
+	case power.ModelStatic:
 		s = sys.Core.CriticalSpeed(t.FilledSpeed())
 	default:
 		s = t.FilledSpeed()

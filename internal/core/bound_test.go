@@ -29,7 +29,7 @@ func TestLowerBoundBelowOfflineOptimum(t *testing.T) {
 		if lb <= 0 {
 			t.Fatalf("seed %d: bound must be positive, got %g", seed, lb)
 		}
-		sol, err := Solve(tasks, s)
+		sol, err := SolveCtx(nil, tasks, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,11 +51,11 @@ func TestLowerBoundBelowEverySchedulerOnGeneralSets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mbkp, err := baseline.MBKP(tasks, s, 8)
+		mbkp, err := baseline.MBKP(tasks, s, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		race, err := baseline.RaceToIdle(tasks, s, 8)
+		race, err := baseline.RaceToIdle(tasks, s, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestLowerBoundTightForSingleTask(t *testing.T) {
 	s := sys(true, false)
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: 1, Workload: 5e6}}
 	lb := LowerBound(tasks, s)
-	sol, err := Solve(tasks, s)
+	sol, err := SolveCtx(nil, tasks, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestSolverOrderingChain(t *testing.T) {
 			tasks[i] = task.Task{ID: i, Release: rel, Deadline: d, Workload: 2e6 + r.Float64()*3e6}
 		}
 		lb := LowerBound(tasks, s)
-		off, err := Solve(tasks, s)
+		off, err := SolveCtx(nil, tasks, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +147,11 @@ func TestSolverOrderingChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mbkps, err := baseline.MBKPS(tasks, s, n)
+		mbkps, err := baseline.MBKPS(tasks, s, n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mbkp, err := baseline.MBKP(tasks, s, n)
+		mbkp, err := baseline.MBKP(tasks, s, n, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,9 +4,9 @@
 // Given a task set and a platform model it dispatches to the optimal
 // scheme of Table 1 — §4 for common-release sets, §5 for
 // agreeable-deadline sets, each in its α = 0 / α ≠ 0 / §7
-// transition-overhead variant — and to the §6 SDEM-ON heuristic for
-// general sets when online scheduling is requested. Every path returns
-// the same Schedule IR, independently audited.
+// transition-overhead variant. General sets have no offline optimum; the
+// §6 SDEM-ON heuristic (internal/online) schedules them. Every path
+// returns the same Schedule IR, independently audited.
 package core
 
 import (
@@ -15,10 +15,8 @@ import (
 
 	"sdem/internal/agreeable"
 	"sdem/internal/commonrelease"
-	"sdem/internal/online"
 	"sdem/internal/power"
 	"sdem/internal/schedule"
-	"sdem/internal/sim"
 	"sdem/internal/task"
 	"sdem/internal/telemetry"
 )
@@ -62,28 +60,18 @@ func schemeName(model task.Model, sys power.System) string {
 			base = "§5.1"
 		}
 	}
-	if sys.Core.BreakEven > 0 || sys.Memory.BreakEven > 0 {
+	if sys.Model() == power.ModelOverhead {
 		base += "+§7"
 	}
 	return base
 }
 
-// Solve computes the offline optimal SDEM schedule on the unbounded-core
-// platform, dispatching per Table 1.
-func Solve(tasks task.Set, sys power.System) (*Solution, error) {
-	return SolveTel(tasks, sys, nil)
-}
-
-// SolveTel is Solve with telemetry attached; a nil recorder is the
-// uninstrumented path.
-func SolveTel(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	return SolveCtx(nil, tasks, sys, tel)
-}
-
-// SolveCtx is SolveTel with a cooperative-cancellation context threaded
-// into the sub-solvers: the agreeable DP polls it at row boundaries, the
-// §4 schemes are O(n) and covered by the entry check. A nil ctx never
-// cancels. A cancelled solve returns an error wrapping ctx's error
+// SolveCtx computes the offline optimal SDEM schedule on the
+// unbounded-core platform, dispatching per Table 1. The cooperative-
+// cancellation context is threaded into the sub-solvers: the agreeable DP
+// polls it at row boundaries, the §4 schemes are O(n) and covered by the
+// entry check. A nil ctx never cancels; a nil tel is the uninstrumented
+// path. A cancelled solve returns an error wrapping ctx's error
 // (context.DeadlineExceeded / context.Canceled).
 func SolveCtx(ctx context.Context, tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) { //lint:allow auditcheck: wraps sub-solver solutions whose schedules are normalized by the callee
 	if ctx != nil {
@@ -94,7 +82,7 @@ func SolveCtx(ctx context.Context, tasks task.Set, sys power.System, tel *teleme
 	model := tasks.Classify()
 	switch model {
 	case task.ModelEmpty, task.ModelCommonDeadline, task.ModelCommonRelease:
-		sol, err := commonrelease.SolveTel(tasks, sys, tel)
+		sol, err := commonrelease.Solve(tasks, sys, tel)
 		if err != nil {
 			return nil, err
 		}
@@ -118,9 +106,4 @@ func SolveCtx(ctx context.Context, tasks task.Set, sys power.System, tel *teleme
 	default:
 		return nil, ErrGeneralOffline{Model: model}
 	}
-}
-
-// ScheduleOnline runs the §6 SDEM-ON heuristic (any task model).
-func ScheduleOnline(tasks task.Set, sys power.System, opts online.Options) (*sim.Result, error) {
-	return online.Schedule(tasks, sys, opts)
 }

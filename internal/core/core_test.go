@@ -48,7 +48,7 @@ func TestSchemeDispatchTable1(t *testing.T) {
 		{"agreeable overhead", agreeable, sys(true, true), "§5.2+§7", task.ModelAgreeable},
 	}
 	for _, tc := range cases {
-		sol, err := Solve(tc.tasks, tc.sys)
+		sol, err := SolveCtx(nil, tc.tasks, tc.sys, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -73,7 +73,7 @@ func TestGeneralModelRejectedWithTypedError(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: 1, Workload: 1e6},
 		{ID: 2, Release: 0.1, Deadline: 0.5, Workload: 1e6},
 	}
-	_, err := Solve(general, sys(true, false))
+	_, err := SolveCtx(nil, general, sys(true, false), nil)
 	var ge ErrGeneralOffline
 	if !errors.As(err, &ge) {
 		t.Fatalf("want ErrGeneralOffline, got %v", err)
@@ -82,7 +82,7 @@ func TestGeneralModelRejectedWithTypedError(t *testing.T) {
 		t.Errorf("error model = %v", ge.Model)
 	}
 	// The same set schedules fine online.
-	res, err := ScheduleOnline(general, sys(true, false), online.Options{Cores: 2})
+	res, err := online.Schedule(general, sys(true, false), online.Options{Cores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +109,11 @@ func TestOnlineNeverBeatsOfflineOnSolvableModels(t *testing.T) {
 		},
 	}
 	for i, tasks := range agreeableSets {
-		off, err := Solve(tasks, s)
+		off, err := SolveCtx(nil, tasks, s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		on, err := ScheduleOnline(tasks, s, online.Options{})
+		on, err := online.Schedule(tasks, s, online.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,7 @@ import (
 	"sdem/internal/online"
 	"sdem/internal/power"
 	"sdem/internal/task"
+	"sdem/internal/telemetry"
 )
 
 func ctxTasksAgreeable() task.Set {
@@ -35,15 +36,18 @@ func TestSolveCtxCancelled(t *testing.T) {
 	}
 }
 
-func TestSolveCtxNilAndLiveMatchSolveTel(t *testing.T) {
+// TestSolveCtxNilAndLiveAgree pins that neither a live context nor a
+// live recorder changes the solve: both must match the nil-ctx,
+// recorder-off run bit for bit.
+func TestSolveCtxNilAndLiveAgree(t *testing.T) {
 	sys := power.DefaultSystem()
 	ts := ctxTasksAgreeable()
-	want, err := SolveTel(ts, sys, nil)
+	want, err := SolveCtx(nil, ts, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, ctx := range map[string]context.Context{"nil": nil, "live": context.Background()} {
-		got, err := SolveCtx(ctx, ts, sys, nil)
+		got, err := SolveCtx(ctx, ts, sys, telemetry.New())
 		if err != nil {
 			t.Fatalf("%s ctx: %v", name, err)
 		}

@@ -85,7 +85,7 @@ func FuzzSolve(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, shape, sysBits uint8) {
 		tasks := fuzzSet(seed, int(n%8)+1, shape)
 		sys := fuzzSystem(sysBits)
-		sol, err := Solve(tasks, sys)
+		sol, err := SolveCtx(nil, tasks, sys, nil)
 		if err != nil {
 			var general ErrGeneralOffline
 			switch {
@@ -128,7 +128,7 @@ func TestInfeasibleIsTyped(t *testing.T) {
 		{{ID: 0, Release: 0, Deadline: ms(1), Workload: 1e7}, {ID: 1, Release: 0, Deadline: ms(9), Workload: 1e6}},
 		{{ID: 0, Release: 0, Deadline: ms(20), Workload: 1e6}, {ID: 1, Release: ms(10), Deadline: ms(30), Workload: 1e8}},
 	} {
-		if _, err := Solve(tasks, sys); !errors.Is(err, schedule.ErrInfeasible) {
+		if _, err := SolveCtx(nil, tasks, sys, nil); !errors.Is(err, schedule.ErrInfeasible) {
 			t.Errorf("%v set: err = %v, want ErrInfeasible", tasks.Classify(), err)
 		}
 	}

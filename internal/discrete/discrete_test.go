@@ -134,7 +134,7 @@ func TestEnergyPenaltyShrinksWithDenserLadder(t *testing.T) {
 		{ID: 2, Release: 0, Deadline: power.Milliseconds(90), Workload: 4.4e6},
 		{ID: 3, Release: 0, Deadline: power.Milliseconds(120), Workload: 2.7e6},
 	}
-	sol, err := commonrelease.Solve(tasks, sys)
+	sol, err := commonrelease.Solve(tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func TestSystemRoundTrip(t *testing.T) {
 func TestScheduleAndRunRoundTrip(t *testing.T) {
 	sys := power.DefaultSystem()
 	ts := sampleTasks()
-	sol, err := commonrelease.Solve(ts, sys)
+	sol, err := commonrelease.Solve(ts, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestScheduleAndRunRoundTrip(t *testing.T) {
 func TestRunTamperDetection(t *testing.T) {
 	sys := power.DefaultSystem()
 	ts := sampleTasks()
-	sol, err := commonrelease.Solve(ts, sys)
+	sol, err := commonrelease.Solve(ts, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

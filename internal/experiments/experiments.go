@@ -171,19 +171,15 @@ type Comparison struct {
 	MBKP, MBKPS, SDEMON, SDEMONZ *sim.Result
 }
 
-// Compare runs all compared schedulers on one task set.
-func Compare(tasks task.Set, sys power.System, cores int) (*Comparison, error) {
-	return CompareTel(tasks, sys, cores, nil)
-}
-
-// CompareTel is Compare with one telemetry recorder attached to every
-// scheduler's run; the sched= label distinguishes them in the output.
-func CompareTel(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*Comparison, error) { //lint:allow auditcheck: wraps simulator results normalized by each scheduler
-	mbkp, err := baseline.MBKPTel(tasks, sys, cores, tel)
+// Compare runs all compared schedulers on one task set. A non-nil tel is
+// attached to every scheduler's run; the sched= label distinguishes them
+// in the output.
+func Compare(tasks task.Set, sys power.System, cores int, tel *telemetry.Recorder) (*Comparison, error) { //lint:allow auditcheck: wraps simulator results normalized by each scheduler
+	mbkp, err := baseline.MBKP(tasks, sys, cores, tel)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: MBKP: %w", err)
 	}
-	mbkps, err := baseline.MBKPSTel(tasks, sys, cores, tel)
+	mbkps, err := baseline.MBKPS(tasks, sys, cores, tel)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: MBKPS: %w", err)
 	}
@@ -244,7 +240,7 @@ func (c Config) sweepPoint(tel *telemetry.Recorder, x float64, gen func(caseIdx 
 		if err != nil {
 			return Point{}, err
 		}
-		cmp, err := CompareTel(tasks, sys, c.Cores, tel)
+		cmp, err := Compare(tasks, sys, c.Cores, tel)
 		if err != nil {
 			return Point{}, err
 		}
@@ -415,15 +411,15 @@ func (c Config) Ablation() ([]AblationPoint, error) {
 			if err != nil {
 				return AblationPoint{}, err
 			}
-			mbkp, err := baseline.MBKPTel(tasks, sys, c.Cores, tel)
+			mbkp, err := baseline.MBKP(tasks, sys, c.Cores, tel)
 			if err != nil {
 				return AblationPoint{}, err
 			}
-			r, err := baseline.RaceToIdleTel(tasks, sys, c.Cores, tel)
+			r, err := baseline.RaceToIdle(tasks, sys, c.Cores, tel)
 			if err != nil {
 				return AblationPoint{}, err
 			}
-			cr, err := baseline.CriticalSpeedTel(tasks, sys, c.Cores, tel)
+			cr, err := baseline.CriticalSpeed(tasks, sys, c.Cores, tel)
 			if err != nil {
 				return AblationPoint{}, err
 			}
@@ -464,7 +460,7 @@ func (c Config) AblationProcrastination() ([]Point, error) {
 			if err != nil {
 				return Point{}, err
 			}
-			mbkp, err := baseline.MBKPTel(tasks, sys, c.Cores, tel)
+			mbkp, err := baseline.MBKP(tasks, sys, c.Cores, tel)
 			if err != nil {
 				return Point{}, err
 			}

@@ -322,7 +322,7 @@ func TestCompareAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := Compare(tasks, sys, 8)
+	cmp, err := Compare(tasks, sys, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

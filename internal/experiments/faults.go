@@ -78,7 +78,7 @@ func FaultSweep(cfg FaultConfig) (encode.FaultSweep, error) {
 	if err != nil {
 		return encode.FaultSweep{}, err
 	}
-	sol, err := core.SolveTel(tasks, sys, cfg.Telemetry)
+	sol, err := core.SolveCtx(nil, tasks, sys, cfg.Telemetry)
 	if err != nil {
 		return encode.FaultSweep{}, err
 	}

@@ -49,7 +49,7 @@ func (c Config) AblationSwitchOverhead() ([]SwitchPoint, error) {
 			if err != nil {
 				return SwitchPoint{}, err
 			}
-			cmp, err := CompareTel(tasks, sys, c.Cores, tel)
+			cmp, err := Compare(tasks, sys, c.Cores, tel)
 			if err != nil {
 				return SwitchPoint{}, err
 			}

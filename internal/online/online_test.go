@@ -49,7 +49,7 @@ func TestSingleTaskMatchesOfflineOptimum(t *testing.T) {
 	if len(res.Misses) != 0 {
 		t.Fatalf("misses: %v", res.Misses)
 	}
-	off, err := commonrelease.Solve(tasks, sys)
+	off, err := commonrelease.Solve(tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestCommonReleaseBatchMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := commonrelease.Solve(tasks, sys)
+	off, err := commonrelease.Solve(tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestBeatsBaselinesOnSyntheticWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := baseline.MBKP(tasks, sys, 8)
+		b, err := baseline.MBKP(tasks, sys, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := baseline.MBKPS(tasks, sys, 8)
+		c, err := baseline.MBKPS(tasks, sys, 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,11 +154,13 @@ func computePins(t *testing.T) []pin {
 		run  func(c online.Workload) (*sim.Result, error)
 	}
 	bases := []base{
-		{"mbkp", func(c online.Workload) (*sim.Result, error) { return baseline.MBKP(c.Tasks, c.Sys, c.Opts.Cores) }},
-		{"mbkps", func(c online.Workload) (*sim.Result, error) { return baseline.MBKPS(c.Tasks, c.Sys, c.Opts.Cores) }},
-		{"race", func(c online.Workload) (*sim.Result, error) { return baseline.RaceToIdle(c.Tasks, c.Sys, c.Opts.Cores) }},
+		{"mbkp", func(c online.Workload) (*sim.Result, error) { return baseline.MBKP(c.Tasks, c.Sys, c.Opts.Cores, nil) }},
+		{"mbkps", func(c online.Workload) (*sim.Result, error) { return baseline.MBKPS(c.Tasks, c.Sys, c.Opts.Cores, nil) }},
+		{"race", func(c online.Workload) (*sim.Result, error) {
+			return baseline.RaceToIdle(c.Tasks, c.Sys, c.Opts.Cores, nil)
+		}},
 		{"critical", func(c online.Workload) (*sim.Result, error) {
-			return baseline.CriticalSpeed(c.Tasks, c.Sys, c.Opts.Cores)
+			return baseline.CriticalSpeed(c.Tasks, c.Sys, c.Opts.Cores, nil)
 		}},
 	}
 	for i, c := range online.EquivalenceWorkloads(t) {

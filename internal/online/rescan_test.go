@@ -128,7 +128,7 @@ func PlanAt(st *sim.Stream, active []*sim.Job, now float64, opts Options) ([]Pla
 	plans := make([]Plan, 0, len(active))
 	wake := math.Inf(1)
 	if len(virtual) > 0 {
-		sol, err := commonrelease.SolveTel(virtual, planSys, tel)
+		sol, err := commonrelease.Solve(virtual, planSys, tel)
 		if err != nil {
 			return nil, 0, fmt.Errorf("online: planning at t=%g: %w", now, err)
 		}

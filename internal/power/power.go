@@ -73,6 +73,35 @@ type System struct {
 	Cores int
 }
 
+// Model classifies a system into the system-model columns of Table 1,
+// the counterpart of task.Model for the rows.
+type Model int
+
+const (
+	// ModelAlphaZero is negligible core static power with free
+	// transitions (§4.1, §5.1).
+	ModelAlphaZero Model = iota
+	// ModelStatic is non-negligible core static power α with free
+	// transitions (§4.2, §5.2).
+	ModelStatic
+	// ModelOverhead is any non-zero break-even time ξ or ξ_m (§7).
+	ModelOverhead
+)
+
+// Model returns the Table 1 column the system falls in: transition
+// overhead whenever either break-even time is set, otherwise α ≠ 0 or
+// α = 0 by the core's static power.
+func (s System) Model() Model {
+	switch {
+	case s.Core.BreakEven > 0 || s.Memory.BreakEven > 0:
+		return ModelOverhead
+	case s.Core.Static > 0:
+		return ModelStatic
+	default:
+		return ModelAlphaZero
+	}
+}
+
 // MHz converts a frequency given in MHz to Hz.
 func MHz(f float64) float64 { return f * 1e6 }
 

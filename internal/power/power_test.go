@@ -193,6 +193,26 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+func TestSystemModel(t *testing.T) {
+	cases := []struct {
+		name string
+		sys  System
+		want Model
+	}{
+		{"zero system", System{}, ModelAlphaZero},
+		{"core static", System{Core: Core{Static: 0.31}}, ModelStatic},
+		{"memory static only", System{Memory: Memory{Static: 4}}, ModelAlphaZero},
+		{"core break-even", System{Core: Core{BreakEven: 1e-3}}, ModelOverhead},
+		{"memory break-even, alpha zero", System{Memory: Memory{Static: 4, BreakEven: 0.04}}, ModelOverhead},
+		{"default system", DefaultSystem(), ModelOverhead},
+	}
+	for _, tc := range cases {
+		if got := tc.sys.Model(); got != tc.want {
+			t.Errorf("%s: Model() = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestPropertyEnergyConvexInSpeed(t *testing.T) {
 	// Property: for any positive workload, E(w, s) is convex in s, so the
 	// midpoint energy never exceeds the average of the endpoints.

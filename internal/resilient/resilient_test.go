@@ -28,7 +28,7 @@ func benchTasks(t *testing.T, n int, seed int64) task.Set {
 
 func offline(t *testing.T, tasks task.Set, sys power.System) (*schedule.Schedule, float64) {
 	t.Helper()
-	sol, err := core.Solve(tasks, sys)
+	sol, err := core.SolveCtx(nil, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,13 +194,13 @@ func provenanceCases(t *testing.T) []provenanceCase {
 				case "sdem-on":
 					res, err = scheduleOnline(general, sys, online.Options{Cores: sys.Cores})
 				case "mbkp":
-					res, err = baseline.MBKP(general, sys, sys.Cores)
+					res, err = baseline.MBKP(general, sys, sys.Cores, nil)
 				case "mbkps":
-					res, err = baseline.MBKPS(general, sys, sys.Cores)
+					res, err = baseline.MBKPS(general, sys, sys.Cores, nil)
 				case "race":
-					res, err = baseline.RaceToIdle(general, sys, sys.Cores)
+					res, err = baseline.RaceToIdle(general, sys, sys.Cores, nil)
 				case "critical":
-					res, err = baseline.CriticalSpeed(general, sys, sys.Cores)
+					res, err = baseline.CriticalSpeed(general, sys, sys.Cores, nil)
 				}
 				if err != nil {
 					t.Fatalf("%s n=%d: %v", sched, n, err)
@@ -209,7 +209,7 @@ func provenanceCases(t *testing.T) []provenanceCase {
 			}
 			cr := syntheticSet(t, n, seed, true)
 			for _, ts := range []task.Set{cr, agreeableSet(min(n, 40))} {
-				sol, err := core.Solve(ts, sys)
+				sol, err := core.SolveCtx(nil, ts, sys, nil)
 				if err != nil {
 					t.Fatalf("solve %s n=%d: %v", ts.Classify(), len(ts), err)
 				}

@@ -125,7 +125,7 @@ type Solution = core.Solution
 // variant according to sys. General task sets have no offline optimal
 // algorithm in the paper; use ScheduleOnline for them.
 func Solve(tasks TaskSet, sys System) (*Solution, error) {
-	return core.Solve(tasks, sys)
+	return core.SolveCtx(nil, tasks, sys, nil)
 }
 
 // Telemetry is the module's metrics/trace recorder. A nil *Telemetry is
@@ -134,8 +134,8 @@ func Solve(tasks TaskSet, sys System) (*Solution, error) {
 // observability is off.
 type Telemetry = telemetry.Recorder
 
-// NewTelemetry returns an enabled recorder to pass to the Tel solver
-// variants, OnlineOptions.Telemetry, RecoveryPolicy.Telemetry, or the
+// NewTelemetry returns an enabled recorder to pass to SolveCtx,
+// OnlineOptions.Telemetry, RecoveryPolicy.Telemetry, or the
 // experiment harness.
 func NewTelemetry() *Telemetry { return telemetry.New() }
 
@@ -150,19 +150,14 @@ func WriteOpenMetrics(w io.Writer, tel *Telemetry) error {
 	return export.WriteOpenMetrics(w, tel.Snapshot())
 }
 
-// SolveTel is Solve with telemetry: solver counters and timings are
-// recorded under sdem.solver.* and sim activity under sdem.sim.*. A nil
-// recorder makes it identical to Solve.
-func SolveTel(tasks TaskSet, sys System, tel *Telemetry) (*Solution, error) {
-	return core.SolveTel(tasks, sys, tel)
-}
-
-// SolveCtx is SolveTel under a cooperative-cancellation context: the
-// solvers poll ctx at iteration boundaries (the agreeable DP per memo
-// row) and abandon the solve with an error wrapping ctx's error once the
-// context is done. Use it to bound solve latency with a deadline budget
-// — cmd/sdemd threads every request's budget through here. A nil ctx
-// never cancels; runs that complete are bit-identical to SolveTel's.
+// SolveCtx is Solve with a cooperative-cancellation context and
+// telemetry. The solvers poll ctx at iteration boundaries (the agreeable
+// DP per memo row) and abandon the solve with an error wrapping ctx's
+// error once the context is done. Use it to bound solve latency with a
+// deadline budget — cmd/sdemd threads every request's budget through
+// here. Solver counters and timings are recorded in tel under
+// sdem.solver.*. A nil ctx never cancels and a nil tel records nothing;
+// runs that complete are bit-identical to Solve's.
 func SolveCtx(ctx context.Context, tasks TaskSet, sys System, tel *Telemetry) (*Solution, error) {
 	return core.SolveCtx(ctx, tasks, sys, tel)
 }
@@ -188,24 +183,24 @@ func ScheduleOnline(tasks TaskSet, sys System, opts OnlineOptions) (*OnlineResul
 // MBKP runs the memory-oblivious multi-core DVS baseline of the
 // evaluation.
 func MBKP(tasks TaskSet, sys System, cores int) (*OnlineResult, error) {
-	return baseline.MBKP(tasks, sys, cores)
+	return baseline.MBKP(tasks, sys, cores, nil)
 }
 
 // MBKPS runs MBKP with the naive sleep-whenever-idle memory scheme.
 func MBKPS(tasks TaskSet, sys System, cores int) (*OnlineResult, error) {
-	return baseline.MBKPS(tasks, sys, cores)
+	return baseline.MBKPS(tasks, sys, cores, nil)
 }
 
 // RaceToIdle runs every task at maximum speed and sleeps — one pole of
 // the title question.
 func RaceToIdle(tasks TaskSet, sys System, cores int) (*OnlineResult, error) {
-	return baseline.RaceToIdle(tasks, sys, cores)
+	return baseline.RaceToIdle(tasks, sys, cores, nil)
 }
 
 // CriticalSpeedPolicy runs every task at the per-core optimal critical
 // speed — the other pole.
 func CriticalSpeedPolicy(tasks TaskSet, sys System, cores int) (*OnlineResult, error) {
-	return baseline.CriticalSpeed(tasks, sys, cores)
+	return baseline.CriticalSpeed(tasks, sys, cores, nil)
 }
 
 // SolveBounded schedules a common-release, common-deadline set on the

@@ -258,22 +258,22 @@ func TestTelemetryFacade(t *testing.T) {
 		{ID: 2, Release: 0, Deadline: Milliseconds(90), Workload: 4e6},
 	}
 
-	// SolveTel with a nil recorder must match Solve exactly.
+	// SolveCtx with the recorder off must match Solve exactly.
 	plain, err := Solve(tasks, sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quiet, err := SolveTel(tasks, sys, nil)
+	quiet, err := SolveCtx(nil, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(plain.Energy-quiet.Energy) > 1e-12 {
-		t.Errorf("SolveTel(nil) energy %g != Solve %g", quiet.Energy, plain.Energy)
+		t.Errorf("SolveCtx(nil recorder) energy %g != Solve %g", quiet.Energy, plain.Energy)
 	}
 
 	// An enabled recorder must observe the solver layer without changing it.
 	tel := NewTelemetry()
-	loud, err := SolveTel(tasks, sys, tel)
+	loud, err := SolveCtx(nil, tasks, sys, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
