@@ -119,7 +119,7 @@ func newExecutor(sched *schedule.Schedule, tasks task.Set, sys power.System, pla
 		for _, sg := range segs {
 			ev := event{taskID: sg.TaskID, core: c, start: sg.Start, end: sg.End, speed: sg.Speed}
 			if !plan.Empty() {
-				ev.quantum = (sg.End - sg.Start) / float64(pol.Checkpoints)
+				ev.quantum = (sg.End - sg.Start) / checkpoints
 			}
 			e.events = append(e.events, ev)
 		}
@@ -326,7 +326,7 @@ func (e *executor) check(j *sim.Job, now float64) {
 		// the miss at the end.
 		return
 	}
-	if e.recoveries[id] >= e.pol.MaxRecoveries {
+	if e.recoveries[id] >= maxRecoveries {
 		return // budget exhausted; outcome recorded as a miss
 	}
 	e.recoveries[id]++
@@ -381,7 +381,7 @@ func (e *executor) recover(j *sim.Job, now float64) {
 				speed := math.Min(math.Max(needed, planned), smax)
 				cancelled := e.cancelFuture(id)
 				ev := event{taskID: id, core: core, start: start, end: start + j.Remaining/speed, speed: speed}
-				ev.quantum = (ev.end - ev.start) / float64(e.pol.Checkpoints)
+				ev.quantum = (ev.end - ev.start) / checkpoints
 				e.push(ev)
 				e.logRecovery(Recovery{
 					Time: now, TaskID: id, Action: ActionBoost, Reason: reason,
@@ -408,7 +408,7 @@ func (e *executor) recover(j *sim.Job, now float64) {
 		speed := e.coreMax(core, start)
 		cancelled := e.cancelFuture(id)
 		ev := event{taskID: id, core: core, start: start, end: start + j.Remaining/speed, speed: speed}
-		ev.quantum = (ev.end - ev.start) / float64(e.pol.Checkpoints)
+		ev.quantum = (ev.end - ev.start) / checkpoints
 		e.push(ev)
 		e.logRecovery(Recovery{
 			Time: now, TaskID: id, Action: ActionRace, Reason: reason,
@@ -448,7 +448,7 @@ func (e *executor) replan(trigger *sim.Job, now float64, reason string) bool {
 	if len(active) == 0 {
 		return false
 	}
-	opts := online.Options{PlanAlphaZero: e.pol.PlanAlphaZero, Telemetry: e.pol.Telemetry}
+	opts := online.Options{Telemetry: e.pol.Telemetry}
 	plans, err := e.rt.Plan(active, now, e.st.System(), opts)
 	if err != nil {
 		return false // wraps schedule.ErrInfeasible: no schedule can help
@@ -493,7 +493,7 @@ func (e *executor) replan(trigger *sim.Job, now float64, reason string) bool {
 		start = math.Max(start, j.Task.Release)
 		start = e.stallAdjust(start)
 		ev := event{taskID: j.Task.ID, core: core, start: start, end: start + pl.P, speed: pl.Speed}
-		ev.quantum = (ev.end - ev.start) / float64(e.pol.Checkpoints)
+		ev.quantum = (ev.end - ev.start) / checkpoints
 		e.push(ev)
 		busy[core] = ev.end
 		newCost += sys.Core.EnergyFor(j.Remaining, pl.Speed)
