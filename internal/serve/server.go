@@ -218,8 +218,8 @@ func New(cfg Config) *Server {
 	}
 	s.ready.Store(true)
 
-	s.handle("POST /v1/solve", s.handleSolve)
-	s.handle("POST /v1/simulate", s.handleSimulate)
+	s.handle("POST /v1/solve", s.handleCompute(s.solveOne))
+	s.handle("POST /v1/simulate", s.handleCompute(s.simulateOne))
 	s.handle("POST /v1/execute", s.handleExecute)
 	s.handle("POST /v1/batch", s.handleBatch)
 	s.handle("POST /v1/explain", s.handleExplain)
