@@ -67,24 +67,28 @@ func TestMapBoundedConcurrency(t *testing.T) {
 }
 
 func TestMapFirstErrorCancels(t *testing.T) {
+	// Every task after the failing one parks until cancellation reaches
+	// it, so a worker that picks one up cannot come back for another
+	// before the failure cancels the pool. The dispenser hands out
+	// indices in order, so at most workers-1 tasks past index 3 can start.
+	const workers = 4
 	boom := errors.New("boom")
 	var after atomic.Int64
-	_, err := Map(context.Background(), 4, 1000, func(ctx context.Context, i int) (int, error) {
+	_, err := Map(context.Background(), workers, 1000, func(ctx context.Context, i int) (int, error) {
 		if i == 3 {
 			return 0, fmt.Errorf("point %d: %w", i, boom)
 		}
-		if i > 500 {
-			// The tail should have been suppressed by cancellation long
-			// before the dispenser reaches it.
+		if i > 3 {
 			after.Add(1)
+			<-ctx.Done()
 		}
 		return i, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
-	if n := after.Load(); n > 100 {
-		t.Errorf("%d tail tasks ran after the failure; cancellation is not propagating", n)
+	if n := after.Load(); n > workers-1 {
+		t.Errorf("%d tasks after the failure started, want at most %d; cancellation is not propagating", n, workers-1)
 	}
 }
 
