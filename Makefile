@@ -11,9 +11,12 @@ check: build vet test lint
 build:
 	$(GO) build ./...
 
-# vet also fails when gofmt would rewrite any file.
+# vet also fails when gofmt would rewrite any file, and vets the bench
+# module (bench/, its own go.mod), which compiles against this module's
+# solver, online and serve APIs but is built by no other target.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists unformatted files:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
