@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"sdem/internal/numeric"
 	"sdem/internal/power"
@@ -59,15 +60,6 @@ type window struct {
 	release, deadline, minExec float64
 }
 
-// windowsByDeadline sorts windows ascending by deadline. The pointer
-// receiver keeps sort.Sort from boxing a fresh slice header per call,
-// which matters because LowerBound runs once per sweep point.
-type windowsByDeadline []window
-
-func (w *windowsByDeadline) Len() int           { return len(*w) }
-func (w *windowsByDeadline) Less(a, b int) bool { return (*w)[a].deadline < (*w)[b].deadline }
-func (w *windowsByDeadline) Swap(a, b int)      { (*w)[a], (*w)[b] = (*w)[b], (*w)[a] }
-
 // countEndingBy returns the number of leading windows (sorted by
 // deadline) whose deadline is ≤ r: a closure-free binary search standing
 // in for sort.Search in the DP below.
@@ -92,7 +84,7 @@ func weightedDisjointWindows(ivs []window) float64 {
 	if n == 0 {
 		return 0
 	}
-	sort.Sort((*windowsByDeadline)(&ivs))
+	slices.SortFunc(ivs, func(a, b window) int { return cmp.Compare(a.deadline, b.deadline) })
 	opt := make([]float64, n+1)
 	for i := 1; i <= n; i++ {
 		v := ivs[i-1]

@@ -20,7 +20,10 @@
 //     preallocates that slice with a make(..., n) / make(..., 0, cap);
 //   - interface boxing of a concrete argument, reported only when the
 //     compiler's own escape analysis (go build -gcflags=-m, see
-//     internal/lint/escape) confirms the value escapes to the heap.
+//     internal/lint/escape) confirms the value escapes to the heap;
+//   - the address of a local passed as an interface argument (&x, or a
+//     conversion such as (*T)(&x) for a sort adapter), reported only when
+//     the compiler moved x itself to the heap.
 //
 // Findings that are deliberate — error paths, one-time setup inside a hot
 // entry point, telemetry fast paths already measured at 0 allocs/op —
@@ -29,6 +32,7 @@ package hotalloc
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 
@@ -258,8 +262,9 @@ func checkMakeCall(pass *analysis.Pass, call *ast.CallExpr, where string) {
 
 // checkBoxing flags a concrete argument passed as an interface parameter
 // when the compiler's escape analysis confirms the boxed value reaches the
-// heap. Without compiler confirmation nothing is reported: interfaces that
-// stay on the stack are free.
+// heap, and an address-of-local argument when the compiler moved the local
+// to the heap. Without compiler confirmation nothing is reported:
+// interfaces that stay on the stack are free.
 func checkBoxing(pass *analysis.Pass, call *ast.CallExpr, where string) {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
@@ -305,11 +310,16 @@ func checkBoxing(pass *analysis.Pass, call *ast.CallExpr, where string) {
 		if _, argIsIface := at.Type.Underlying().(*types.Interface); argIsIface {
 			continue // interface-to-interface: no box
 		}
-		if _, isPtr := at.Type.Underlying().(*types.Pointer); isPtr {
-			continue // pointers fit in the interface word: no box
-		}
 		if !loaded {
 			rep, loaded = escapeReport(pass), true
+		}
+		if _, isPtr := at.Type.Underlying().(*types.Pointer); isPtr {
+			// A pointer fits in the interface word, but boxing the
+			// address of a local can move the local itself to the heap.
+			if v := addressedLocal(pass, arg); v != nil && movedToHeap(rep, pass.Fset.Position(v.Pos()), v.Name()) {
+				pass.Reportf(arg.Pos(), "&%s passed as an interface argument to %s moves %s to the heap (compiler -m) on %s; keep it in retained storage (a struct field) or use a non-interface API such as slices.SortFunc", v.Name(), fn.Name(), v.Name(), where)
+			}
+			continue
 		}
 		p := pass.Fset.Position(arg.Pos())
 		if rep.HeapOnLine(p.Filename, p.Line) {
@@ -320,6 +330,43 @@ func checkBoxing(pass *analysis.Pass, call *ast.CallExpr, where string) {
 			pass.Reportf(arg.Pos(), "argument boxes %s into %s and escapes to the heap (compiler -m) on %s; pass a pointer or restructure to avoid the conversion", at.Type.String(), name, where)
 		}
 	}
+}
+
+// addressedLocal returns the local variable x when e is &x, or a type
+// conversion of it such as (*T)(&x); nil otherwise. Fields and
+// package-level variables never count: only locals can move to the heap
+// per call.
+func addressedLocal(pass *analysis.Pass, e ast.Expr) *types.Var {
+	e = ast.Unparen(e)
+	if conv, ok := e.(*ast.CallExpr); ok && len(conv.Args) == 1 {
+		if tv, ok := pass.TypesInfo.Types[conv.Fun]; ok && tv.IsType() {
+			e = ast.Unparen(conv.Args[0])
+		}
+	}
+	u, ok := e.(*ast.UnaryExpr)
+	if !ok || u.Op != token.AND {
+		return nil
+	}
+	id, ok := ast.Unparen(u.X).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := pass.TypesInfo.Uses[id].(*types.Var)
+	if !ok || v.IsField() || v.Parent() == nil || v.Parent().Parent() == types.Universe {
+		return nil
+	}
+	return v
+}
+
+// movedToHeap reports whether the compiler recorded "moved to heap: name"
+// at the variable's declaration.
+func movedToHeap(rep *escape.Report, decl token.Position, name string) bool {
+	for _, m := range rep.Messages(escape.Pos{File: decl.Filename, Line: decl.Line, Col: decl.Column}) {
+		if m == "moved to heap: "+name {
+			return true
+		}
+	}
+	return false
 }
 
 // firstCapture returns the name of the first outer local variable the

@@ -4,6 +4,7 @@ package hotalloc
 import (
 	"container/heap"
 	"fmt"
+	"sort"
 )
 
 // Hot is a hot-path root: every allocation construct below is flagged.
@@ -120,4 +121,29 @@ func LabelsHot(observe func(map[string]string), route, code string, interned map
 	observe(map[string]string{"route": route}) // want "map literal allocates per call"
 	observe(map[string]string{"code": code})   // want "map literal allocates per call"
 	observe(interned)                          // interned at construction: clean
+}
+
+// byLen sorts strings by length through a pointer receiver.
+type byLen []string
+
+func (b *byLen) Len() int           { return len(*b) }
+func (b *byLen) Less(i, j int) bool { return len((*b)[i]) < len((*b)[j]) }
+func (b *byLen) Swap(i, j int)      { (*b)[i], (*b)[j] = (*b)[j], (*b)[i] }
+
+// sorter retains its sort adapter across calls.
+type sorter struct {
+	keys byLen
+}
+
+// SortHot mirrors the sort adapters that looked allocation-free: the
+// pointer fits in sort.Interface, but the compiler moves the local it
+// points to onto the heap, one object per call. The adapter retained in
+// a struct field stays clean.
+//
+//sdem:hotpath
+func SortHot(keys []string, s *sorter) {
+	local := byLen(keys)
+	sort.Stable(&local)        // want "&local passed as an interface argument to Stable moves local to the heap"
+	sort.Sort((*byLen)(&keys)) // want "&keys passed as an interface argument to Sort moves keys to the heap"
+	sort.Stable(&s.keys)       // retained field: clean
 }

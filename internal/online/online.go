@@ -11,9 +11,10 @@
 package online
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"sdem/internal/power"
 	"sdem/internal/sim"
@@ -102,25 +103,18 @@ func raceSpeed(rem, release, deadline, now float64, sys power.System) float64 {
 	return rem // stretch over one second: every window signal is gone
 }
 
-// plansEDF sorts plans by deadline then task ID. The pointer receiver
-// avoids boxing a fresh slice header into sort.Interface on every step.
-type plansEDF []Plan
-
-func (p *plansEDF) Len() int { return len(*p) }
-func (p *plansEDF) Less(a, b int) bool {
-	s := *p
-	//lint:allow floatcmp: sort tie-breaking must be exact to keep the comparator transitive
-	if s[a].Job.Task.Deadline != s[b].Job.Task.Deadline {
-		return s[a].Job.Task.Deadline < s[b].Job.Task.Deadline
+// comparePlansEDF orders plans by deadline, then task ID.
+func comparePlansEDF(a, b Plan) int {
+	if c := cmp.Compare(a.Job.Task.Deadline, b.Job.Task.Deadline); c != 0 {
+		return c
 	}
-	return s[a].Job.Task.ID < s[b].Job.Task.ID
+	return cmp.Compare(a.Job.Task.ID, b.Job.Task.ID)
 }
-func (p *plansEDF) Swap(a, b int) { (*p)[a], (*p)[b] = (*p)[b], (*p)[a] }
 
 // execute lays the planned executions onto the executor's cores from
 // wake until next, EDF-ordered, waiting for cores when oversubscribed.
 func execute(st *sim.Stream, busyUntil []float64, plans []Plan, wake, next float64) error {
-	sort.Stable((*plansEDF)(&plans))
+	slices.SortStableFunc(plans, comparePlansEDF)
 	sys := st.System()
 	for _, pl := range plans {
 		j := pl.Job
