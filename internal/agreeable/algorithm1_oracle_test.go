@@ -3,7 +3,6 @@ package agreeable
 import (
 	"math"
 
-	"sdem/internal/numeric"
 	"sdem/internal/power"
 	"sdem/internal/task"
 )
@@ -92,7 +91,7 @@ func BlockCostAlgorithm1(tasks task.Set, sys power.System) float64 {
 			}
 			if e := algorithm1Pair(core, mem, i, j, n, d[n], w, s0, s1, frozenCost,
 				alignedLen, alignedStart,
-				numeric.Box{X0: x0, X1: x1, Y0: y0, Y1: y1}); e < best {
+				Box{X0: x0, X1: x1, Y0: y0, Y1: y1}); e < best {
 				best = e
 			}
 		}
@@ -108,7 +107,7 @@ func algorithm1Pair(
 	w, s0, s1, frozenCost []float64,
 	alignedLen func(i, j, k int, d1, d2 float64) float64,
 	alignedStart func(i, j, k int, d1 float64) float64,
-	box numeric.Box,
+	box Box,
 ) float64 {
 	const tol = 1e-9
 	aligned := make([]bool, n+1)
@@ -165,7 +164,7 @@ func algorithm1Pair(
 			return frozen + mem.Static*frozenUnion(i, j, n, d1, w, s0, aligned, alignedStart)
 		}
 		var val float64
-		d1, d2, val = numeric.MinimizeConvex2D(objective(all), box, relTol/100)
+		d1, d2, val = MinimizeConvex2D(objective(all), box, relTol/100)
 		if math.IsInf(val, 1) {
 			return math.Inf(1)
 		}
@@ -203,7 +202,7 @@ func algorithm1Pair(
 		if !anyFast {
 			break
 		}
-		nd1, nd2, val := numeric.MinimizeConvex2D(objective(func(k int) bool { return fast[k] }), box, relTol/100)
+		nd1, nd2, val := MinimizeConvex2D(objective(func(k int) bool { return fast[k] }), box, relTol/100)
 		if math.IsInf(val, 1) {
 			break
 		}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"sdem/internal/numeric"
 	"sdem/internal/power"
 	"sdem/internal/task"
 )
@@ -34,11 +33,11 @@ func (s *solver) blockEnergyNaive(from, to int, bs, be float64) float64 {
 // at tolerance relTol/1000. It is the test oracle blockSolve is pinned to.
 func (s *solver) blockSolveGolden(from, to int) Block {
 	first, last := s.tasks[from], s.tasks[to]
-	box := numeric.Box{
+	box := Box{
 		X0: first.Release, X1: first.Deadline,
 		Y0: last.Release, Y1: last.Deadline,
 	}
-	bs, be, cost := numeric.MinimizeConvex2D(func(x, y float64) float64 {
+	bs, be, cost := MinimizeConvex2D(func(x, y float64) float64 {
 		return s.blockEnergyNaive(from, to, x, y)
 	}, box, relTol/1000)
 	return Block{From: from, To: to, BusyStart: bs, BusyEnd: be, Cost: cost}

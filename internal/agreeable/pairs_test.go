@@ -3,7 +3,6 @@ package agreeable
 import (
 	"math"
 
-	"sdem/internal/numeric"
 	"sdem/internal/power"
 	"sdem/internal/task"
 )
@@ -109,9 +108,9 @@ func BlockCostPairs(tasks task.Set, sys power.System) float64 {
 			if y1 < y0 {
 				continue
 			}
-			_, _, v := numeric.MinimizeConvex2D(func(x, y float64) float64 {
+			_, _, v := MinimizeConvex2D(func(x, y float64) float64 {
 				return energy(i, j, x, y)
-			}, numeric.Box{X0: x0, X1: x1, Y0: y0, Y1: y1}, relTol/1000)
+			}, Box{X0: x0, X1: x1, Y0: y0, Y1: y1}, relTol/1000)
 			if v < best {
 				best = v
 			}

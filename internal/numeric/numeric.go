@@ -1,8 +1,8 @@
-// Package numeric provides the small numerical-optimization toolbox used by
-// the SDEM schedulers: one-dimensional convex minimization on an interval,
-// nested two-dimensional convex minimization on a box, and robust root
-// finding. All routines work on plain float64 functions and are
-// deterministic.
+// Package numeric provides the small numerical toolbox used by the SDEM
+// schedulers: one-dimensional convex minimization on an interval
+// (golden-section search), safeguarded Newton root finding, and the
+// clamp and tolerance comparisons. All routines work on plain float64
+// functions and are deterministic.
 package numeric
 
 import (
@@ -40,7 +40,7 @@ func MinimizeConvex(f func(float64) float64, lo, hi, tol float64) (x, fx float64
 	// probe would discard the converged optimum.
 	// The best-so-far tracking is inlined rather than factored into a
 	// closure: a closure over bestX/bestF would force them to the heap on
-	// every call, and this routine is the inner loop of the 2-D search.
+	// every call, and this routine is the inner loop of the §7 scan.
 	bestX, bestF := lo, f(lo)
 	if fe := f(hi); fe < bestF {
 		bestX, bestF = hi, fe
@@ -62,7 +62,7 @@ func MinimizeConvex(f func(float64) float64, lo, hi, tol float64) (x, fx float64
 		switch {
 		case math.IsInf(fc, 1) && math.IsInf(fd, 1):
 			// Both probes are infeasible; the feasible region (if any)
-			// is in one of the thirds. Bisect blindly towards centre.
+			// is in one of the thirds. Shrink blindly towards centre.
 			a, b = c, d
 			c = b - invPhi*(b-a)
 			d = a + invPhi*(b-a)
@@ -89,74 +89,6 @@ func MinimizeConvex(f func(float64) float64, lo, hi, tol float64) (x, fx float64
 		bestX, bestF = mid, fm
 	}
 	return bestX, bestF
-}
-
-// Box is an axis-aligned rectangle [X0,X1]×[Y0,Y1].
-type Box struct {
-	X0, X1, Y0, Y1 float64
-}
-
-// Valid reports whether the box is non-empty.
-func (b Box) Valid() bool { return b.X0 <= b.X1 && b.Y0 <= b.Y1 }
-
-// MinimizeConvex2D minimizes a jointly convex function f over the box using
-// nested golden-section search: the outer search runs over x, and for each
-// x the inner search minimizes over y. The partial minimum
-// g(x) = min_y f(x,y) of a jointly convex f is convex, so the nesting is
-// exact up to tolerance. Returns the argmin pair and the value.
-func MinimizeConvex2D(f func(x, y float64) float64, b Box, tol float64) (x, y, fxy float64) {
-	if tol <= 0 {
-		// Nested golden-section loses ~2 digits over the 1-D search, so the
-		// default is two decades looser than DefaultTol.
-		tol = 100 * DefaultTol
-	}
-	//lint:allow hotalloc: the nested-search closures allocate once per 2-D solve and are amortized over its ~10³ probes
-	inner := func(x float64) (float64, float64) {
-		//lint:allow hotalloc: the y-slice closure is re-bound per outer probe; threading x explicitly would obscure the nesting
-		return MinimizeConvex(func(yy float64) float64 { return f(x, yy) }, b.Y0, b.Y1, tol)
-	}
-	//lint:allow hotalloc: see inner above — one closure per 2-D solve
-	g := func(x float64) float64 {
-		_, v := inner(x)
-		return v
-	}
-	x, _ = MinimizeConvex(g, b.X0, b.X1, tol)
-	y, fxy = inner(x)
-	return x, y, fxy
-}
-
-// Bisect finds a root of f in [lo, hi] assuming f(lo) and f(hi) have
-// opposite signs (or one of them is zero). It returns the midpoint of the
-// final bracket. ok is false when the initial bracket does not straddle a
-// sign change.
-func Bisect(f func(float64) float64, lo, hi, tol float64) (root float64, ok bool) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	flo, fhi := f(lo), f(hi)
-	if flo == 0 { //lint:allow floatcmp: an exact root short-circuits bracketing; near-roots converge normally
-		return lo, true
-	}
-	if fhi == 0 { //lint:allow floatcmp: see above
-		return hi, true
-	}
-	if math.Signbit(flo) == math.Signbit(fhi) {
-		return 0, false
-	}
-	eps := tol * math.Max(1, math.Max(math.Abs(lo), math.Abs(hi)))
-	for i := 0; i < 200 && hi-lo > eps; i++ {
-		mid := lo + (hi-lo)/2
-		fm := f(mid)
-		if fm == 0 { //lint:allow floatcmp: an exact root ends bisection early; no rounding hazard
-			return mid, true
-		}
-		if math.Signbit(fm) == math.Signbit(flo) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return lo + (hi-lo)/2, true
 }
 
 // NewtonRoot finds the smallest root of a non-decreasing function f on the

@@ -89,27 +89,6 @@ func TestMinimizeConvexWithInfPlateau(t *testing.T) {
 	}
 }
 
-func TestMinimizeConvex2D(t *testing.T) {
-	f := func(x, y float64) float64 { return (x-1)*(x-1) + (y+2)*(y+2) + 0.5*(x-1)*(y+2) }
-	x, y, v := MinimizeConvex2D(f, Box{X0: -10, X1: 10, Y0: -10, Y1: 10}, 1e-11)
-	if math.Abs(x-1) > 1e-4 || math.Abs(y+2) > 1e-4 {
-		t.Errorf("argmin = (%g, %g), want (1, -2)", x, y)
-	}
-	if v > 1e-7 {
-		t.Errorf("min value = %g, want 0", v)
-	}
-}
-
-func TestMinimizeConvex2DBoundary(t *testing.T) {
-	// Unconstrained minimum at (−1, −1) lies outside the box; the
-	// constrained minimum is the nearest corner (0, 0).
-	f := func(x, y float64) float64 { return (x+1)*(x+1) + (y+1)*(y+1) }
-	x, y, _ := MinimizeConvex2D(f, Box{X0: 0, X1: 4, Y0: 0, Y1: 4}, 1e-11)
-	if math.Abs(x) > 1e-5 || math.Abs(y) > 1e-5 {
-		t.Errorf("argmin = (%g, %g), want (0, 0)", x, y)
-	}
-}
-
 func TestBisect(t *testing.T) {
 	root, ok := Bisect(func(x float64) float64 { return x*x*x - 8 }, 0, 10, 1e-12)
 	if !ok || math.Abs(root-2) > 1e-6 {
@@ -164,18 +143,6 @@ func TestPropertyBisectFindsRootOfMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestBoxValid(t *testing.T) {
-	if !(Box{0, 1, 0, 1}).Valid() {
-		t.Error("unit box must be valid")
-	}
-	if (Box{1, 0, 0, 1}).Valid() {
-		t.Error("inverted box must be invalid")
-	}
-	if !(Box{2, 2, 3, 3}).Valid() {
-		t.Error("degenerate point box must be valid")
 	}
 }
 
@@ -319,4 +286,38 @@ func TestPropertyNewtonRootAgreesWithBisect(t *testing.T) {
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// Bisect finds a root of f in [lo, hi] assuming f(lo) and f(hi) have
+// opposite signs (or one of them is zero). It returns the midpoint of the
+// final bracket. ok is false when the initial bracket does not straddle a
+// sign change.
+func Bisect(f func(float64) float64, lo, hi, tol float64) (root float64, ok bool) {
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	flo, fhi := f(lo), f(hi)
+	if flo == 0 { //lint:allow floatcmp: an exact root short-circuits bracketing; near-roots converge normally
+		return lo, true
+	}
+	if fhi == 0 { //lint:allow floatcmp: see above
+		return hi, true
+	}
+	if math.Signbit(flo) == math.Signbit(fhi) {
+		return 0, false
+	}
+	eps := tol * math.Max(1, math.Max(math.Abs(lo), math.Abs(hi)))
+	for i := 0; i < 200 && hi-lo > eps; i++ {
+		mid := lo + (hi-lo)/2
+		fm := f(mid)
+		if fm == 0 { //lint:allow floatcmp: an exact root ends bisection early; no rounding hazard
+			return mid, true
+		}
+		if math.Signbit(fm) == math.Signbit(flo) {
+			lo, flo = mid, fm
+		} else {
+			hi = mid
+		}
+	}
+	return lo + (hi-lo)/2, true
 }
