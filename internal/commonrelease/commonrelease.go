@@ -54,17 +54,6 @@ type Solution struct {
 // times.
 var ErrNotCommonRelease = errors.New("commonrelease: tasks do not share a release time")
 
-// naturalMode selects how normalization derives each task's individually
-// optimal ("natural") speed: the filled speed for §4.1, the critical speed
-// s_0 for §4.2, and the horizon-constrained critical speed s_c for §7.
-type naturalMode int
-
-const (
-	naturalFilled naturalMode = iota
-	naturalCritical
-	naturalConstrained
-)
-
 // instance is the normalized problem: release shifted to 0, zero-workload
 // tasks dropped, tasks sorted by natural completion.
 //
@@ -81,31 +70,22 @@ type instance struct {
 	zeros   task.Set    // zero-workload tasks (scheduled nowhere)
 	tel     *telemetry.Recorder
 
-	// scratch is the reusable candidate schedule of the golden-section
-	// objective (overhead.go): the solver audits hundreds of candidate
-	// busy lengths per solve, and rebuilding into one schedule keeps those
-	// evaluations allocation-free. Solutions handed to callers are always
-	// built fresh; the scratch never leaves the instance.
-	scratch *schedule.Schedule
-	aud     schedule.Auditor
+	// Case tables (prepTables), four views of one retained backing.
+	tables                            []float64
+	sufPow, sufMaxW, prefDyn, prefFix []float64
 
 	// Overhead-scan scratch (overhead.go), retained across solves.
-	bounds  []float64 // lower bound of each scan piece, in breakpoint order
-	sufMaxW []float64
-	evalFn  func(float64) float64
+	bounds []float64 // lower bound of each scan piece, in breakpoint order
+	evalFn func(float64) float64
 
 	// Per-scan work tallies of the overhead scan, flushed into tel once
 	// per scan so the probes never touch the recorder's lock.
 	evals, searched int64
 
-	// Closed-form objective tables (overhead.go), retained across solves.
-	sufPow  []float64
-	prefDyn []float64
-	prefFix []float64
-
-	// Normalization scratch: the stable completion sort permutes through
-	// the alt buffers, which swap with the primary ones each solve.
+	// Normalization scratch: the stable completion sort permutes idx and
+	// then the alt buffers, which swap with the primary ones each solve.
 	idx  []int
+	srt  completionSort
 	altT []task.Task
 	altC []float64
 	altP []int
@@ -128,21 +108,10 @@ func (in *instance) record(scheme string, sol *Solution) {
 		telemetry.Num("energy_j", sol.Energy))
 }
 
-// normalize validates the input and produces the sorted instance.
-// natural selects how each task's individually optimal ("natural") speed
-// is derived; horizon0 is the §7 maximal interval (only read by
-// naturalConstrained).
-func normalize(tasks task.Set, sys power.System, natural naturalMode, horizon0 float64, tel *telemetry.Recorder) (*instance, error) {
-	in := &instance{}
-	if err := in.normalizeInto(tasks, sys, natural, horizon0, tel); err != nil {
-		return nil, err
-	}
-	return in, nil
-}
-
 // completionSort stably sorts an index permutation by ascending natural
-// completion. The pointer receiver keeps sort.Stable from boxing a fresh
-// header per solve.
+// completion. It lives in the instance, so sort.Stable(&in.srt) boxes a
+// pointer to retained memory instead of moving a fresh header to the
+// heap per solve.
 type completionSort struct {
 	idx []int
 	c   []float64
@@ -174,12 +143,29 @@ func (in *instance) validate(tasks task.Set) error {
 	return nil
 }
 
-// normalizeInto is normalize writing into a reusable instance: every
-// slice is reset and refilled in place, so a retained instance re-solves
-// allocation-free once its buffers reach the high-water instance size.
+// naturalSpeed is the task's individually optimal ("natural") speed under
+// system model m: the filled speed for §4.1, the critical speed s_0 for
+// §4.2, and for §7 the horizon-constrained critical speed s_c, or the
+// filled speed on a leak-free core, which never benefits from finishing
+// early. horizon is the §7 maximal interval max_j (d_j − r_j).
+func naturalSpeed(t task.Task, sys power.System, m power.Model, horizon float64) float64 {
+	switch {
+	case m == power.ModelStatic:
+		return sys.Core.CriticalSpeed(t.FilledSpeed())
+	case m == power.ModelOverhead && !numeric.IsZero(sys.Core.Static, 0):
+		return sys.Core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon)
+	}
+	return t.FilledSpeed()
+}
+
+// normalizeInto validates the input and fills the instance for the
+// scheme of system model m: release shifted to 0, zero-workload tasks
+// set aside, tasks sorted by natural completion. Every slice is reset and
+// refilled in place, so a retained instance re-solves allocation-free
+// once its buffers reach the high-water instance size.
 //
 //sdem:hotpath
-func (in *instance) normalizeInto(tasks task.Set, sys power.System, natural naturalMode, horizon0 float64, tel *telemetry.Recorder) error {
+func (in *instance) normalizeInto(tasks task.Set, sys power.System, m power.Model, tel *telemetry.Recorder) error {
 	if err := in.validate(tasks); err != nil {
 		return err
 	}
@@ -187,6 +173,14 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, natural natu
 		return err
 	}
 	in.sys = sys
+	if m != power.ModelOverhead {
+		// The audit must not charge transitions in the §4 models, nor
+		// core static power in the α = 0 model.
+		in.sys.Core.BreakEven, in.sys.Memory.BreakEven = 0, 0
+		if m == power.ModelAlphaZero {
+			in.sys.Core.Static = 0
+		}
+	}
 	in.tel = tel
 	in.release, in.horizon = 0, 0
 	in.tasks, in.c, in.pos = in.tasks[:0], in.c[:0], in.pos[:0]
@@ -235,19 +229,11 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, natural natu
 		in.horizon = math.Max(in.horizon, t.Deadline)
 	}
 	in.c = in.c[:0]
+	horizon0 := overheadHorizon(tasks)
 	for _, t := range in.tasks {
-		var s float64
-		switch natural {
-		case naturalCritical:
-			filled := t.FilledSpeed()
-			s = sys.Core.CriticalSpeed(filled)
-			if s <= filled*(1+relTol) {
-				tel.Count("sdem.solver.cr.critical_clamps", 1)
-			}
-		case naturalConstrained:
-			s = sys.Core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon0)
-		default:
-			s = t.FilledSpeed()
+		s := naturalSpeed(t, sys, m, horizon0)
+		if m == power.ModelStatic && s <= t.FilledSpeed()*(1+relTol) {
+			tel.Count("sdem.solver.cr.critical_clamps", 1)
 		}
 		if s <= 0 || math.IsInf(s, 0) {
 			return fmt.Errorf("commonrelease: task %d has invalid natural speed %g: %w", t.ID, s, schedule.ErrInfeasible)
@@ -261,8 +247,8 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, natural natu
 		//lint:allow hotalloc: appends into the instance's reused index backing
 		in.idx = append(in.idx, i)
 	}
-	srt := completionSort{idx: in.idx, c: in.c}
-	sort.Stable(&srt)
+	in.srt = completionSort{idx: in.idx, c: in.c}
+	sort.Stable(&in.srt)
 	ts, cs, ps := in.altT[:0], in.altC[:0], in.altP[:0]
 	for _, j := range in.idx {
 		//lint:allow hotalloc: appends into the instance's reused alt backings, swapped with the primaries below
@@ -282,16 +268,6 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, natural natu
 // core per positive-workload task (unbounded-core model).
 func (in *instance) build(L float64) *schedule.Schedule {
 	s := schedule.New(len(in.tasks), in.release, in.release+in.horizon)
-	in.buildInto(s, L)
-	return s
-}
-
-// buildInto fills s with the busy-length-L schedule, reusing s's per-core
-// segment backing across calls.
-func (in *instance) buildInto(s *schedule.Schedule, L float64) {
-	for i := range s.Cores {
-		s.Cores[i] = s.Cores[i][:0]
-	}
 	for i, t := range in.tasks {
 		end := in.c[i]
 		if end >= L-schedule.Tol {
@@ -305,27 +281,7 @@ func (in *instance) buildInto(s *schedule.Schedule, L float64) {
 		})
 	}
 	s.Normalize()
-}
-
-// energyOf audits the busy-length-L candidate through the instance's
-// scratch schedule and auditor: the golden-section objective calls this
-// once per evaluation, so nothing here may allocate after the first call.
-func (in *instance) energyOf(L float64) float64 {
-	if in.scratch == nil {
-		in.scratch = schedule.New(len(in.tasks), in.release, in.release+in.horizon)
-	} else {
-		// A retained instance crosses solves of different shapes: shrink
-		// the core list (the audit charges idle energy for every core up
-		// to NumCores) and refresh the horizon before rebuilding.
-		s := in.scratch
-		if len(in.tasks) < len(s.Cores) {
-			s.Cores = s.Cores[:len(in.tasks)]
-		}
-		s.NumCores = len(in.tasks)
-		s.Start, s.End = in.release, in.release+in.horizon
-	}
-	in.buildInto(in.scratch, L)
-	return in.aud.Audit(in.scratch, in.sys).Total()
+	return s
 }
 
 // solution audits the schedule for busy length L and wraps it.
@@ -349,93 +305,6 @@ func (in *instance) empty() *Solution {
 		Delta:    in.horizon,
 		Energy:   schedule.Audit(s, in.sys).Total(),
 	}
-}
-
-// caseData holds the per-case quantities of the closed-form scan.
-type caseData struct {
-	lo, hi float64 // feasible busy-length interval [c_{i−1} or cap, c_i]
-	lstar  float64 // unconstrained minimizer of E_i (Eq. 8 rewritten in L)
-	suffix float64 // S_i = Σ_{j≥i} w_j^λ
-	prefix float64 // Σ_{j<i} (β w_j^λ c_j^{1−λ} + α c_j)
-}
-
-// cases computes the n case descriptors. alphaPerCore is the static power
-// charged per aligned core (α for §4.2, 0 for §4.1). applyCap folds the
-// s_up feasibility bound into each case's lower busy-length limit; the
-// literal Theorem 2 / Lemma 1 scans disable it to match the paper's
-// uncapped case semantics.
-func (in *instance) cases(alphaPerCore float64, applyCap bool) []caseData {
-	n := len(in.tasks)
-	core, mem := in.sys.Core, in.sys.Memory
-	// Suffix sums of w^λ and suffix maxima of w.
-	sufPow := make([]float64, n+1)
-	sufMaxW := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		w := in.tasks[i].Workload
-		sufPow[i] = sufPow[i+1] + math.Pow(w, core.Lambda)
-		sufMaxW[i] = math.Max(sufMaxW[i+1], w)
-	}
-	out := make([]caseData, n)
-	var prefix float64
-	for i := 0; i < n; i++ { // case index i+1 in paper terms
-		k := float64(n - i)
-		denom := k*alphaPerCore + mem.Static
-		var lstar float64
-		if denom > 0 {
-			lstar = math.Pow(core.Beta*(core.Lambda-1)*sufPow[i]/denom, 1/core.Lambda)
-		} else {
-			// No static power anywhere: stretching is free, run filled.
-			lstar = math.Inf(1)
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = in.c[i-1]
-		}
-		if applyCap && core.SpeedMax > 0 {
-			lo = math.Max(lo, sufMaxW[i]/core.SpeedMax)
-		}
-		out[i] = caseData{lo: lo, hi: in.c[i], lstar: lstar, suffix: sufPow[i], prefix: prefix}
-		prefix += core.Beta*math.Pow(in.tasks[i].Workload, core.Lambda)*math.Pow(in.c[i], 1-core.Lambda) +
-			alphaPerCore*in.c[i]
-	}
-	return out
-}
-
-// energyAt evaluates the closed-form E_i at busy length L for case i
-// (0-based), charging alphaPerCore per aligned core.
-func (in *instance) energyAt(cd caseData, i int, L float64, alphaPerCore float64) float64 {
-	if L <= 0 {
-		return math.Inf(1)
-	}
-	core, mem := in.sys.Core, in.sys.Memory
-	k := float64(len(in.tasks) - i)
-	return (k*alphaPerCore+mem.Static)*L + core.Beta*cd.suffix*math.Pow(L, 1-core.Lambda) + cd.prefix
-}
-
-// scanAll evaluates every case at its clamped minimizer and returns the
-// best (0-based case index, busy length). This is the O(n) full scan that
-// Theorems 2 and 3 prove optimal.
-func (in *instance) scanAll(alphaPerCore float64) (int, float64) {
-	best, bestL, bestE := -1, 0.0, math.Inf(1)
-	cds := in.cases(alphaPerCore, true)
-	var infeasible, clamps int64
-	for i, cd := range cds {
-		if cd.lo > cd.hi+schedule.Tol {
-			infeasible++
-			continue // speed cap excludes this case entirely
-		}
-		if cd.lstar < cd.lo || cd.lstar > cd.hi {
-			clamps++
-		}
-		L := numeric.Clamp(cd.lstar, cd.lo, cd.hi)
-		if e := in.energyAt(cd, i, L, alphaPerCore); e < bestE {
-			best, bestL, bestE = i, L, e
-		}
-	}
-	countNonzero(in.tel, "sdem.solver.cr.case_scans", int64(len(cds)))
-	countNonzero(in.tel, "sdem.solver.cr.infeasible_cases", infeasible)
-	countNonzero(in.tel, "sdem.solver.cr.clamps", clamps)
-	return best, bestL
 }
 
 // countNonzero adds a per-call tally to the named counter, skipping a
@@ -504,23 +373,8 @@ func solve(m power.Model, tasks task.Set, sys power.System, tel *telemetry.Recor
 // solution. The one-shot solvers and Solver.PlanEndsRel share it, so the
 // two can never diverge.
 func (in *instance) plan(m power.Model, tasks task.Set, sys power.System, tel *telemetry.Recorder) (L float64, caseIdx int, err error) {
-	natural, horizon0 := naturalFilled, 0.0
-	switch m {
-	case power.ModelOverhead:
-		natural, horizon0 = overheadMode(sys), overheadHorizon(tasks)
-	case power.ModelStatic:
-		natural = naturalCritical
-	}
-	if err := in.normalizeInto(tasks, sys, natural, horizon0, tel); err != nil {
+	if err := in.normalizeInto(tasks, sys, m, tel); err != nil {
 		return 0, 0, err
-	}
-	if m != power.ModelOverhead {
-		// The audit must not charge transitions in the §4 models, nor
-		// core static power in the α = 0 model.
-		in.sys.Core.BreakEven, in.sys.Memory.BreakEven = 0, 0
-		if m == power.ModelAlphaZero {
-			in.sys.Core.Static = 0
-		}
 	}
 	switch {
 	case len(in.tasks) == 0:
@@ -533,92 +387,6 @@ func (in *instance) plan(m power.Model, tasks task.Set, sys power.System, tel *t
 		// filled speed; the busy length is the latest deadline.
 		return in.c[len(in.c)-1], 1, nil
 	}
-	i, L := in.scanAll(in.sys.Core.Static)
-	return L, i + 1, nil
-}
-
-// Theorem2Scan reproduces the literal Theorem 2 procedure for §4.1: walk
-// cases from n down to 1 and stop at the first case whose minimizer is
-// valid (inside the case interval) or just-fit (below it). It returns the
-// same (case, busy length) as the full scan; both are exposed so tests can
-// assert the theorem's early-stopping argument.
-func Theorem2Scan(tasks task.Set, sys power.System) (int, float64, error) {
-	in, err := normalize(tasks, sys, naturalFilled, 0, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(in.tasks) == 0 || numeric.IsZero(in.sys.Memory.Static, 0) {
-		return 0, 0, errors.New("commonrelease: Theorem2Scan needs positive work and memory power")
-	}
-	cds := in.cases(0, false)
-	// Case i in paper terms is index i−1 here; walking n→1 means n−1→0.
-	// In busy-length terms: Δ_mi invalid (Δ_mi ≥ δ_{i−1}) ⟺ L* ≤ c_{i−1}
-	// ⟺ L* ≤ lo, which sends the scan to the next smaller case index.
-	for i := len(cds) - 1; i >= 0; i-- {
-		cd := cds[i]
-		if cd.lo > cd.hi+schedule.Tol {
-			continue
-		}
-		switch {
-		case cd.lstar < cd.lo: // paper's "invalid": sleep wants to be longer
-			if i == 0 {
-				return 1, cd.lo, nil
-			}
-			continue
-		case cd.lstar > cd.hi: // "just-fit": clamp to the case boundary
-			return i + 1, cd.hi, nil
-		default: // "valid"
-			return i + 1, cd.lstar, nil
-		}
-	}
-	return 0, 0, errors.New("commonrelease: no feasible case")
-}
-
-// BinarySearchScan is the O(log n) Lemma 1 accelerator for §4.1: binary
-// search over cases for the unique valid minimizer, falling back to the
-// best just-fit boundary when no case is valid. A non-nil tel gains the
-// bisection steps in sdem.solver.cr.bsearch_iters, making the O(log n)
-// bound observable.
-func BinarySearchScan(tasks task.Set, sys power.System, tel *telemetry.Recorder) (int, float64, error) {
-	in, err := normalize(tasks, sys, naturalFilled, 0, tel)
-	if err != nil {
-		return 0, 0, err
-	}
-	if len(in.tasks) == 0 || numeric.IsZero(in.sys.Memory.Static, 0) {
-		return 0, 0, errors.New("commonrelease: BinarySearchScan needs positive work and memory power")
-	}
-	caseIdx, L, iters := bisectCases(in.cases(0, false))
-	countNonzero(in.tel, "sdem.solver.cr.bsearch_iters", iters)
-	return caseIdx, L, nil
-}
-
-// bisectCases is the Lemma 1 binary search over the uncapped §4.1 cases:
-// it returns the 1-based case index, its busy length, and the number of
-// bisection steps taken.
-func bisectCases(cds []caseData) (caseIdx int, L float64, iters int64) {
-	lo, hi := 0, len(cds)-1
-	var lastJustFit = -1
-	for lo <= hi {
-		iters++
-		mid := (lo + hi) / 2
-		cd := cds[mid]
-		switch {
-		case cd.lstar < cd.lo:
-			// Sleep wants to exceed this case's domain ("invalid"):
-			// search smaller case indices (longer sleep / shorter busy).
-			hi = mid - 1
-		case cd.lstar > cd.hi:
-			// "Just-fit": the optimum clamps to this case's upper
-			// boundary; a valid case, if any, has a larger index.
-			lastJustFit = mid
-			lo = mid + 1
-		default:
-			return mid + 1, cd.lstar, iters
-		}
-	}
-	if lastJustFit >= 0 {
-		return lastJustFit + 1, cds[lastJustFit].hi, iters
-	}
-	// All cases invalid: the global optimum is the boundary of case 1.
-	return 1, cds[0].lo, iters
+	L, caseIdx = in.caseScan()
+	return L, caseIdx, nil
 }

@@ -259,11 +259,11 @@ func TestDeltaMonotoneAcrossCases(t *testing.T) {
 	sys := testSystem()
 	r := rand.New(rand.NewSource(42))
 	tasks := randomCommonRelease(r, 8)
-	in, err := normalize(tasks, sys, naturalFilled, 0, nil)
+	in, err := normalize(tasks, sys, power.ModelAlphaZero, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cds := in.cases(0, false)
+	cds := in.cases(0)
 	for i := 1; i < len(cds); i++ {
 		if cds[i].lstar >= cds[i-1].lstar {
 			t.Errorf("case %d: L* %g not below case %d's %g", i+1, cds[i].lstar, i, cds[i-1].lstar)
@@ -282,9 +282,9 @@ func TestClosedFormMatchesAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inZ, _ := normalize(tasks, sysZ, naturalFilled, 0, nil)
+	inZ, _ := normalize(tasks, sysZ, power.ModelAlphaZero, nil)
 	inZ.sys.Core.Static = 0
-	cdZ := inZ.cases(0, true)[sol.Case-1]
+	cdZ := inZ.cases(0)[sol.Case-1]
 	if e := inZ.energyAt(cdZ, sol.Case-1, sol.BusyLen, 0); !almost(e, sol.Energy, 1e-9) {
 		t.Errorf("α=0: closed form %g != audit %g", e, sol.Energy)
 	}
@@ -293,8 +293,8 @@ func TestClosedFormMatchesAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in2, _ := normalize(tasks, sysZ, naturalCritical, 0, nil)
-	cd2 := in2.cases(sysZ.Core.Static, true)[sol2.Case-1]
+	in2, _ := normalize(tasks, sysZ, power.ModelStatic, nil)
+	cd2 := in2.cases(sysZ.Core.Static)[sol2.Case-1]
 	if e := in2.energyAt(cd2, sol2.Case-1, sol2.BusyLen, sysZ.Core.Static); !almost(e, sol2.Energy, 1e-9) {
 		t.Errorf("α≠0: closed form %g != audit %g", e, sol2.Energy)
 	}

@@ -45,32 +45,10 @@ func overheadHorizon(tasks task.Set) float64 {
 	return horizon
 }
 
-// overheadMode picks the §7 natural-speed rule: a leak-free core never
-// benefits from finishing early, so stretching to the filled speed is
-// individually optimal; otherwise tasks run at the horizon-constrained
-// critical speed s_c.
-func overheadMode(sys power.System) naturalMode {
-	if numeric.IsZero(sys.Core.Static, 0) {
-		return naturalFilled
-	}
-	return naturalConstrained
-}
-
-// capFor is the smallest feasible busy length when the aligned set is
-// that of busy length L: tasks i..n are aligned and need w/L ≤ s_up.
-func (in *instance) capFor(L float64) float64 {
-	i := sort.SearchFloat64s(in.c, L) // first c_j ≥ L
-	if in.sys.Core.SpeedMax <= 0 {
-		return 0
-	}
-	return in.sufMaxW[i] / in.sys.Core.SpeedMax
-}
-
 // evalOverhead is the golden-section objective: the audited energy of the
 // busy-length-L candidate, +Inf outside the feasible region. It prices
-// the candidate in closed form (prepOverheadEval's tables) instead of
-// building and auditing a schedule — the audit-based energyOf stays as
-// the oracle the overhead tests pin the closed form against.
+// the candidate in closed form (energyClosed) instead of building and
+// auditing a schedule; the overhead tests pin the two against each other.
 func (in *instance) evalOverhead(L float64) float64 {
 	in.evals++
 	if L <= 0 {
@@ -80,58 +58,6 @@ func (in *instance) evalOverhead(L float64) float64 {
 		return math.Inf(1)
 	}
 	return in.energyClosed(L)
-}
-
-// prepOverheadEval fills the prefix/suffix tables energyClosed reads:
-// for the first aligned index i, every non-aligned task contributes a
-// fixed dynamic + static + idle-tail cost (prefDyn, prefFix), and the
-// aligned suffix contributes through Σ w^λ (sufPow). O(n) once per scan,
-// into retained buffers.
-func (in *instance) prepOverheadEval() {
-	n := len(in.tasks)
-	core := in.sys.Core
-	if cap(in.sufPow) < n+1 {
-		//lint:allow hotalloc: the closed-form table backings grow to the high-water instance size once
-		in.sufPow = make([]float64, n+1)
-		//lint:allow hotalloc: see above
-		in.prefDyn = make([]float64, n+1)
-		//lint:allow hotalloc: see above
-		in.prefFix = make([]float64, n+1)
-	}
-	in.sufPow, in.prefDyn, in.prefFix = in.sufPow[:n+1], in.prefDyn[:n+1], in.prefFix[:n+1]
-	in.sufPow[n] = 0
-	for i := n - 1; i >= 0; i-- {
-		in.sufPow[i] = in.sufPow[i+1] + math.Pow(in.tasks[i].Workload, core.Lambda)
-	}
-	in.prefDyn[0], in.prefFix[0] = 0, 0
-	for i, t := range in.tasks {
-		c := in.c[i]
-		in.prefDyn[i+1] = in.prefDyn[i] + core.Beta*math.Pow(t.Workload, core.Lambda)*math.Pow(c, 1-core.Lambda)
-		in.prefFix[i+1] = in.prefFix[i] + core.Static*c +
-			schedule.SleepBreakEven.GapEnergy(in.horizon-c, core.Static, core.BreakEven)
-	}
-}
-
-// energyClosed is the audited energy of the busy-length-L candidate in
-// closed form: tasks with natural completion ≥ L−Tol align to [0, L]
-// (the same boundary buildInto draws), each non-aligned core runs [0,
-// c_j] and idles the tail, and the memory is busy exactly [0, L]. Every
-// term prices what the Auditor would charge — same gapCost branches,
-// same Tol boundary — so it matches energyOf to float rounding.
-func (in *instance) energyClosed(L float64) float64 {
-	i := sort.SearchFloat64s(in.c, L-schedule.Tol)
-	if i == len(in.c) {
-		// No aligned task: outside the scan range [c_1·ε, c_n]; fall back
-		// to the audited oracle rather than mis-pricing the memory tail.
-		return in.energyOf(L)
-	}
-	core, mem := in.sys.Core, in.sys.Memory
-	k := float64(len(in.tasks) - i)
-	tail := in.horizon - L
-	return in.prefDyn[i] + in.prefFix[i] +
-		core.Beta*in.sufPow[i]*math.Pow(L, 1-core.Lambda) +
-		k*(core.Static*L+schedule.SleepBreakEven.GapEnergy(tail, core.Static, core.BreakEven)) +
-		mem.Static*L + schedule.SleepBreakEven.GapEnergy(tail, mem.Static, mem.BreakEven)
 }
 
 // overheadScan minimizes the §7 objective over busy length and returns
@@ -153,7 +79,16 @@ func (in *instance) energyClosed(L float64) float64 {
 //sdem:hotpath
 func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 	n := len(in.tasks)
-	in.prepOverheadScan()
+	in.prepTables()
+	// At most one piece per breakpoint: n completions and two tails.
+	if cap(in.bounds) < n+2 {
+		//lint:allow hotalloc: the bound backing grows geometrically to the high-water instance size
+		in.bounds = make([]float64, 0, max(n+2, 2*cap(in.bounds)))
+	}
+	if in.evalFn == nil {
+		//lint:allow hotalloc: the objective method value is bound once per instance and reused every solve
+		in.evalFn = in.evalOverhead
+	}
 	in.evals, in.searched = 0, 0
 
 	bestL, bestE := in.c[n-1], in.evalFn(in.c[n-1])
@@ -206,83 +141,6 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 	return bestL, caseIdx
 }
 
-// pieceWalk steps through the §7 scan's convex pieces in breakpoint
-// order. The breakpoints are the natural completions (already sorted)
-// merged with the idle-tail breakpoints; a piece runs from the previous
-// piece's end (first, the smallest feasible busy length) to the next
-// breakpoint more than Tol beyond it.
-type pieceWalk struct {
-	c     []float64
-	tails [2]float64
-	nt    int
-	j, t  int
-	prev  float64
-}
-
-// walkPieces starts a walk over the instance's pieces. The idle-tail
-// breakpoints are the busy lengths inside the scan range (0, c_n) where
-// the memory's or an aligned core's idle tail d_max − L reaches its
-// break-even time.
-func (in *instance) walkPieces() pieceWalk {
-	w := pieceWalk{c: in.c, prev: math.Max(in.capFor(in.c[0]), in.c[0]*relTol)}
-	for _, p := range [2]float64{in.horizon - in.sys.Memory.BreakEven, in.horizon - in.sys.Core.BreakEven} {
-		if p > 0 && p < in.c[len(in.c)-1] {
-			w.tails[w.nt] = p
-			w.nt++
-		}
-	}
-	if w.nt == 2 && w.tails[1] < w.tails[0] {
-		w.tails[0], w.tails[1] = w.tails[1], w.tails[0]
-	}
-	return w
-}
-
-// next returns the next piece [a, b], or ok == false after the last.
-func (w *pieceWalk) next() (a, b float64, ok bool) {
-	for w.j < len(w.c) || w.t < w.nt {
-		var p float64
-		if w.t < w.nt && (w.j == len(w.c) || w.tails[w.t] < w.c[w.j]) {
-			p, w.t = w.tails[w.t], w.t+1
-		} else {
-			p, w.j = w.c[w.j], w.j+1
-		}
-		if p > w.prev+schedule.Tol {
-			a, w.prev = w.prev, p
-			return a, p, true
-		}
-	}
-	return 0, 0, false
-}
-
-// prepOverheadScan fills the scan's retained tables: room for one
-// bound per piece, the suffix maxima of workloads for the speed cap, the
-// closed-form objective tables, and the bound objective method value.
-func (in *instance) prepOverheadScan() {
-	n := len(in.tasks)
-	// At most one piece per breakpoint: n completions and two tails.
-	if cap(in.bounds) < n+2 {
-		//lint:allow hotalloc: the bound backing grows geometrically to the high-water instance size
-		in.bounds = make([]float64, 0, max(n+2, 2*cap(in.bounds)))
-	}
-	// Suffix maxima of workloads for the speed cap: when L ∈
-	// (c_{i−1}, c_i], tasks i..n are aligned and need w/L ≤ s_up.
-	if cap(in.sufMaxW) < n+1 {
-		//lint:allow hotalloc: the suffix-maxima backing grows to the high-water instance size once
-		in.sufMaxW = make([]float64, n+1)
-	}
-	in.sufMaxW = in.sufMaxW[:n+1]
-	in.sufMaxW[n] = 0
-	for i := n - 1; i >= 0; i-- {
-		in.sufMaxW[i] = math.Max(in.sufMaxW[i+1], in.tasks[i].Workload)
-	}
-
-	in.prepOverheadEval()
-	if in.evalFn == nil {
-		//lint:allow hotalloc: the objective method value is bound once per instance and reused every solve
-		in.evalFn = in.evalOverhead
-	}
-}
-
 // searchPiece golden-section searches the piece [a, b] of the objective.
 func (in *instance) searchPiece(a, b float64) (L, e float64) {
 	in.searched++
@@ -293,35 +151,19 @@ func (in *instance) searchPiece(a, b float64) (L, e float64) {
 // [a, b] without searching it. Away from Tol-wide slivers (sliverSlack)
 // the piece has one aligned set, tasks i..n, and one sleep decision per
 // idle tail, so the objective is g(L) = K + β·S_i·L^(1−λ) + C·L: the
-// §4.2 case energy, where C collects the static power of every component
-// whose idle-tail charge does not grow with the tail. g is convex with
-// stationary point L* = (β(λ−1)·S_i / C)^(1/λ), so its minimum over the
-// piece's feasible span is at L* clamped into the span. The bound is
-// the objective there, less the sliver slack and a float-rounding
-// margin.
+// §4.2 case energy. g is convex with stationary point L* (piece), so its
+// minimum over the piece's feasible span is at L* clamped into the span.
+// The bound is the objective there, less the sliver slack and a
+// float-rounding margin.
 func (in *instance) pieceBound(a, b float64) float64 {
-	core, mem := in.sys.Core, in.sys.Memory
-	mid := a + (b-a)/2
-	i := sort.SearchFloat64s(in.c, mid-schedule.Tol)
-	tail := in.horizon - mid
-	var C float64
-	if tailChargeFixed(tail, core.BreakEven) {
-		C += float64(len(in.tasks)-i) * core.Static
-	}
-	if tailChargeFixed(tail, mem.BreakEven) {
-		C += mem.Static
-	}
+	_, lstar := in.piece(a, b)
 	// capFor is non-increasing in L, so no L below capFor(b)−Tol is
 	// feasible anywhere in the piece.
 	lo := math.Max(a, in.capFor(b)-schedule.Tol)
 	if lo > b {
 		return math.Inf(1)
 	}
-	L := b
-	if C > 0 {
-		L = numeric.Clamp(math.Pow(core.Beta*(core.Lambda-1)*in.sufPow[i]/C, 1/core.Lambda), lo, b)
-	}
-	e := in.energyClosed(L)
+	e := in.energyClosed(numeric.Clamp(lstar, lo, b))
 	if math.IsInf(e, 0) || math.IsNaN(e) {
 		// An overflowed term bounds nothing: search the piece.
 		return math.Inf(-1)
@@ -332,16 +174,6 @@ func (in *instance) pieceBound(a, b float64) float64 {
 // boundRelMargin covers the float rounding of energyClosed, a sum of a
 // handful of non-negative terms, by a wide factor.
 const boundRelMargin = 1e-12
-
-// tailChargeFixed reports whether an idle tail of the given length costs
-// the same for every nearby busy length: the component sleeps (tail ≥ ξ,
-// a flat α·ξ) or has no gap at all (tail ≤ Tol). Only then does its
-// static power while busy enter the marginal cost C of a longer busy
-// length; an idle-active tail trades busy time for idle time at the same
-// static power.
-func tailChargeFixed(tail, breakEven float64) bool {
-	return tail >= breakEven || tail <= schedule.Tol
-}
 
 // sliverSlack bounds twice the largest distance between the objective
 // and its smooth form g on the piece [a, b] (pieceBound): once for the

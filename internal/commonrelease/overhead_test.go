@@ -19,11 +19,7 @@ import (
 // audited energy. The grid is fine enough to straddle every break-even
 // discontinuity.
 func sweepOverhead(tasks task.Set, sys power.System, samples int) (float64, error) {
-	var horizon float64
-	for _, t := range tasks {
-		horizon = math.Max(horizon, t.Deadline-t.Release)
-	}
-	in, err := normalize(tasks, sys, overheadMode(sys), horizon, nil)
+	in, err := normalize(tasks, sys, power.ModelOverhead, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -145,7 +141,7 @@ func TestTable3CaseSelection(t *testing.T) {
 	}
 	// No alignment benefit: the busy length is the largest natural
 	// completion.
-	inNat, _ := normalize(tasks, sys, naturalConstrained, sol.Schedule.End-sol.Schedule.Start, nil)
+	inNat, _ := normalize(tasks, sys, power.ModelOverhead, nil)
 	if !almost(sol.BusyLen, inNat.c[len(inNat.c)-1], 1e-6) {
 		t.Errorf("row 2: busy length %g, want natural max %g", sol.BusyLen, inNat.c[len(inNat.c)-1])
 	}
@@ -216,39 +212,48 @@ func TestOverheadEmptyAndErrors(t *testing.T) {
 	}
 }
 
-// TestEnergyClosedMatchesAudit pins the closed-form golden-section
-// objective to the audit-based oracle it replaced: for random instances
-// and busy lengths across the scan range, energyClosed must price the
-// candidate exactly as building and auditing the schedule would, up to
-// float rounding.
+// TestEnergyClosedMatchesAudit pins the closed-form objective to the
+// audit-based oracle: for random instances and busy lengths across the
+// scan range, energyClosed must price the candidate exactly as building
+// and auditing the schedule would, up to float rounding. The draws cover
+// the §7 model and, with ξ = ξ_m = 0, both §4 models, whose case scan
+// prices every case with energyClosed too.
 func TestEnergyClosedMatchesAudit(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		sys := power.DefaultSystem()
-		// Vary the break-evens so both sides of every gapCost branch get hit.
-		sys.Core.BreakEven = power.Milliseconds(1 + 20*r.Float64())
-		sys.Memory.BreakEven = power.Milliseconds(1 + 30*r.Float64())
-		n := 2 + r.Intn(12)
-		tasks := make(task.Set, n)
-		for i := range tasks {
-			tasks[i] = task.Task{
-				ID:       i,
-				Release:  0,
-				Deadline: power.Milliseconds(20 + 100*r.Float64()),
-				Workload: 1e6 + 4e6*r.Float64(),
+	for _, m := range []power.Model{power.ModelOverhead, power.ModelStatic, power.ModelAlphaZero} {
+		for seed := int64(1); seed <= 6; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			sys := power.DefaultSystem()
+			// Vary the break-evens so both sides of every gapCost branch get hit.
+			sys.Core.BreakEven = power.Milliseconds(1 + 20*r.Float64())
+			sys.Memory.BreakEven = power.Milliseconds(1 + 30*r.Float64())
+			if m != power.ModelOverhead {
+				sys.Core.BreakEven, sys.Memory.BreakEven = 0, 0
 			}
-		}
-		in, err := normalize(tasks, sys, overheadMode(sys), overheadHorizon(tasks), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		in.overheadScan() // fills the closed-form tables
-		cMax := in.c[len(in.c)-1]
-		for trial := 0; trial < 200; trial++ {
-			L := cMax * (0.05 + 0.95*r.Float64())
-			got, want := in.energyClosed(L), in.energyOf(L)
-			if rel := math.Abs(got-want) / math.Max(want, 1e-12); rel > 1e-9 {
-				t.Fatalf("seed %d n %d L %g: closed form %g vs audit %g (rel %g)", seed, n, L, got, want, rel)
+			if m == power.ModelAlphaZero {
+				sys.Core.Static = 0
+			}
+			n := 2 + r.Intn(12)
+			tasks := make(task.Set, n)
+			for i := range tasks {
+				tasks[i] = task.Task{
+					ID:       i,
+					Release:  0,
+					Deadline: power.Milliseconds(20 + 100*r.Float64()),
+					Workload: 1e6 + 4e6*r.Float64(),
+				}
+			}
+			in, err := normalize(tasks, sys, m, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.prepTables()
+			cMax := in.c[len(in.c)-1]
+			for trial := 0; trial < 200; trial++ {
+				L := cMax * (0.05 + 0.95*r.Float64())
+				got, want := in.energyClosed(L), in.energyOf(L)
+				if rel := math.Abs(got-want) / math.Max(want, 1e-12); rel > 1e-9 {
+					t.Fatalf("model %d seed %d n %d L %g: closed form %g vs audit %g (rel %g)", m, seed, n, L, got, want, rel)
+				}
 			}
 		}
 	}
@@ -259,7 +264,7 @@ func TestEnergyClosedMatchesAudit(t *testing.T) {
 // the first strictly better result. overheadScan must return its bits.
 func (in *instance) overheadScanOracle() (bestL float64, caseIdx int) {
 	n := len(in.tasks)
-	in.prepOverheadScan()
+	in.prepTables()
 	points := append([]float64(nil), in.c...)
 	for _, p := range [2]float64{in.horizon - in.sys.Memory.BreakEven, in.horizon - in.sys.Core.BreakEven} {
 		if p > 0 && p < in.c[n-1] {
@@ -267,13 +272,13 @@ func (in *instance) overheadScanOracle() (bestL float64, caseIdx int) {
 		}
 	}
 	sort.Float64s(points)
-	bestL, bestE := in.c[n-1], in.evalFn(in.c[n-1])
+	bestL, bestE := in.c[n-1], in.evalOverhead(in.c[n-1])
 	prev := math.Max(in.capFor(in.c[0]), in.c[0]*relTol)
 	for _, p := range points {
 		if p <= prev+schedule.Tol {
 			continue
 		}
-		x, e := numeric.MinimizeConvex(in.evalFn, prev, p, numeric.DefaultTol)
+		x, e := numeric.MinimizeConvex(in.evalOverhead, prev, p, numeric.DefaultTol)
 		if e < bestE {
 			bestL, bestE = x, e
 		}
@@ -354,7 +359,7 @@ func randomOverheadCase(r *rand.Rand) (task.Set, power.System) {
 
 // overheadInstance normalizes a §7 instance as SolveWithOverhead does.
 func overheadInstance(tasks task.Set, sys power.System) (*instance, error) {
-	return normalize(tasks, sys, overheadMode(sys), overheadHorizon(tasks), nil)
+	return normalize(tasks, sys, power.ModelOverhead, nil)
 }
 
 // checkAgainstOracle runs the pruned scan and the oracle on one

@@ -8,10 +8,10 @@ import (
 )
 
 // Solver is a retained common-release solver: it owns one instance whose
-// scratch buffers (normalization, overhead scan, candidate schedule,
-// auditor) persist across solves, so repeated planning — SDEM-ON
-// re-planning every arrival, sdemd serving request streams — runs
-// allocation-free once the buffers reach the high-water instance size.
+// scratch buffers (normalization, case tables, overhead scan) persist
+// across solves, so repeated planning — SDEM-ON re-planning every
+// arrival, sdemd serving request streams — runs allocation-free once the
+// buffers reach the high-water instance size.
 //
 // A Solver is not safe for concurrent use; retain one per goroutine (or
 // pool them, as internal/serve does).
@@ -62,7 +62,7 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 		ends[i] = 0
 	}
 	for i := range in.tasks {
-		// Mirror buildInto bit-for-bit: aligned tasks (natural completion
+		// Mirror build bit-for-bit: aligned tasks (natural completion
 		// within Tol of L or beyond) end at L, the rest at c_i.
 		end := in.c[i]
 		if end >= L-schedule.Tol {
@@ -76,9 +76,9 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 // NaturalCompletion returns the completion time, relative to release,
 // that Solve's normalization assigns the task when it runs at its
 // natural speed under sys: the same bits as the corresponding in.c entry
-// of normalizeInto. horizon is the §7 maximal interval max_j (d_j − r_j)
-// of the instance the task belongs to (only read in overhead mode on a
-// leaky core).
+// of normalizeInto, which derives it through the same naturalSpeed.
+// horizon is the §7 maximal interval max_j (d_j − r_j) of the instance
+// the task belongs to (only read in overhead mode on a leaky core).
 //
 // Every scheme picks a busy length L ≤ max_j c_j and every planned
 // completion is ≤ max(c_j, L), so release + max_j NaturalCompletion
@@ -86,18 +86,5 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 // that a planning step cannot schedule work past a point without
 // running the solve.
 func NaturalCompletion(t task.Task, sys power.System, horizon float64) float64 {
-	var s float64
-	switch sys.Model() {
-	case power.ModelOverhead:
-		if overheadMode(sys) == naturalFilled {
-			s = t.FilledSpeed()
-		} else {
-			s = sys.Core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon)
-		}
-	case power.ModelStatic:
-		s = sys.Core.CriticalSpeed(t.FilledSpeed())
-	default:
-		s = t.FilledSpeed()
-	}
-	return t.Workload / s
+	return t.Workload / naturalSpeed(t, sys, sys.Model(), horizon)
 }
