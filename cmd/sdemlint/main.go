@@ -1,6 +1,7 @@
 // Command sdemlint runs the SDEM static-analysis suite — floatcmp,
-// tolconst, unitcheck and auditcheck — over the requested packages and
-// exits non-zero when any invariant is violated.
+// tolconst, unitcheck, auditcheck, randsource, telemetrycheck, detcheck,
+// hotalloc and sharedmut (-list describes each) — over the requested
+// packages and exits non-zero when any invariant is violated.
 //
 // Usage:
 //
@@ -11,6 +12,9 @@
 // finding with a trailing or preceding comment:
 //
 //	if a == b { //lint:allow floatcmp: bit-exact sentinel comparison
+//
+// A //lint:allow naming an analyzer of the run that suppresses none of
+// its findings is itself reported, so stale suppressions cannot pile up.
 package main
 
 import (

@@ -218,7 +218,7 @@ func run(o options) error {
 			MaxActive:      sum.MaxActive,
 			Energy:         sum.Energy,
 			VirtualSeconds: sum.End - sum.Start,
-			//lint:allow telemetrycheck,detcheck: wall_s is the report's one intentionally wall-clock (nondeterministic) field
+			//lint:allow telemetrycheck: wall_s is the report's one intentionally wall-clock (nondeterministic) field
 			WallSeconds:  time.Since(wall).Seconds(),
 			MeanResponse: sum.Metrics.MeanResponse,
 			MaxResponse:  sum.Metrics.MaxResponse,

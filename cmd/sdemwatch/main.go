@@ -1,7 +1,7 @@
 // Command sdemwatch is the campaign watchtower: it consumes windowed
-// telemetry — a JSONL series dump written by sdemsoak/sdemload, the live
-// /debug/series endpoint of sdemd, or repeated scrapes of an OpenMetrics
-// exposition — and renders a deterministic campaign report: the
+// telemetry — a JSONL series dump written by sdemsoak -series-out, the
+// live /debug/series endpoint of sdemd, or repeated scrapes of an
+// OpenMetrics exposition — and renders a deterministic campaign report: the
 // per-window table, merged sketch quantiles, and the SLO verdict with
 // its breach timeline.
 //

@@ -32,7 +32,6 @@ func (in *instance) prepTables() {
 	n := len(in.tasks)
 	core := in.sys.Core
 	if cap(in.tables) < 4*(n+1) {
-		//lint:allow hotalloc: the table backing grows to the high-water instance size once
 		in.tables = make([]float64, 4*(n+1))
 	}
 	t := in.tables[:4*(n+1)]

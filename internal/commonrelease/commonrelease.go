@@ -192,19 +192,12 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, m power.Mode
 	// pay O(log n) geometric-growth reallocations per slice below, while a
 	// reused one (cap already at the high-water size) allocates nothing.
 	if n := len(tasks); cap(in.tasks) < n {
-		//lint:allow hotalloc: the instance backings grow to the high-water instance size once
 		in.tasks = make(task.Set, 0, n)
-		//lint:allow hotalloc: see above
 		in.pos = make([]int, 0, n)
-		//lint:allow hotalloc: see above
 		in.c = make([]float64, 0, n)
-		//lint:allow hotalloc: see above
 		in.idx = make([]int, 0, n)
-		//lint:allow hotalloc: see above
 		in.altT = make(task.Set, 0, n)
-		//lint:allow hotalloc: see above
 		in.altC = make([]float64, 0, n)
-		//lint:allow hotalloc: see above
 		in.altP = make([]int, 0, n)
 	}
 	if !tasks.IsCommonRelease() {
@@ -219,11 +212,9 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, m power.Mode
 		t.Release -= release
 		t.Deadline -= release
 		if numeric.IsZero(t.Workload, 0) {
-			//lint:allow hotalloc: appends into the instance's reused zeros backing
 			in.zeros = append(in.zeros, t)
 			continue
 		}
-		//lint:allow hotalloc: appends into the instance's reused task/pos backings
 		in.tasks = append(in.tasks, t)
 		in.pos = append(in.pos, i)
 		in.horizon = math.Max(in.horizon, t.Deadline)
@@ -238,13 +229,11 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, m power.Mode
 		if s <= 0 || math.IsInf(s, 0) {
 			return fmt.Errorf("commonrelease: task %d has invalid natural speed %g: %w", t.ID, s, schedule.ErrInfeasible)
 		}
-		//lint:allow hotalloc: appends into the instance's reused completion backing
 		in.c = append(in.c, t.Workload/s)
 	}
 	// Sort tasks and completions together, ascending by completion.
 	in.idx = in.idx[:0]
 	for i := range in.tasks {
-		//lint:allow hotalloc: appends into the instance's reused index backing
 		in.idx = append(in.idx, i)
 	}
 	in.srt = completionSort{idx: in.idx, c: in.c}

@@ -82,11 +82,9 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 	in.prepTables()
 	// At most one piece per breakpoint: n completions and two tails.
 	if cap(in.bounds) < n+2 {
-		//lint:allow hotalloc: the bound backing grows geometrically to the high-water instance size
 		in.bounds = make([]float64, 0, max(n+2, 2*cap(in.bounds)))
 	}
 	if in.evalFn == nil {
-		//lint:allow hotalloc: the objective method value is bound once per instance and reused every solve
 		in.evalFn = in.evalOverhead
 	}
 	in.evals, in.searched = 0, 0
@@ -102,7 +100,6 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 		if first < 0 || lb < in.bounds[first] {
 			first, firstA, firstB = len(in.bounds), a, b
 		}
-		//lint:allow hotalloc: appends within the bound backing's capacity
 		in.bounds = append(in.bounds, lb)
 	}
 

@@ -54,7 +54,6 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 	}
 
 	if cap(sv.ends) < len(tasks) {
-		//lint:allow hotalloc: the ends backing grows to the high-water instance size once
 		sv.ends = make([]float64, len(tasks))
 	}
 	ends := sv.ends[:len(tasks)]

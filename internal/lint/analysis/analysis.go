@@ -1,11 +1,14 @@
 // Package analysis is a minimal, dependency-free re-implementation of the
-// golang.org/x/tools/go/analysis vocabulary used by the sdemlint analyzers.
+// golang.org/x/tools/go/analysis vocabulary used by the sdemlint analyzers,
+// plus the one driver that runs them.
 //
 // The container this repo builds in has no module proxy access, so the
 // canonical x/tools framework cannot be vendored; this package keeps the
-// same core shapes (Analyzer, Pass, Diagnostic) so the analyzers read like
-// standard go/analysis code and could be ported to the real framework by
-// changing one import line.
+// same core shapes (Analyzer, Pass, Diagnostic) so the per-package
+// analyzers read like standard go/analysis code and port to the real
+// framework by changing one import line. The interprocedural analyzers
+// (detcheck, hotalloc) read the module call graph through Pass.Module
+// instead, which x/tools has no counterpart for.
 package analysis
 
 import (
@@ -15,6 +18,8 @@ import (
 	"go/types"
 	"regexp"
 	"strings"
+
+	"sdem/internal/lint/callgraph"
 )
 
 // Analyzer describes one static-analysis pass.
@@ -26,13 +31,6 @@ type Analyzer struct {
 	Doc string
 	// Run applies the analyzer to a single package.
 	Run func(*Pass) error
-	// FactPass, when non-nil, makes the analyzer interprocedural: the
-	// driver runs FactPass over every package (in dependency order)
-	// before any Run, letting the analyzer export Facts — e.g. "this
-	// function carries a //sdem:hotpath directive" — that every
-	// subsequent Run can read regardless of package order. Diagnostics
-	// reported from FactPass are discarded.
-	FactPass func(*Pass) error
 }
 
 // Pass carries one type-checked package through an analyzer.
@@ -43,11 +41,65 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Module is the run-wide state shared by all passes of this analyzer:
-	// call graph, fact store, memo space. Single-package drivers may
-	// leave it nil; fact methods then degrade to pass-local storage.
+	// the module call graph and a memo space.
 	Module *Module
 
 	diagnostics []Diagnostic
+}
+
+// Module is the whole-run view shared by every Pass of one analyzer: the
+// module call graph and a memo space for derived structures (transitive
+// closures) that should be computed once per run rather than once per
+// package.
+type Module struct {
+	// Dir is the module root directory; for fixture tests, which have no
+	// module on disk, it is the fixture root.
+	Dir string
+	// Graph is the call graph of every loaded package.
+	Graph *callgraph.Graph
+
+	memo map[string]any
+}
+
+// Memo returns the previously stored value under key, or computes, stores
+// and returns it. Analyzers use it for run-wide derived state such as the
+// hot-function closure.
+func (m *Module) Memo(key string, compute func() any) any {
+	if v, ok := m.memo[key]; ok {
+		return v
+	}
+	v := compute()
+	m.memo[key] = v
+	return v
+}
+
+// Run builds the call graph of pkgs and applies each analyzer, with a
+// fresh Module, to every package in check (a subset of pkgs). It returns
+// the findings no //lint:allow comment suppresses, plus one finding for
+// each //lint:allow naming an analyzer of the run that suppressed none of
+// that analyzer's findings: a stale suppression would silently mask a
+// future real finding on its line.
+func Run(dir string, pkgs, check []callgraph.SourcePackage, analyzers []*Analyzer) ([]Diagnostic, error) {
+	graph := callgraph.Build(pkgs)
+	var diags []Diagnostic
+	for _, a := range analyzers {
+		module := &Module{Dir: dir, Graph: graph, memo: make(map[string]any)}
+		for _, pkg := range check {
+			pass := &Pass{
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Module:    module,
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s over %s: %v", a.Name, pkg.Types.Path(), err)
+			}
+			diags = append(diags, pass.suppress()...)
+		}
+	}
+	return diags, nil
 }
 
 // Diagnostic is one finding, positioned inside the package being analyzed.
@@ -70,20 +122,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Diagnostics returns the findings reported so far, with //lint:allow
-// suppressions already filtered out.
-func (p *Pass) Diagnostics() []Diagnostic {
-	allowed := allowedLines(p.Fset, p.Files, p.Analyzer.Name)
-	var out []Diagnostic
-	for _, d := range p.diagnostics {
-		if allowed[lineKey{d.Pos.Filename, d.Pos.Line}] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
-}
-
 type lineKey struct {
 	file string
 	line int
@@ -92,34 +130,55 @@ type lineKey struct {
 // allowRe matches suppression comments: //lint:allow <name>[,<name>...][: reason]
 var allowRe = regexp.MustCompile(`^//\s*lint:allow\s+([a-zA-Z0-9_,\- ]+?)(?::.*)?$`)
 
-// allowedLines collects the set of (file, line) pairs on which findings of
-// the named analyzer are suppressed. A //lint:allow comment suppresses the
-// line it sits on; a comment alone on a line suppresses the line below it.
-func allowedLines(fset *token.FileSet, files []*ast.File, name string) map[lineKey]bool {
-	out := make(map[lineKey]bool)
-	for _, f := range files {
+// suppress returns the pass's findings minus those a //lint:allow comment
+// for this analyzer covers, plus a finding at every comment that names
+// the analyzer and covered none. A comment covers the line it sits on
+// (trailing-comment form) and the line below (standalone-comment form).
+// "all" suppresses every analyzer and is never reported as stale.
+func (p *Pass) suppress() []Diagnostic {
+	type allow struct {
+		pos            token.Position
+		explicit, used bool
+	}
+	var allows []*allow
+	at := make(map[lineKey]*allow) // by the comment's own line
+	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := allowRe.FindStringSubmatch(c.Text)
 				if m == nil {
 					continue
 				}
-				match := false
 				for _, n := range strings.FieldsFunc(m[1], func(r rune) bool { return r == ',' || r == ' ' }) {
-					if n == name || n == "all" {
-						match = true
+					if n == p.Analyzer.Name || n == "all" {
+						a := &allow{pos: p.Fset.Position(c.Pos()), explicit: n != "all"}
+						allows = append(allows, a)
+						at[lineKey{a.pos.Filename, a.pos.Line}] = a
 						break
 					}
 				}
-				if !match {
-					continue
-				}
-				// Suppress the comment's own line (trailing-comment form)
-				// and the line below (standalone-comment form).
-				pos := fset.Position(c.Pos())
-				out[lineKey{pos.Filename, pos.Line}] = true
-				out[lineKey{pos.Filename, pos.Line + 1}] = true
 			}
+		}
+	}
+	var out []Diagnostic
+	for _, d := range p.diagnostics {
+		covered := false
+		for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
+			if a := at[lineKey{d.Pos.Filename, line}]; a != nil {
+				a.used, covered = true, true
+			}
+		}
+		if !covered {
+			out = append(out, d)
+		}
+	}
+	for _, a := range allows {
+		if a.explicit && !a.used {
+			out = append(out, Diagnostic{
+				Pos:      a.pos,
+				Analyzer: p.Analyzer.Name,
+				Message:  fmt.Sprintf("//lint:allow %s suppresses no %s finding here; remove it", p.Analyzer.Name, p.Analyzer.Name),
+			})
 		}
 	}
 	return out

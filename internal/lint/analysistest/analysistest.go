@@ -4,11 +4,10 @@
 // reports a matching diagnostic on that line, and every reported
 // diagnostic must be matched by a want comment.
 //
-// RunAnalyzers drives the full interprocedural pipeline over the fixture
-// tree: every fixture package reachable from the named ones is loaded,
-// a call graph is built across them, and each analyzer's FactPass runs
-// over all of them (dependencies first) before the reporting passes —
-// the same protocol the real lint.Run driver uses on the module.
+// RunAnalyzers loads every fixture package reachable from the named ones
+// and hands them to analysis.Run, the same driver lint.Run uses on the
+// module: the call graph spans all loaded fixtures, and findings come
+// from the named packages.
 package analysistest
 
 import (
@@ -39,7 +38,7 @@ type fixtureLoader struct {
 	checked map[string]*types.Package
 	files   map[string][]*ast.File
 	infos   map[string]*types.Info
-	order   []string // completed loads, dependencies first
+	order   []string // completed loads
 	stdlib  types.Importer
 }
 
@@ -97,11 +96,10 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPath string) {
 	RunAnalyzers(t, dir, []*analysis.Analyzer{a}, pkgPath)
 }
 
-// RunAnalyzers applies the analyzers to the named fixture packages with
-// the full module protocol: all reachable fixture packages are loaded and
-// fact passes run over every one of them (dependencies first, exactly as
-// lint.Run orders the real module), but diagnostics are asserted only for
-// the named packages — dependency fixtures provide context, not findings.
+// RunAnalyzers applies the analyzers to the named fixture packages through
+// analysis.Run. All reachable fixture packages are loaded into the call
+// graph, but diagnostics are asserted only for the named packages —
+// dependency fixtures provide context, not findings.
 func RunAnalyzers(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	l := &fixtureLoader{
@@ -117,43 +115,20 @@ func RunAnalyzers(t *testing.T, dir string, analyzers []*analysis.Analyzer, pkgP
 			t.Fatalf("loading fixture %s: %v", pkgPath, err)
 		}
 	}
-
-	srcs := make([]callgraph.SourcePackage, 0, len(l.order))
-	for _, path := range l.order {
-		srcs = append(srcs, callgraph.SourcePackage{
-			Fset: l.fset, Files: l.files[path], Types: l.checked[path], Info: l.infos[path],
-		})
+	src := func(path string) callgraph.SourcePackage {
+		return callgraph.SourcePackage{Fset: l.fset, Files: l.files[path], Types: l.checked[path], Info: l.infos[path]}
 	}
-	graph := callgraph.Build(srcs)
-
-	newPass := func(a *analysis.Analyzer, path string, m *analysis.Module) *analysis.Pass {
-		return &analysis.Pass{
-			Analyzer:  a,
-			Fset:      l.fset,
-			Files:     l.files[path],
-			Pkg:       l.checked[path],
-			TypesInfo: l.infos[path],
-			Module:    m,
-		}
+	all := make([]callgraph.SourcePackage, len(l.order))
+	for i, path := range l.order {
+		all[i] = src(path)
 	}
-
-	var diags []analysis.Diagnostic
-	for _, a := range analyzers {
-		module := analysis.NewModule(l.root, graph)
-		if a.FactPass != nil {
-			for _, path := range l.order {
-				if err := a.FactPass(newPass(a, path, module)); err != nil {
-					t.Fatalf("fact pass %s over %s: %v", a.Name, path, err)
-				}
-			}
-		}
-		for _, path := range pkgPaths {
-			pass := newPass(a, path, module)
-			if err := a.Run(pass); err != nil {
-				t.Fatalf("running %s over %s: %v", a.Name, path, err)
-			}
-			diags = append(diags, pass.Diagnostics()...)
-		}
+	check := make([]callgraph.SourcePackage, len(pkgPaths))
+	for i, path := range pkgPaths {
+		check[i] = src(path)
+	}
+	diags, err := analysis.Run(l.root, all, check, analyzers)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	var wantFiles []*ast.File

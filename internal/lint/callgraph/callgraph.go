@@ -19,9 +19,9 @@
 //     need soundness across dynamic dispatch must arrange their own
 //     discipline, e.g. hotalloc's directive sits on concrete functions).
 //
-// All node and edge orders are deterministic: nodes sort by package path
-// then position, and a node's callee list preserves first-occurrence source
-// order within its declaration.
+// All node and edge orders are deterministic: declared nodes sort by
+// package path then position, and a node's callee list preserves
+// first-occurrence source order within its declaration.
 package callgraph
 
 import (
@@ -29,6 +29,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // SourcePackage is one type-checked package fed to Build. It mirrors the
@@ -46,16 +47,16 @@ type Node struct {
 	// Func is the type-checker's object for the function or method.
 	Func *types.Func
 	// Decl is the declaration syntax, nil for functions whose source was
-	// not among the built packages (imported module deps analyzed in a
-	// different pass still carry syntax; true externals do not).
+	// not among the built packages (the standard library, say).
 	Decl *ast.FuncDecl
-	// Fset positions Decl (nil iff Decl is nil).
+	// Fset positions Decl and Info types it (both nil iff Decl is nil).
 	Fset *token.FileSet
+	Info *types.Info
 	// Callees lists the distinct functions this node calls or references,
 	// in first-occurrence source order.
 	Callees []*Node
 	// Callers lists the distinct nodes that call or reference this one,
-	// sorted by package path then name for determinism.
+	// sorted by package path then position for determinism.
 	Callers []*Node
 }
 
@@ -66,55 +67,31 @@ func (n *Node) Name() string { return n.Func.FullName() }
 // Graph is the module-wide call graph.
 type Graph struct {
 	nodes map[*types.Func]*Node
-	// decls indexes declared functions by the position of their Name
-	// identifier, letting analyzers map a FuncDecl back to its node.
-	decls map[token.Pos]*Node
 }
 
 // Node returns the graph node of fn, or nil if fn was never seen.
-func (g *Graph) Node(fn *types.Func) *Node {
-	if g == nil {
-		return nil
-	}
-	return g.nodes[fn]
-}
+func (g *Graph) Node(fn *types.Func) *Node { return g.nodes[fn] }
 
-// NodeAt returns the node whose declaration name sits at pos, or nil.
-func (g *Graph) NodeAt(pos token.Pos) *Node {
-	if g == nil {
-		return nil
-	}
-	return g.decls[pos]
-}
-
-// Nodes returns every node in deterministic order: package path, then
-// file position of the declaration, with declaration-less externals last
-// (sorted by full name).
-func (g *Graph) Nodes() []*Node {
-	if g == nil {
-		return nil
-	}
-	out := make([]*Node, 0, len(g.nodes))
+// Declared returns the nodes declared in non-test files, sorted by
+// package path then position. Unlike raw token positions, this order does
+// not depend on the order the packages were parsed in.
+func (g *Graph) Declared() []*Node {
+	var out []*Node
 	for _, n := range g.nodes {
-		out = append(out, n)
+		if n.Decl != nil && !strings.HasSuffix(n.Fset.Position(n.Decl.Pos()).Filename, "_test.go") {
+			out = append(out, n)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return nodeLess(out[i], out[j]) })
 	return out
 }
 
+// nodeLess orders declared nodes by package path, then position.
 func nodeLess(a, b *Node) bool {
-	ad, bd := a.Decl != nil, b.Decl != nil
-	if ad != bd {
-		return ad // declared nodes first
-	}
-	ap, bp := pkgPath(a.Func), pkgPath(b.Func)
-	if ap != bp {
+	if ap, bp := pkgPath(a.Func), pkgPath(b.Func); ap != bp {
 		return ap < bp
 	}
-	if ad {
-		return a.Decl.Pos() < b.Decl.Pos()
-	}
-	return a.Func.FullName() < b.Func.FullName()
+	return a.Decl.Pos() < b.Decl.Pos()
 }
 
 func pkgPath(f *types.Func) string {
@@ -162,7 +139,7 @@ func (b *builder) edge(from, to *Node) {
 // package list (the loader sorts by import path).
 func Build(pkgs []SourcePackage) *Graph {
 	b := &builder{
-		g:          &Graph{nodes: make(map[*types.Func]*Node), decls: make(map[token.Pos]*Node)},
+		g:          &Graph{nodes: make(map[*types.Func]*Node)},
 		calleeSeen: make(map[*Node]map[*Node]bool),
 	}
 	for _, pkg := range pkgs {
@@ -179,7 +156,7 @@ func Build(pkgs []SourcePackage) *Graph {
 				n := b.node(obj)
 				n.Decl = fd
 				n.Fset = pkg.Fset
-				b.g.decls[fd.Name.Pos()] = n
+				n.Info = pkg.Info
 				b.addBodyEdges(n, fd.Body, pkg.Info)
 			}
 		}
@@ -245,13 +222,12 @@ func (g *Graph) Reachable(roots []*Node) map[*Node]*Node {
 
 // ReachesAny returns, for every node in the graph, the first node of the
 // target set reachable from it by callee edges (or itself if it is a
-// target), and the next hop toward that target. It is the reverse
-// reachability detcheck uses: "does this function's execution reach an
-// output sink". Determinism comes from breadth-first traversal of sorted
-// caller lists seeded with the targets in the given order.
-func (g *Graph) ReachesAny(targets []*Node) (target, next map[*Node]*Node) {
-	target = make(map[*Node]*Node)
-	next = make(map[*Node]*Node)
+// target). It is the reverse reachability detcheck uses: "does this
+// function's execution reach an output sink". Determinism comes from
+// breadth-first traversal of sorted caller lists seeded with the targets
+// in the given order.
+func (g *Graph) ReachesAny(targets []*Node) map[*Node]*Node {
+	target := make(map[*Node]*Node)
 	var queue []*Node
 	for _, t := range targets {
 		if t == nil || target[t] != nil {
@@ -268,9 +244,8 @@ func (g *Graph) ReachesAny(targets []*Node) (target, next map[*Node]*Node) {
 				continue
 			}
 			target[c] = target[n]
-			next[c] = n
 			queue = append(queue, c)
 		}
 	}
-	return target, next
+	return target
 }

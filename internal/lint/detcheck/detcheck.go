@@ -9,8 +9,8 @@
 //     an output sink — directly (fmt.Fprintf, (*json.Encoder).Encode,
 //     io.WriteString, os.Stdout/os.Stderr methods) or transitively through
 //     any module function that reaches one (computed over the module call
-//     graph from cross-package Facts). Collecting keys for sorting makes
-//     no calls, so the sorted-iteration idiom passes untouched.
+//     graph). Collecting keys for sorting makes no calls, so the
+//     sorted-iteration idiom passes untouched.
 //   - Value nondeterminism: a value obtained from time.Now/Since/Until or
 //     from math/rand's global generator that flows (intra-function, via
 //     direct use or a local variable) into an argument of a sink or
@@ -36,16 +36,8 @@ var Analyzer = &analysis.Analyzer{
 		"that reach output sinks, interprocedurally via the module call graph; sort before " +
 		"emitting, derive values deterministically, or suppress with //lint:allow detcheck " +
 		"where nondeterministic output is the point",
-	FactPass: factPass,
-	Run:      run,
+	Run: run,
 }
-
-// emitsFact marks a function that directly calls a primitive output sink.
-type emitsFact struct {
-	Via string // e.g. "fmt.Fprintf"
-}
-
-func (*emitsFact) AFact() {}
 
 // fmtSinks are the fmt functions that write to a stream.
 var fmtSinks = map[string]bool{
@@ -115,37 +107,6 @@ func sourceName(info *types.Info, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-// factPass records which functions directly write to a primitive sink.
-func factPass(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				if via, ok := sinkName(pass.TypesInfo, call); ok {
-					pass.ExportObjectFact(obj, &emitsFact{Via: via})
-					return false
-				}
-				return true
-			})
-		}
-	}
-	return nil
-}
-
 // reach holds the memoized sink-reachability view of the call graph.
 type reach struct {
 	// via maps every function that reaches a sink to the primitive sink
@@ -153,36 +114,32 @@ type reach struct {
 	via map[*types.Func]string
 }
 
+// buildReach finds the declared functions that call a primitive sink
+// directly (the last such call in the body names the sink) and extends
+// them to every function that reaches one through the call graph.
 func buildReach(pass *analysis.Pass) *reach {
 	return pass.Module.Memo("detcheck.reach", func() any {
-		r := &reach{via: make(map[*types.Func]string)}
-		g := pass.Module.Graph
-		if g == nil {
-			// No module graph (single-package driver): only direct facts.
-			for _, of := range pass.AllObjectFacts(&emitsFact{}) {
-				if fn, ok := of.Object.(*types.Func); ok {
-					r.via[fn] = of.Fact.(*emitsFact).Via
-				}
-			}
-			return r
-		}
 		var targets []*callgraph.Node
-		byNode := make(map[*callgraph.Node]string)
-		for _, of := range pass.AllObjectFacts(&emitsFact{}) {
-			fn, ok := of.Object.(*types.Func)
-			if !ok {
-				continue
-			}
-			if n := g.Node(fn); n != nil {
+		direct := make(map[*callgraph.Node]string)
+		for _, n := range pass.Module.Graph.Declared() {
+			ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
+				call, ok := node.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if via, ok := sinkName(n.Info, call); ok {
+					direct[n] = via
+					return false
+				}
+				return true
+			})
+			if _, ok := direct[n]; ok {
 				targets = append(targets, n)
-				byNode[n] = of.Fact.(*emitsFact).Via
-			} else {
-				r.via[fn] = of.Fact.(*emitsFact).Via
 			}
 		}
-		target, _ := g.ReachesAny(targets)
-		for n, t := range target {
-			r.via[n.Func] = byNode[t]
+		r := &reach{via: make(map[*types.Func]string)}
+		for n, t := range pass.Module.Graph.ReachesAny(targets) {
+			r.via[n.Func] = direct[t]
 		}
 		return r
 	}).(*reach)

@@ -29,3 +29,13 @@ func badSwitch(x float64) int {
 	}
 	return 0
 }
+
+// staleAllow orders rather than compares for equality, so its
+// suppression covers no finding and is reported in its place. The
+// tolconst suppression is not checked: tolconst is not in this run.
+func staleAllow(a, b float64) bool {
+	if a < b { //lint:allow floatcmp: nothing to suppress here // want "//lint:allow floatcmp suppresses no floatcmp finding here; remove it"
+		return true
+	}
+	return a > 1e-9 //lint:allow tolconst: another analyzer's suppression
+}

@@ -51,14 +51,8 @@ var Analyzer = &analysis.Analyzer{
 		"append without preallocation, escaping interface boxing) in functions reachable " +
 		"from a //sdem:hotpath directive; reuse scratch buffers, preallocate, or suppress " +
 		"with //lint:allow hotalloc where the allocation is deliberate",
-	FactPass: factPass,
-	Run:      run,
+	Run: run,
 }
-
-// hotRootFact marks a function carrying the //sdem:hotpath directive.
-type hotRootFact struct{}
-
-func (*hotRootFact) AFact() {}
 
 // hasDirective reports whether the doc comment carries //sdem:hotpath.
 func hasDirective(doc *ast.CommentGroup) bool {
@@ -73,53 +67,25 @@ func hasDirective(doc *ast.CommentGroup) bool {
 	return false
 }
 
-// factPass exports a hot-root fact for every directive-marked function.
-func factPass(pass *analysis.Pass) error {
-	for _, f := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, f.Pos()) {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !hasDirective(fd.Doc) {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				pass.ExportObjectFact(obj, &hotRootFact{})
-			}
-		}
-	}
-	return nil
-}
-
 // hotSet maps every hot function to the name of the root that makes it hot.
 type hotSet struct {
 	rootOf map[*types.Func]string
 }
 
+// buildHotSet takes the declared directive-marked functions as roots, in
+// package-path-then-position order, and attributes every function they
+// reach to the first root whose breadth-first walk gets there.
 func buildHotSet(pass *analysis.Pass) *hotSet {
 	return pass.Module.Memo("hotalloc.hot", func() any {
-		h := &hotSet{rootOf: make(map[*types.Func]string)}
-		g := pass.Module.Graph
 		var roots []*callgraph.Node
-		for _, of := range pass.AllObjectFacts(&hotRootFact{}) {
-			fn, ok := of.Object.(*types.Func)
-			if !ok {
-				continue
-			}
-			h.rootOf[fn] = fn.Name()
-			if g != nil {
-				if n := g.Node(fn); n != nil {
-					roots = append(roots, n)
-				}
+		for _, n := range pass.Module.Graph.Declared() {
+			if hasDirective(n.Decl.Doc) {
+				roots = append(roots, n)
 			}
 		}
-		if g != nil {
-			for n, root := range g.Reachable(roots) {
-				if _, ok := h.rootOf[n.Func]; !ok {
-					h.rootOf[n.Func] = root.Func.Name()
-				}
-			}
+		h := &hotSet{rootOf: make(map[*types.Func]string)}
+		for n, root := range pass.Module.Graph.Reachable(roots) {
+			h.rootOf[n.Func] = root.Func.Name()
 		}
 		return h
 	}).(*hotSet)
@@ -140,9 +106,6 @@ func escapeReport(pass *analysis.Pass) *escape.Report {
 }
 
 func run(pass *analysis.Pass) error {
-	if pass.Module == nil {
-		return nil // interprocedural analyzer: requires the module driver
-	}
 	hot := buildHotSet(pass)
 
 	for _, f := range pass.Files {

@@ -4,6 +4,7 @@ package hotalloc
 import (
 	"container/heap"
 	"fmt"
+	"hotaux"
 	"sort"
 )
 
@@ -146,4 +147,12 @@ func SortHot(keys []string, s *sorter) {
 	sort.Stable(&local)        // want "&local passed as an interface argument to Stable moves local to the heap"
 	sort.Sort((*byLen)(&keys)) // want "&keys passed as an interface argument to Sort moves keys to the heap"
 	sort.Stable(&s.keys)       // retained field: clean
+}
+
+// CrossHot makes helpers in package hotaux hot.
+//
+//sdem:hotpath
+func CrossHot(v int) string {
+	hotaux.Shared(v)
+	return hotaux.Label(v)
 }

@@ -1,8 +1,7 @@
 // Package lint wires the sdemlint analyzers to the package loader: it
-// loads the requested packages, builds the module-wide call graph, runs
-// every analyzer's fact pass and then its reporting pass in deterministic
-// dependency order, and collects the surviving (non-suppressed)
-// diagnostics in a stable order.
+// loads the requested packages, runs the analyzers over them through
+// analysis.Run (which builds the module call graph), and sorts the
+// surviving (non-suppressed) diagnostics into a stable order.
 package lint
 
 import (
@@ -40,51 +39,18 @@ func Analyzers() []*analysis.Analyzer {
 // Run loads the packages matching patterns under dir and applies the given
 // analyzers, returning all findings sorted by file, line, column, then
 // analyzer name — byte-stable regardless of package walk order.
-//
-// Analyzers with a FactPass run it over every package first (dependencies
-// before dependents), so the reporting Run passes see the complete
-// cross-package fact set and the module call graph via Pass.Module.
 func Run(dir string, patterns []string, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
 	pkgs, err := load.Packages(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	ordered := load.DependencyOrder(pkgs)
-
-	srcs := make([]callgraph.SourcePackage, len(ordered))
-	for i, pkg := range ordered {
+	srcs := make([]callgraph.SourcePackage, len(pkgs))
+	for i, pkg := range pkgs {
 		srcs[i] = callgraph.SourcePackage{Fset: pkg.Fset, Files: pkg.Files, Types: pkg.Types, Info: pkg.Info}
 	}
-	graph := callgraph.Build(srcs)
-
-	newPass := func(a *analysis.Analyzer, pkg *load.Package, m *analysis.Module) *analysis.Pass {
-		return &analysis.Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			Module:    m,
-		}
-	}
-
-	var diags []analysis.Diagnostic
-	for _, a := range analyzers {
-		module := analysis.NewModule(dir, graph)
-		if a.FactPass != nil {
-			for _, pkg := range ordered {
-				if err := a.FactPass(newPass(a, pkg, module)); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for _, pkg := range ordered {
-			pass := newPass(a, pkg, module)
-			if err := a.Run(pass); err != nil {
-				return nil, err
-			}
-			diags = append(diags, pass.Diagnostics()...)
-		}
+	diags, err := analysis.Run(dir, srcs, srcs, analyzers)
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

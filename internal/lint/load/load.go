@@ -24,10 +24,6 @@ import (
 type Package struct {
 	PkgPath string
 	Dir     string
-	// Imports lists the package's direct imports (module and stdlib),
-	// as reported by go list; DependencyOrder uses it to drive analyzers
-	// dependencies-first.
-	Imports []string
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Types   *types.Package
@@ -40,7 +36,6 @@ type listedPkg struct {
 	Dir        string
 	Name       string
 	GoFiles    []string
-	Imports    []string
 	Standard   bool
 	DepOnly    bool
 }
@@ -127,7 +122,7 @@ func (l *loader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
 	}
-	p := &Package{PkgPath: path, Dir: m.Dir, Imports: m.Imports, Fset: l.fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{PkgPath: path, Dir: m.Dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
 	l.checked[path] = p
 	return p, nil
 }
@@ -165,40 +160,4 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].PkgPath < out[j].PkgPath })
 	return out, nil
-}
-
-// DependencyOrder returns the packages reordered so that every package
-// appears after all of its dependencies that are also in the slice —
-// the order the multi-pass analyzer driver visits packages in, so Facts
-// exported while analyzing a dependency are available to its dependents.
-// Ties (independent packages) keep the input's lexicographic-by-path
-// order, making the result deterministic for a fixed package set.
-func DependencyOrder(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.PkgPath] = p
-	}
-	var out []*Package
-	state := make(map[string]int, len(pkgs)) // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		switch state[p.PkgPath] {
-		case 2:
-			return
-		case 1:
-			return // cycle: the type checker already rejected real ones
-		}
-		state[p.PkgPath] = 1
-		for _, imp := range p.Imports {
-			if dep, ok := byPath[imp]; ok {
-				visit(dep)
-			}
-		}
-		state[p.PkgPath] = 2
-		out = append(out, p)
-	}
-	for _, p := range pkgs {
-		visit(p)
-	}
-	return out
 }

@@ -51,35 +51,4 @@ func TestStdlibFallback(t *testing.T) {
 	if p.Types == nil || p.Info == nil || len(p.Files) == 0 {
 		t.Fatal("package not fully type-checked")
 	}
-	if len(p.Imports) == 0 {
-		t.Error("go list imports should be recorded for dependency ordering")
-	}
-}
-
-func TestDependencyOrder(t *testing.T) {
-	mk := func(path string, imports ...string) *Package {
-		return &Package{PkgPath: path, Imports: imports}
-	}
-	// c imports b imports a; d is independent. Input is lexicographic, the
-	// order lint.Run receives from Packages.
-	a, b, c, d := mk("m/a"), mk("m/b", "m/a"), mk("m/c", "m/b", "fmt"), mk("m/d")
-	got := DependencyOrder([]*Package{a, b, c, d})
-	idx := make(map[string]int)
-	for i, p := range got {
-		idx[p.PkgPath] = i
-	}
-	if !(idx["m/a"] < idx["m/b"] && idx["m/b"] < idx["m/c"]) {
-		t.Errorf("dependencies must precede dependents: %v", idx)
-	}
-	if len(got) != 4 {
-		t.Fatalf("got %d packages, want 4", len(got))
-	}
-
-	// Same set, same order out — byte-stable across runs.
-	again := DependencyOrder([]*Package{a, b, c, d})
-	for i := range got {
-		if got[i].PkgPath != again[i].PkgPath {
-			t.Fatalf("order not deterministic at %d: %s vs %s", i, got[i].PkgPath, again[i].PkgPath)
-		}
-	}
 }

@@ -70,12 +70,7 @@ func (rt *Runtime) Schedule(tasks task.Set, sys power.System, opts Options) (*si
 	}
 	st.SetTelemetry(opts.Telemetry, engineLabel(opts.PlanAlphaZero))
 	rt.set = setSource{tasks: st.Tasks()}
-	_, err = rt.drive(&rt.set, st, StreamOptions{
-		NoProcrastinate: opts.NoProcrastinate,
-		PlanAlphaZero:   opts.PlanAlphaZero,
-		Telemetry:       opts.Telemetry,
-		Ctx:             opts.Ctx,
-	})
+	_, err = rt.drive(&rt.set, st, StreamOptions{}, opts)
 	rt.set = setSource{}
 	if err != nil {
 		return nil, err
@@ -109,7 +104,6 @@ func (rt *Runtime) reset(cores int) []float64 {
 	rt.plans = rt.plans[:0]
 	rt.memoOK = false
 	if cap(rt.busyUntil) < cores {
-		//lint:allow hotalloc: the per-core backing grows to the high-water core count once per Runtime
 		rt.busyUntil = make([]float64, cores)
 	}
 	busy := rt.busyUntil[:cores]
@@ -127,16 +121,14 @@ func (rt *Runtime) insertActive(j *sim.Job) {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		a := rt.active[mid]
-		//lint:allow floatcmp: order tie-breaking must be exact to keep the comparator transitive
 		if a.Task.Deadline < j.Task.Deadline ||
-			//lint:allow floatcmp: see above
+			//lint:allow floatcmp: order tie-breaking must be exact to keep the comparator transitive
 			(a.Task.Deadline == j.Task.Deadline && a.Task.ID < j.Task.ID) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	//lint:allow hotalloc: appends into the reused active backing; it grows only to the run's high-water active count
 	rt.active = append(rt.active, nil)
 	copy(rt.active[lo+1:], rt.active[lo:])
 	rt.active[lo] = j
@@ -234,11 +226,9 @@ func (rt *Runtime) split(now float64, sys power.System, tel *telemetry.Recorder)
 		if window <= 0 || (sys.Core.SpeedMax > 0 && j.Remaining/window > sys.Core.SpeedMax) {
 			// Already beyond salvation at a stretched speed: race
 			// immediately; the executor records the miss if it is one.
-			//lint:allow hotalloc: appends into the reused urgent backing; it grows only to the run's high-water urgent count
 			rt.urgent = append(rt.urgent, j)
 			continue
 		}
-		//lint:allow hotalloc: appends into the reused virtual/vjobs backings
 		rt.virtual = append(rt.virtual, task.Task{
 			ID:       j.Task.ID,
 			Release:  now,
@@ -365,9 +355,7 @@ func (rt *Runtime) planEnds(now float64, planSys power.System, tel *telemetry.Re
 		rt.memoOK = false
 		return nil, fmt.Errorf("online: planning at t=%g: %w", now, err)
 	}
-	//lint:allow hotalloc: appends into the reused memo backings
 	rt.memoKey = append(rt.memoKey[:0], key...)
-	//lint:allow hotalloc: appends into the reused memo backings
 	rt.memoEnds = append(rt.memoEnds[:0], ends...)
 	rt.memoOK = true
 	return rt.memoEnds, nil

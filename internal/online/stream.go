@@ -28,10 +28,6 @@ type StreamOptions struct {
 	// Faults, when non-nil, perturbs each arriving job (workload
 	// overruns, late releases) and classifies the resulting misses.
 	Faults *faults.Streamer
-	// NoProcrastinate and PlanAlphaZero select the engine variants of
-	// Options.
-	NoProcrastinate bool
-	PlanAlphaZero   bool
 	// Telemetry, when non-nil, records the same sdem.solver.online.* and
 	// sdem.sim.* series as the batch engine, plus
 	// sdem.solver.online.stream_virtual_s (a gauge of progress a live
@@ -70,7 +66,6 @@ func (h arrivalHeap) less(i, j int) bool {
 
 // push inserts t and restores the heap invariant (sift-up).
 func (h *arrivalHeap) push(t task.Task) {
-	//lint:allow hotalloc: appends into the reused heap backing; it grows to the high-water overlap size once
 	*h = append(*h, t)
 	s := *h
 	for i := len(s) - 1; i > 0; {
@@ -129,7 +124,7 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 	if err != nil {
 		return nil, err
 	}
-	st.SetTelemetry(opts.Telemetry, engineLabel(opts.PlanAlphaZero))
+	st.SetTelemetry(opts.Telemetry, engineLabel(false))
 	// A miss is explained when the job itself was perturbed (replayed
 	// from its deterministic fault draw) or when the executor squeezed it
 	// behind a full machine — a queueing consequence of overload bursts
@@ -151,7 +146,7 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 			opts.Series.Observe("sdem.stream.response_s", resp)
 		})
 	}
-	end, err := rt.drive(src, st, opts)
+	end, err := rt.drive(src, st, opts, Options{Telemetry: opts.Telemetry, Ctx: opts.Ctx})
 	if err != nil {
 		return nil, err
 	}
@@ -161,18 +156,15 @@ func (rt *Runtime) RunStream(src workload.Source, sys power.System, opts StreamO
 // drive is the one SDEM-ON arrival loop. Every distinct release is a
 // planning instant: the arrivals released by then (up to schedule.Tol)
 // are admitted — perturbed by opts.Faults first — the active set is
-// re-planned, and the plan executes until the next instant. An arrival
-// within Tol after the instant is admitted with it, but its own release
-// still gets an instant of its own. opts.Cores is ignored: the executor
-// knows its cores. drive returns the end of the run's horizon, the latest
-// admitted deadline or execution end.
-func (rt *Runtime) drive(src workload.Source, st *sim.Stream, opts StreamOptions) (float64, error) {
+// re-planned with stepOpts, and the plan executes until the next instant.
+// An arrival within Tol after the instant is admitted with it, but its
+// own release still gets an instant of its own. opts supplies the
+// stream's limits, faults and series; its Cores, Telemetry and Ctx are
+// ignored: the executor knows its cores, and stepOpts carries the
+// recorder and the context. drive returns the end of the run's horizon,
+// the latest admitted deadline or execution end.
+func (rt *Runtime) drive(src workload.Source, st *sim.Stream, opts StreamOptions, stepOpts Options) (float64, error) {
 	busy := rt.reset(st.Cores())
-	stepOpts := Options{
-		NoProcrastinate: opts.NoProcrastinate,
-		PlanAlphaZero:   opts.PlanAlphaZero,
-		Telemetry:       opts.Telemetry,
-	}
 	// Windowed energy-per-job observations accumulate between batch
 	// seals: the sketch sees the mean energy of each batch's newly
 	// completed jobs.
@@ -210,8 +202,8 @@ func (rt *Runtime) drive(src workload.Source, st *sim.Stream, opts StreamOptions
 
 	pull()
 	for {
-		if opts.Ctx != nil {
-			if err := opts.Ctx.Err(); err != nil {
+		if stepOpts.Ctx != nil {
+			if err := stepOpts.Ctx.Err(); err != nil {
 				return 0, fmt.Errorf("online: cancelled at arrival %d: %w", arrival, err)
 			}
 		}
@@ -266,7 +258,6 @@ func (rt *Runtime) drive(src workload.Source, st *sim.Stream, opts StreamOptions
 				maxDL = t.Deadline
 			}
 			if t.Release > now && (len(rt.early) == 0 || t.Release > rt.early[len(rt.early)-1]) {
-				//lint:allow hotalloc: appends into the reused early backing; it stays empty unless releases fall within Tol of each other
 				rt.early = append(rt.early, t.Release)
 			}
 			if !j.Done {

@@ -102,7 +102,6 @@ func (m *Meter) Add(core int, seg Segment) error {
 	if seg.End > m.end {
 		m.end = seg.End
 	}
-	//lint:allow hotalloc: appends into the reused pending backing; it grows to the high-water batch size once
 	m.pending = append(m.pending, Interval{seg.Start, seg.End})
 	return nil
 }

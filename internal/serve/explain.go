@@ -102,8 +102,8 @@ type Explanation struct {
 }
 
 // speedTol classifies a segment speed as race / crawl when it sits
-// within this relative tolerance of s_up / s_m.
-const speedTol = 1e-9 //lint:allow tolconst: classification tolerance matching schedule.Tol
+// within this relative tolerance of s_up / s_m; it matches schedule.Tol.
+const speedTol = 1e-9
 
 // provenance is what a computed response keeps of its schedule's
 // decision provenance: the summary the span notes read, and what explain

@@ -255,7 +255,6 @@ func (s *Stream) Admit(t task.Task) (*Job, error) {
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	default:
-		//lint:allow hotalloc: jobs are recycled; allocation happens only while the active set grows to its high-water size
 		j = &Job{}
 	}
 	*j = Job{Task: t, Remaining: t.Workload, Core: -1, Done: numeric.IsZero(t.Workload, 0)}

@@ -70,7 +70,6 @@ type Set []Task
 
 // Validate checks every task and that IDs are unique.
 func (s Set) Validate() error {
-	//lint:allow hotalloc: one size-hinted map per validation, which runs once per solve entry, not per evaluation
 	seen := make(map[int]bool, len(s))
 	for _, t := range s {
 		if err := t.Validate(); err != nil {
