@@ -89,7 +89,9 @@ type solver struct {
 	fullPrefix []float64
 	// dynSlope is β·(λ−1), the coefficient of the closed-form slope.
 	dynSlope float64
-	tel      *telemetry.Recorder
+	// sm is the core's unclamped critical speed s_m, derived once.
+	sm  float64
+	tel *telemetry.Recorder
 	// ctx, when non-nil, is polled at DP row boundaries and at the start
 	// of every block solve so a caller's deadline budget can abandon an
 	// expensive solve cooperatively.
@@ -135,6 +137,7 @@ func newSolver(tasks task.Set, sys power.System, m power.Model) (*solver, error)
 	}
 	core := s.sys.Core
 	s.dynSlope = core.Beta * (core.Lambda - 1)
+	s.sm = core.CriticalSpeedRaw()
 	s.static = make([]float64, len(s.tasks))
 	s.minAvail = make([]float64, len(s.tasks))
 	s.fullPrefix = make([]float64, len(s.tasks)+1)
@@ -142,8 +145,8 @@ func newSolver(tasks task.Set, sys power.System, m power.Model) (*solver, error)
 	for k, t := range s.tasks {
 		s.static[k] = core.Static
 		if m == power.ModelOverhead {
-			sc := core.ConstrainedCriticalSpeed(t.FilledSpeed(), t.Workload, horizon)
-			s0 := core.CriticalSpeed(t.FilledSpeed())
+			sc := core.ConstrainedCriticalSpeed(s.sm, t.FilledSpeed(), t.Workload, horizon)
+			s0 := core.ClampSpeed(s.sm, t.FilledSpeed())
 			// ConstrainedCriticalSpeed returns the filled speed when the
 			// idle tail left by racing is below the core break-even.
 			if sc < s0-(relTol/1000)*s0 {
@@ -184,7 +187,7 @@ func (s *solver) coreEnergy(k int, avail float64) (float64, float64) {
 	// only the dynamic term matters and stretching is optimal.
 	speed := filled
 	if s.static[k] > 0 {
-		speed = s.sys.Core.CriticalSpeed(filled)
+		speed = s.sys.Core.ClampSpeed(s.sm, filled)
 	}
 	exec := w / speed
 	e := s.sys.Core.Dynamic(speed)*exec + s.static[k]*exec

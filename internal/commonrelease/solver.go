@@ -1,6 +1,8 @@
 package commonrelease
 
 import (
+	"math"
+
 	"sdem/internal/power"
 	"sdem/internal/schedule"
 	"sdem/internal/task"
@@ -72,18 +74,23 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 	return ends, nil
 }
 
-// NaturalCompletion returns the completion time, relative to release,
-// that Solve's normalization assigns the task when it runs at its
-// natural speed under sys: the same bits as the corresponding in.c entry
-// of normalizeInto, which derives it through the same naturalSpeed.
-// horizon is the §7 maximal interval max_j (d_j − r_j) of the instance
-// the task belongs to (only read in overhead mode on a leaky core).
+// MaxNaturalCompletion returns the largest completion time, relative to
+// the common release, that Solve's normalization assigns any task of the
+// set when it runs at its natural speed under sys: the same bits as the
+// largest in.c entry of normalizeInto, which derives each through the
+// same naturalSpeed with the same §7 horizon max_j (d_j − r_j). The
+// system model and s_m are derived once for the whole set.
 //
 // Every scheme picks a busy length L ≤ max_j c_j and every planned
-// completion is ≤ max(c_j, L), so release + max_j NaturalCompletion
-// bounds all planned execution — the online engine uses this to certify
-// that a planning step cannot schedule work past a point without
-// running the solve.
-func NaturalCompletion(t task.Task, sys power.System, horizon float64) float64 {
-	return t.Workload / naturalSpeed(t, sys, sys.Model(), horizon)
+// completion is ≤ max(c_j, L), so release + MaxNaturalCompletion bounds
+// all planned execution — the online engine uses this to certify that a
+// planning step cannot schedule work past a point without running the
+// solve.
+func MaxNaturalCompletion(tasks task.Set, sys power.System) float64 {
+	m, horizon, sm := sys.Model(), overheadHorizon(tasks), sys.Core.CriticalSpeedRaw()
+	var cmax float64
+	for _, t := range tasks {
+		cmax = math.Max(cmax, t.Workload/naturalSpeed(t, sys, m, horizon, sm))
+	}
+	return cmax
 }

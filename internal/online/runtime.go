@@ -303,14 +303,7 @@ func (rt *Runtime) certifySleep(now, next float64, sys, planSys power.System) bo
 	if math.IsInf(next, 1) || len(rt.virtual) == 0 {
 		return false
 	}
-	var horizon float64
-	for _, vt := range rt.virtual {
-		horizon = math.Max(horizon, vt.Deadline-vt.Release)
-	}
-	var cmax float64
-	for _, vt := range rt.virtual {
-		cmax = math.Max(cmax, commonrelease.NaturalCompletion(vt, planSys, horizon))
-	}
+	cmax := commonrelease.MaxNaturalCompletion(rt.virtual, planSys)
 	bound := (now + cmax) - now // ≥ any solved plan's p
 	for _, vt := range rt.virtual {
 		if vt.Deadline-bound < next {

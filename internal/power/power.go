@@ -236,14 +236,16 @@ func (c Core) MemoryCriticalSpeed(mem Memory, filled float64) float64 {
 // for a task with filled speed filled and workload w inside a maximal
 // interval of length horizon: s_c equals the ordinary critical speed when
 // running at it leaves an idle tail of at least the core break-even time ξ
-// (so the core can actually sleep), and the filled speed otherwise.
-func (c Core) ConstrainedCriticalSpeed(filled, w, horizon float64) float64 {
-	s := c.CriticalSpeedRaw()
+// (so the core can actually sleep), and the filled speed otherwise. sm is
+// the core's CriticalSpeedRaw, a constant of the core that callers
+// pricing many tasks derive once.
+func (c Core) ConstrainedCriticalSpeed(sm, filled, w, horizon float64) float64 {
+	s := sm
 	if c.SpeedMax > 0 && s > c.SpeedMax {
 		s = c.SpeedMax
 	}
 	if s > 0 && horizon-w/s >= c.BreakEven {
-		return c.ClampSpeed(c.CriticalSpeedRaw(), filled)
+		return c.ClampSpeed(sm, filled)
 	}
 	return c.ClampSpeed(filled, filled)
 }

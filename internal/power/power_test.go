@@ -121,14 +121,14 @@ func TestConstrainedCriticalSpeed(t *testing.T) {
 	filled := w / Milliseconds(100)
 
 	// Long horizon: plenty of tail to sleep in, so s_c = s_0.
-	if got := c.ConstrainedCriticalSpeed(filled, w, Milliseconds(100)); !almostEqual(got, sm, 1e-12) {
+	if got := c.ConstrainedCriticalSpeed(sm, filled, w, Milliseconds(100)); !almostEqual(got, sm, 1e-12) {
 		t.Errorf("long horizon: s_c = %g, want s_m %g", got, sm)
 	}
 	// Horizon barely longer than the execution: the idle tail is shorter
 	// than ξ, so the task should stretch to its filled speed.
 	tight := w/sm + Milliseconds(5)
 	filledTight := w / tight
-	if got := c.ConstrainedCriticalSpeed(filledTight, w, tight); !almostEqual(got, filledTight, 1e-12) {
+	if got := c.ConstrainedCriticalSpeed(sm, filledTight, w, tight); !almostEqual(got, filledTight, 1e-12) {
 		t.Errorf("tight horizon: s_c = %g, want filled %g", got, filledTight)
 	}
 }
