@@ -19,7 +19,8 @@ import (
 // closed-form stationary point of Eq. (8). Without break-even times the
 // pieces are exactly the cases of Theorems 2 and 3, so §4 prices each
 // piece at its clamped stationary point (caseScan), while §7 uses the
-// same point as a lower bound that decides which pieces to search
+// same point as a lower bound that decides which pieces to price, and
+// as the first of the few candidates each priced piece is evaluated at
 // (overheadScan).
 
 // prepTables fills the tables capFor, piece and energyClosed read, each
