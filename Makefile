@@ -27,14 +27,16 @@ lint:
 	$(GO) run ./cmd/sdemlint ./...
 
 # fuzz is a short smoke run of each fuzz target: the resilient runtime,
-# the pruned §7 overhead scan against its unpruned oracle, sdemd's
-# single-pass request decoder against encoding/json, and the offline
-# solver dispatch (a typed error or a valid, audited schedule at or above
-# the lower bound). CI runs it on every push, longer campaigns are manual
-# (-fuzztime 10m etc.).
+# the pruned §7 overhead scan against pricing every piece and against
+# the golden-section oracle, the SDEM-ON engine against its full-rescan
+# oracle, sdemd's single-pass request decoder against encoding/json, and
+# the offline solver dispatch (a typed error or a valid, audited schedule
+# at or above the lower bound). CI runs it on every push, longer
+# campaigns are manual (-fuzztime 10m etc.).
 fuzz:
 	$(GO) test ./internal/resilient -run '^$$' -fuzz FuzzExecute -fuzztime 10s
 	$(GO) test ./internal/commonrelease -run '^$$' -fuzz FuzzOverheadScan -fuzztime 10s
+	$(GO) test ./internal/online -run '^$$' -fuzz FuzzScheduleRescan -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolve -fuzztime 10s
 

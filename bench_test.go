@@ -13,6 +13,7 @@
 package sdem
 
 import (
+	"context"
 	"testing"
 
 	"sdem/internal/dsp"
@@ -176,10 +177,24 @@ func BenchmarkSolveCommonRelease(b *testing.B) {
 
 // BenchmarkSolveCommonReleaseOverhead is the same 100 tasks on the
 // default platform with its break-even times left on, so Solve takes
-// the §7 overhead scan.
-func BenchmarkSolveCommonReleaseOverhead(b *testing.B) { benchCommonRelease(b, DefaultSystem()) }
+// the §7 overhead scan. It also reports the scan's work per solve from
+// one recorded run outside the timed loop: objective evaluations
+// (evals/op) and convex pieces priced (pieces/op), counts that do not
+// depend on the host.
+func BenchmarkSolveCommonReleaseOverhead(b *testing.B) {
+	sys := DefaultSystem()
+	tel := NewTelemetry()
+	if _, err := SolveCtx(context.Background(), commonReleaseBenchTasks(b), sys, tel); err != nil {
+		b.Fatal(err)
+	}
+	benchCommonRelease(b, sys)
+	b.ReportMetric(float64(tel.CounterValue("sdem.solver.cr.objective_evals", "")), "evals/op")
+	b.ReportMetric(float64(tel.CounterValue("sdem.solver.cr.pieces", "")), "pieces/op")
+}
 
-func benchCommonRelease(b *testing.B, sys System) {
+// commonReleaseBenchTasks is the 100-task common-release set of the
+// SolveCommonRelease benchmarks.
+func commonReleaseBenchTasks(b *testing.B) TaskSet {
 	tasks, err := SyntheticWorkload(SyntheticConfig{N: 100, MaxInterArrival: 1e-12}, 3)
 	if err != nil {
 		b.Fatal(err)
@@ -188,6 +203,11 @@ func benchCommonRelease(b *testing.B, sys System) {
 		tasks[i].Release = 0
 		tasks[i].Deadline = Milliseconds(10) + tasks[i].Deadline/10
 	}
+	return tasks
+}
+
+func benchCommonRelease(b *testing.B, sys System) {
+	tasks := commonReleaseBenchTasks(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(tasks, sys); err != nil {

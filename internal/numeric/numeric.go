@@ -1,8 +1,10 @@
-// Package numeric provides the small numerical toolbox used by the SDEM
+// Package numeric provides the small numerical toolbox of the SDEM
 // schedulers: one-dimensional convex minimization on an interval
-// (golden-section search), safeguarded Newton root finding, and the
-// clamp and tolerance comparisons. All routines work on plain float64
-// functions and are deterministic.
+// (golden-section search, which the bounded partition scan runs and the
+// closed-form common-release and agreeable solvers keep as their test
+// oracle), safeguarded Newton root finding (the agreeable block solve),
+// and the clamp and tolerance comparisons. All routines work on plain
+// float64 functions and are deterministic.
 package numeric
 
 import (
@@ -40,7 +42,8 @@ func MinimizeConvex(f func(float64) float64, lo, hi, tol float64) (x, fx float64
 	// probe would discard the converged optimum.
 	// The best-so-far tracking is inlined rather than factored into a
 	// closure: a closure over bestX/bestF would force them to the heap on
-	// every call, and this routine is the inner loop of the §7 scan.
+	// every call, and this routine is the inner loop of the partition
+	// scan.
 	bestX, bestF := lo, f(lo)
 	if fe := f(hi); fe < bestF {
 		bestX, bestF = hi, fe

@@ -117,6 +117,44 @@ func TestScheduleMatchesRescan(t *testing.T) {
 	}
 }
 
+// FuzzScheduleRescan extends TestScheduleMatchesRescan past its fixed
+// grid: each 6-byte group of raw is one task (release offset, window and
+// workload, each 16 bits mapped into the ranges of the fig7 sets, the
+// workload capped at the window's s_up capacity), onto the §7 platform
+// (break-even times on) or the §4.2 one (off), with 1–8 cores and
+// procrastination on or off. Schedule and ScheduleRescan must fail with
+// the same error or return identical results.
+func FuzzScheduleRescan(f *testing.F) {
+	f.Add([]byte{0, 0, 40, 0, 90, 0, 0, 10, 80, 0, 200, 0, 1, 0, 20, 0, 30, 0}, true, uint8(8), false)
+	f.Add([]byte{0, 0, 255, 255, 255, 255, 0, 0, 255, 255, 255, 255, 0, 0, 1, 0, 1, 0}, false, uint8(1), false)
+	f.Add([]byte{9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 200, 0, 3, 0, 250, 0, 17, 40, 60, 80, 100, 120}, true, uint8(2), true)
+	f.Fuzz(func(t *testing.T, raw []byte, overhead bool, cores uint8, noProc bool) {
+		sys := power.DefaultSystem()
+		if !overhead {
+			sys.Core.BreakEven, sys.Memory.BreakEven = 0, 0
+		}
+		u16 := func(i int) float64 { return float64(uint16(raw[i])<<8|uint16(raw[i+1])) / 65535 }
+		var tasks task.Set
+		for i := 0; i+6 <= len(raw) && len(tasks) < 40; i += 6 {
+			r := power.Milliseconds(200 * u16(i))
+			d := r + power.Milliseconds(1+119*u16(i+2))
+			w := math.Min(1e5+5e6*u16(i+4), (d-r)*sys.Core.SpeedMax)
+			tasks = append(tasks, task.Task{ID: len(tasks), Release: r, Deadline: d, Workload: w})
+		}
+		opts := Options{Cores: 1 + int(cores%8), NoProcrastinate: noProc}
+		inc, incErr := Schedule(tasks, sys, opts)
+		ref, refErr := ScheduleRescan(tasks, sys, opts)
+		if fmt.Sprint(incErr) != fmt.Sprint(refErr) {
+			t.Fatalf("errors differ: incremental %v, rescan %v", incErr, refErr)
+		}
+		if incErr == nil && !reflect.DeepEqual(inc, ref) {
+			t.Fatalf("incremental result diverges from rescan oracle\nincremental: energy=%x misses=%v segs=%d\nrescan:      energy=%x misses=%v segs=%d",
+				math.Float64bits(inc.Energy), inc.Misses, countSegs(inc),
+				math.Float64bits(ref.Energy), ref.Misses, countSegs(ref))
+		}
+	})
+}
+
 func countSegs(r *sim.Result) int {
 	n := 0
 	for _, c := range r.Schedule.Cores {

@@ -470,11 +470,10 @@ func (x *intervalsByStart) Len() int           { return len(*x) }
 func (x *intervalsByStart) Swap(i, j int)      { (*x)[i], (*x)[j] = (*x)[j], (*x)[i] }
 func (x *intervalsByStart) Less(i, j int) bool { return (*x)[i].Start < (*x)[j].Start }
 
-// Auditor audits schedules through a reusable interval scratch buffer.
-// The golden-section solver of the overhead scheme audits a fresh
-// candidate schedule per objective evaluation — hundreds of times per
-// solve — so the audit must not allocate per call. A zero Auditor is
-// ready to use; it is not safe for concurrent use.
+// Auditor audits schedules through a reusable interval scratch buffer,
+// so a caller that audits many schedules (sdemd's explain path pools
+// them) does not allocate per call. A zero Auditor is ready to use; it
+// is not safe for concurrent use.
 //
 // The package-level Audit and AuditPerCore construct a throwaway Auditor:
 // same results, no reuse.
