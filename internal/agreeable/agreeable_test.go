@@ -120,7 +120,7 @@ func TestSolveAlphaZeroMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomAgreeable(r, 2+r.Intn(5))
-		sol, err := SolveAlphaZero(tasks, sys, nil)
+		sol, err := solve(nil, power.ModelAlphaZero, tasks, sys, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -144,7 +144,7 @@ func TestSolveWithStaticMatchesBruteForce(t *testing.T) {
 	for seed := int64(20); seed < 28; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomAgreeable(r, 2+r.Intn(5))
-		sol, err := SolveWithStatic(tasks, sys, nil)
+		sol, err := solve(nil, power.ModelStatic, tasks, sys, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -197,11 +197,11 @@ func TestAgreeableMatchesCommonReleaseOnSharedInputs(t *testing.T) {
 				Workload: 2e6 + r.Float64()*3e6,
 			}
 		}
-		a, err := SolveWithStatic(tasks, sys, nil)
+		a, err := solve(nil, power.ModelStatic, tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := commonrelease.SolveWithStatic(tasks, sys, nil)
+		b, err := commonrelease.Solve(tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,11 +216,11 @@ func TestStaticReducesToAlphaZero(t *testing.T) {
 	sys.Core.Static = 0
 	r := rand.New(rand.NewSource(77))
 	tasks := randomAgreeable(r, 5)
-	a, err := SolveAlphaZero(tasks, sys, nil)
+	a, err := solve(nil, power.ModelAlphaZero, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveWithStatic(tasks, sys, nil)
+	b, err := solve(nil, power.ModelStatic, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestBlockSplitVsMerge(t *testing.T) {
 		{ID: 3, Release: 0.5, Deadline: 0.5 + power.Milliseconds(30), Workload: 3e6},
 		{ID: 4, Release: 0.5 + power.Milliseconds(5), Deadline: 0.5 + power.Milliseconds(35), Workload: 3e6},
 	}
-	sol, err := SolveWithStatic(tasks, sys, nil)
+	sol, err := solve(nil, power.ModelStatic, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestOverheadBlockMerging(t *testing.T) {
 		{ID: 2, Release: gap + power.Milliseconds(40), Deadline: gap + power.Milliseconds(80), Workload: 3e6},
 	}
 	sysFree := testSystem()
-	free, err := SolveWithStatic(tasks, sysFree, nil)
+	free, err := solve(nil, power.ModelStatic, tasks, sysFree, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestOverheadBlockMerging(t *testing.T) {
 	sysCostly := power.DefaultSystem()
 	sysCostly.Memory.BreakEven = 0.5 // prohibitive: half a second
 	sysCostly.Core.BreakEven = 0
-	costly, err := SolveWithOverhead(tasks, sysCostly, nil)
+	costly, err := solve(nil, power.ModelOverhead, tasks, sysCostly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +291,11 @@ func TestOverheadReducesToStaticWhenFree(t *testing.T) {
 	sys := testSystem()
 	r := rand.New(rand.NewSource(90))
 	tasks := randomAgreeable(r, 5)
-	a, err := SolveWithOverhead(tasks, sys, nil)
+	a, err := solve(nil, power.ModelOverhead, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveWithStatic(tasks, sys, nil)
+	b, err := solve(nil, power.ModelStatic, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,23 +311,23 @@ func TestSolveDispatch(t *testing.T) {
 	sysZ := testSystem()
 	sysZ.Core.Static = 0
 	a, _ := SolveCtx(nil, tasks, sysZ, nil)
-	b, _ := SolveAlphaZero(tasks, sysZ, nil)
+	b, _ := solve(nil, power.ModelAlphaZero, tasks, sysZ, nil)
 	if !almost(a.Energy, b.Energy, 1e-12) {
-		t.Error("Solve should dispatch to SolveAlphaZero")
+		t.Error("Solve should dispatch to the §5.1 scheme")
 	}
 
 	sysS := testSystem()
 	a, _ = SolveCtx(nil, tasks, sysS, nil)
-	c, _ := SolveWithStatic(tasks, sysS, nil)
+	c, _ := solve(nil, power.ModelStatic, tasks, sysS, nil)
 	if !almost(a.Energy, c.Energy, 1e-12) {
-		t.Error("Solve should dispatch to SolveWithStatic")
+		t.Error("Solve should dispatch to the §5.2 scheme")
 	}
 
 	sysO := power.DefaultSystem()
 	a, _ = SolveCtx(nil, tasks, sysO, nil)
-	d, _ := SolveWithOverhead(tasks, sysO, nil)
+	d, _ := solve(nil, power.ModelOverhead, tasks, sysO, nil)
 	if !almost(a.Energy, d.Energy, 1e-12) {
-		t.Error("Solve should dispatch to SolveWithOverhead")
+		t.Error("Solve should dispatch to the §7 scheme")
 	}
 }
 
@@ -338,23 +338,23 @@ func TestErrorsAndEdges(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: 1, Workload: 1e6},
 		{ID: 2, Release: 0.1, Deadline: 0.5, Workload: 1e6},
 	}
-	if _, err := SolveWithStatic(nested, sys, nil); err == nil {
+	if _, err := solve(nil, power.ModelStatic, nested, sys, nil); err == nil {
 		t.Error("non-agreeable set must be rejected")
 	}
 	// Empty set.
-	sol, err := SolveWithStatic(task.Set{}, sys, nil)
+	sol, err := solve(nil, power.ModelStatic, task.Set{}, sys, nil)
 	if err != nil || sol.Energy != 0 || len(sol.Blocks) != 0 {
 		t.Errorf("empty set: %+v, %v", sol, err)
 	}
 	// Zero workloads only.
 	zeros := task.Set{{ID: 1, Release: 0, Deadline: 1, Workload: 0}}
-	sol, err = SolveAlphaZero(zeros, sys, nil)
+	sol, err = solve(nil, power.ModelAlphaZero, zeros, sys, nil)
 	if err != nil || sol.Energy != 0 {
 		t.Errorf("zero workloads: %+v, %v", sol, err)
 	}
 	// Infeasible at s_up.
 	infeasible := task.Set{{ID: 1, Release: 0, Deadline: 1e-9, Workload: 1e9}}
-	if _, err := SolveWithStatic(infeasible, sys, nil); err == nil {
+	if _, err := solve(nil, power.ModelStatic, infeasible, sys, nil); err == nil {
 		t.Error("infeasible set must be rejected")
 	}
 }

@@ -17,7 +17,7 @@ func TestOverheadDPMatchesBruteForce(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomAgreeable(r, 2+r.Intn(4))
-		sol, err := SolveWithOverhead(tasks, sys, nil)
+		sol, err := solve(nil, power.ModelOverhead, tasks, sys, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -50,11 +50,11 @@ func TestOverheadAgreesWithCommonReleaseOnSharedInputs(t *testing.T) {
 				Workload: 2e6 + r.Float64()*3e6,
 			}
 		}
-		a, err := SolveWithOverhead(tasks, sys, nil)
+		a, err := solve(nil, power.ModelOverhead, tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := commonrelease.SolveWithOverhead(tasks, sys, nil)
+		b, err := commonrelease.Solve(tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestFlatBlocksStartEarly(t *testing.T) {
 		}
 		at += power.Milliseconds(300) * (0.75 + 0.5*r.Float64())
 	}
-	sol, err := SolveWithOverhead(tasks, sys, nil)
+	sol, err := solve(nil, power.ModelOverhead, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

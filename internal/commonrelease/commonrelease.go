@@ -58,8 +58,8 @@ var ErrNotCommonRelease = errors.New("commonrelease: tasks do not share a releas
 // tasks dropped, tasks sorted by natural completion.
 //
 // All of its slices are reset-and-reused by normalizeInto, so a retained
-// instance (see Solver) re-solves without allocating; the one-shot Solve*
-// entry points build a fresh instance per call exactly as before.
+// instance (see Solver) re-solves without allocating; the one-shot Solve
+// builds a fresh instance per call.
 type instance struct {
 	sys     power.System
 	release float64     // original common release time
@@ -306,29 +306,29 @@ func countNonzero(tel *telemetry.Recorder, name string, n int64) {
 	}
 }
 
-// SolveAlphaZero solves §4.1: common release time, negligible core static
-// power (the solver ignores sys.Core.Static), zero transition overhead.
-// The returned schedule is optimal (Theorem 2). A nil tel is the
-// uninstrumented path.
-func SolveAlphaZero(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	return solve(power.ModelAlphaZero, tasks, sys, tel)
-}
-
-// SolveWithStatic solves §4.2: common release time, non-negligible core
-// static power, zero transition overhead. Tasks not aligned to the memory
-// busy interval run at their critical speed s_0; the returned schedule is
-// optimal (Theorem 3). A non-nil tel also counts the tasks whose critical
-// speed s_0 was raised to the filled-speed floor
-// (sdem.solver.cr.critical_clamps).
-func SolveWithStatic(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	return solve(power.ModelStatic, tasks, sys, tel)
-}
-
-// Solve dispatches on the system model of Table 1 (power.System.Model):
-// SolveWithOverhead when any break-even time is set, otherwise
-// SolveWithStatic for α ≠ 0 and SolveAlphaZero for α = 0. SDEM-ON
-// re-plans through here on every arrival, making this the module's
-// hottest solver entry point. A nil tel is the uninstrumented path.
+// Solve computes the optimal common-release schedule with the scheme of
+// the system model of Table 1 (power.System.Model):
+//
+//   - §4.1, α = 0 with zero transition overhead: the solver ignores
+//     sys.Core.Static, and the schedule is optimal (Theorem 2).
+//   - §4.2, α ≠ 0 with zero transition overhead: tasks not aligned to
+//     the memory busy interval run at their critical speed s_0, and the
+//     schedule is optimal (Theorem 3). A non-nil tel also counts the
+//     tasks whose s_0 was raised to the filled-speed floor
+//     (sdem.solver.cr.critical_clamps).
+//   - §7, any break-even time set (ξ ≠ 0 and/or ξ_m ≠ 0): tasks not
+//     aligned to the memory busy interval run at the constrained
+//     critical speed s_c of §7, aligned tasks finish together at busy
+//     length L, and overheadScan minimizes the audited energy over L.
+//     That scan subsumes every row of the paper's Table 3: the
+//     candidates Δ = Δ_mi, Δ = ξ and Δ = 0 are all piece boundaries or
+//     interior minima of some piece. A non-nil tel counts the objective
+//     evaluations (sdem.solver.cr.objective_evals) and the convex pieces
+//     priced (sdem.solver.cr.pieces).
+//
+// SDEM-ON re-plans through here on every arrival, making this the
+// module's hottest solver entry point. A nil tel is the uninstrumented
+// path.
 //
 //sdem:hotpath
 func Solve(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
@@ -360,7 +360,7 @@ func solve(m power.Model, tasks task.Set, sys power.System, tel *telemetry.Recor
 // plan normalizes tasks for the scheme of system model m and picks the
 // optimal busy length L with its 1-based case index. With no
 // positive-workload task it returns L = 0 and the caller takes the empty
-// solution. The one-shot solvers and Solver.PlanEndsRel share it, so the
+// solution. The one-shot Solve and Solver.PlanEndsRel share it, so the
 // two can never diverge.
 func (in *instance) plan(m power.Model, tasks task.Set, sys power.System, tel *telemetry.Recorder) (L float64, caseIdx int, err error) {
 	if err := in.normalizeInto(tasks, sys, m, tel); err != nil {

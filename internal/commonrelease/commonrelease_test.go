@@ -97,7 +97,7 @@ func sweepBest(t *testing.T, tasks task.Set, sys power.System, natural func(task
 func TestSolveAlphaZeroSingleTask(t *testing.T) {
 	sys := testSystem()
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: power.Milliseconds(50), Workload: 3e6}}
-	sol, err := SolveAlphaZero(tasks, sys, nil)
+	sol, err := solve(power.ModelAlphaZero, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSolveAlphaZeroMatchesSweep(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomCommonRelease(r, 1+r.Intn(8))
-		sol, err := SolveAlphaZero(tasks, sys, nil)
+		sol, err := solve(power.ModelAlphaZero, tasks, sys, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -141,7 +141,7 @@ func TestSolveWithStaticMatchesSweep(t *testing.T) {
 	for seed := int64(100); seed < 112; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomCommonRelease(r, 1+r.Intn(8))
-		sol, err := SolveWithStatic(tasks, sys, nil)
+		sol, err := solve(power.ModelStatic, tasks, sys, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -165,7 +165,7 @@ func TestSolveWithStaticPerturbation(t *testing.T) {
 	sys := testSystem()
 	r := rand.New(rand.NewSource(7))
 	tasks := randomCommonRelease(r, 6)
-	sol, err := SolveWithStatic(tasks, sys, nil)
+	sol, err := solve(power.ModelStatic, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +209,11 @@ func TestSolveWithStaticReducesToAlphaZero(t *testing.T) {
 	for seed := int64(200); seed < 206; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomCommonRelease(r, 1+r.Intn(6))
-		a, err := SolveAlphaZero(tasks, sys, nil)
+		a, err := solve(power.ModelAlphaZero, tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SolveWithStatic(tasks, sys, nil)
+		b, err := solve(power.ModelStatic, tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestScansAgreeWithFullScan(t *testing.T) {
 	for seed := int64(300); seed < 330; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomCommonRelease(r, 2+r.Intn(7))
-		full, err := SolveAlphaZero(tasks, sys, nil)
+		full, err := solve(power.ModelAlphaZero, tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestClosedFormMatchesAudit(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	tasks := randomCommonRelease(r, 5)
 
-	sol, err := SolveAlphaZero(tasks, sysZ, nil)
+	sol, err := solve(power.ModelAlphaZero, tasks, sysZ, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestClosedFormMatchesAudit(t *testing.T) {
 		t.Errorf("α=0: closed form %g != audit %g", e, sol.Energy)
 	}
 
-	sol2, err := SolveWithStatic(tasks, sysZ, nil)
+	sol2, err := solve(power.ModelStatic, tasks, sysZ, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestSpeedCapBinds(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: power.Milliseconds(100), Workload: 1.8e8},
 		{ID: 2, Release: 0, Deadline: power.Milliseconds(110), Workload: 5e6},
 	}
-	sol, err := SolveWithStatic(tasks, sys, nil)
+	sol, err := solve(power.ModelStatic, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,13 +326,13 @@ func TestSpeedCapBinds(t *testing.T) {
 func TestEdgeCases(t *testing.T) {
 	sys := testSystem()
 	// Empty set.
-	sol, err := SolveAlphaZero(task.Set{}, sys, nil)
+	sol, err := solve(power.ModelAlphaZero, task.Set{}, sys, nil)
 	if err != nil || sol.Energy != 0 {
 		t.Errorf("empty set: sol=%+v err=%v", sol, err)
 	}
 	// All-zero workloads.
 	zero := task.Set{{ID: 1, Release: 0, Deadline: 1, Workload: 0}}
-	sol, err = SolveWithStatic(zero, sys, nil)
+	sol, err = solve(power.ModelStatic, zero, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,19 +344,19 @@ func TestEdgeCases(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: 1, Workload: 1e6},
 		{ID: 2, Release: 0.5, Deadline: 1, Workload: 1e6},
 	}
-	if _, err := SolveAlphaZero(bad, sys, nil); err == nil {
+	if _, err := solve(power.ModelAlphaZero, bad, sys, nil); err == nil {
 		t.Error("non-common release must be rejected")
 	}
 	// Infeasible at s_up.
 	inf := task.Set{{ID: 1, Release: 0, Deadline: 1e-6, Workload: 1e9}}
-	if _, err := SolveWithStatic(inf, sys, nil); err == nil {
+	if _, err := solve(power.ModelStatic, inf, sys, nil); err == nil {
 		t.Error("infeasible instance must be rejected")
 	}
 	// α_m = 0: every task at filled speed.
 	sysNoMem := sys
 	sysNoMem.Memory.Static = 0
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: power.Milliseconds(100), Workload: 3e6}}
-	sol, err = SolveAlphaZero(tasks, sysNoMem, nil)
+	sol, err = solve(power.ModelAlphaZero, tasks, sysNoMem, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,9 +374,9 @@ func TestSolveDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := SolveAlphaZero(tasks, sysZ, nil)
+	b, _ := solve(power.ModelAlphaZero, tasks, sysZ, nil)
 	if !almost(a.Energy, b.Energy, 1e-12) {
-		t.Error("Solve should dispatch to SolveAlphaZero for α=0")
+		t.Error("Solve should dispatch to the §4.1 scheme for α=0")
 	}
 
 	sysS := testSystem()
@@ -384,9 +384,9 @@ func TestSolveDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := SolveWithStatic(tasks, sysS, nil)
+	c, _ := solve(power.ModelStatic, tasks, sysS, nil)
 	if !almost(a.Energy, c.Energy, 1e-12) {
-		t.Error("Solve should dispatch to SolveWithStatic for α≠0")
+		t.Error("Solve should dispatch to the §4.2 scheme for α≠0")
 	}
 
 	sysO := power.DefaultSystem() // nonzero break-even times
@@ -394,9 +394,9 @@ func TestSolveDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := SolveWithOverhead(tasks, sysO, nil)
+	d, _ := solve(power.ModelOverhead, tasks, sysO, nil)
 	if !almost(a.Energy, d.Energy, 1e-12) {
-		t.Error("Solve should dispatch to SolveWithOverhead for ξ≠0")
+		t.Error("Solve should dispatch to the §7 scheme for ξ≠0")
 	}
 }
 
@@ -409,7 +409,7 @@ func TestCommonDeadlineSpecialCase(t *testing.T) {
 		{ID: 2, Release: 0, Deadline: power.Milliseconds(80), Workload: 3e6},
 		{ID: 3, Release: 0, Deadline: power.Milliseconds(80), Workload: 5e6},
 	}
-	sol, err := SolveWithStatic(tasks, sys, nil)
+	sol, err := solve(power.ModelStatic, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestScansHandleDuplicateDeadlines(t *testing.T) {
 		{ID: 4, Release: 0, Deadline: power.Milliseconds(100), Workload: 2.5e6},
 		{ID: 5, Release: 0, Deadline: power.Milliseconds(100), Workload: 2.5e6},
 	}
-	full, err := SolveAlphaZero(tasks, sys, nil)
+	full, err := solve(power.ModelAlphaZero, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestEqualWorkloadsSymmetry(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = task.Task{ID: i, Release: 0, Deadline: power.Milliseconds(80), Workload: 3e6}
 	}
-	sol, err := SolveWithStatic(tasks, sys, nil)
+	sol, err := solve(power.ModelStatic, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,10 +511,10 @@ func TestScanCounterTotals(t *testing.T) {
 		task.Task{ID: 100, Deadline: power.Milliseconds(3), Workload: 5.5e6},
 		task.Task{ID: 101, Deadline: power.Milliseconds(4), Workload: 7e6})
 	sys := testSystem()
-	if _, err := SolveWithStatic(tasks, sys, tel); err != nil {
+	if _, err := solve(power.ModelStatic, tasks, sys, tel); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveAlphaZero(tasks, sys, tel); err != nil {
+	if _, err := solve(power.ModelAlphaZero, tasks, sys, tel); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := BinarySearchScan(tasks, sys, tel); err != nil {
@@ -536,7 +536,7 @@ counter sdem.solver.cr.tasks{} 52
 
 	tel = telemetry.New()
 	r = rand.New(rand.NewSource(3))
-	if _, err := SolveWithStatic(randomCommonRelease(r, 6), testSystem(), tel); err != nil {
+	if _, err := solve(power.ModelStatic, randomCommonRelease(r, 6), testSystem(), tel); err != nil {
 		t.Fatal(err)
 	}
 	want = `# sdem telemetry metrics v1

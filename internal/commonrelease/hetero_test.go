@@ -98,7 +98,7 @@ func TestSolveHeteroMatchesSweep(t *testing.T) {
 }
 
 func TestSolveHeteroReducesToHomogeneous(t *testing.T) {
-	// Identical core models must reproduce SolveWithStatic exactly.
+	// Identical core models must reproduce the §4.2 scheme exactly.
 	sys := testSystem()
 	for seed := int64(20); seed < 26; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -112,7 +112,7 @@ func TestSolveHeteroReducesToHomogeneous(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hom, err := SolveWithStatic(tasks, sys, nil)
+		hom, err := solve(power.ModelStatic, tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,39 +5,9 @@ import (
 	"sort"
 
 	"sdem/internal/numeric"
-	"sdem/internal/power"
 	"sdem/internal/schedule"
 	"sdem/internal/task"
-	"sdem/internal/telemetry"
 )
-
-// SolveWithOverhead solves the §7 common-release problem with
-// non-negligible mode-transition overhead (ξ ≠ 0 and/or ξ_m ≠ 0).
-//
-// Tasks not aligned to the memory busy interval run at the constrained
-// critical speed s_c of §7; aligned tasks finish together at busy length L.
-// The audited energy E(L) is convex between the structural breakpoints —
-// the natural completions c_j (where the aligned set changes) and
-// d_max − ξ_m, d_max − ξ (where the memory / aligned-core idle tail
-// crosses its break-even time, flipping the sleep decision of
-// SleepBreakEven accounting). On each such piece E has the §4.2 case
-// shape K + β·Σw^λ·L^(1−λ) + C·L, so its closed-form stationary point
-// bounds the piece from below. The solver prices only the pieces whose
-// bound does not exceed an energy already achieved, each at a handful of
-// closed-form candidates (searchPiece): the clamped stationary point,
-// the ends of the feasible span and the Tol-wide slivers where the audit
-// departs from the smooth shape. It keeps the first strictly cheapest.
-// This subsumes every row of the paper's Table 3: the candidates
-// Δ = Δ_mi, Δ = ξ and Δ = 0 are all piece boundaries or interior minima
-// of some piece.
-//
-// A non-nil tel counts the objective evaluations, candidates priced plus
-// the latest natural completion the scan starts from
-// (sdem.solver.cr.objective_evals), and the convex pieces priced
-// (sdem.solver.cr.pieces); pieces the bound rules out count in neither.
-func SolveWithOverhead(tasks task.Set, sys power.System, tel *telemetry.Recorder) (*Solution, error) {
-	return solve(power.ModelOverhead, tasks, sys, tel)
-}
 
 // overheadHorizon is the §7 maximal interval max_j (d_j − r_j) over the
 // absolute task set; the constrained critical speed s_c depends on it.
@@ -65,8 +35,17 @@ func (in *instance) evalOverhead(L float64) float64 {
 }
 
 // overheadScan minimizes the §7 objective over busy length and returns
-// the winner plus its 1-based case index. It cuts the scan range at the
-// structural breakpoints into convex pieces and works in two passes:
+// the winner plus its 1-based case index. The audited energy E(L) is
+// convex between the structural breakpoints: the natural completions c_j
+// (where the aligned set changes) and d_max − ξ_m, d_max − ξ (where the
+// memory / aligned-core idle tail crosses its break-even time, flipping
+// the sleep decision of SleepBreakEven accounting). On each such piece E
+// has the §4.2 case shape K + β·Σw^λ·L^(1−λ) + C·L, so its closed-form
+// stationary point bounds the piece from below, and a piece is priced at
+// a handful of closed-form candidates (searchPiece): the clamped
+// stationary point, the ends of the feasible span and the Tol-wide
+// slivers where the audit departs from the smooth shape. The scan works
+// in two passes:
 //
 //  1. bound every piece from below in closed form (pieceBound), with no
 //     search;
@@ -78,7 +57,9 @@ func (in *instance) evalOverhead(L float64) float64 {
 // A skipped piece's price could only have been more than U, so it could
 // neither win nor tie: the result is the same bits as pricing every
 // piece. All scan state lives in the instance's retained buffers, so a
-// reused instance scans allocation-free.
+// reused instance scans allocation-free. The objective-evaluation tally
+// counts the candidates priced plus the latest natural completion the
+// scan starts from; pieces the bound rules out count in neither tally.
 //
 //sdem:hotpath
 func (in *instance) overheadScan() (bestL float64, caseIdx int) {

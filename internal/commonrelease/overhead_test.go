@@ -62,7 +62,7 @@ func TestOverheadMatchesSweep(t *testing.T) {
 		sys.Memory.BreakEven = power.Milliseconds(15 + r.Float64()*55)
 		sys.Core.BreakEven = power.Milliseconds(r.Float64() * 20)
 		tasks := overheadTasks(r, 1+r.Intn(7))
-		sol, err := SolveWithOverhead(tasks, sys, nil)
+		sol, err := solve(power.ModelOverhead, tasks, sys, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -85,11 +85,11 @@ func TestOverheadReducesToStaticWhenFree(t *testing.T) {
 	for seed := int64(50); seed < 56; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := overheadTasks(r, 1+r.Intn(6))
-		a, err := SolveWithOverhead(tasks, sys, nil)
+		a, err := solve(power.ModelOverhead, tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SolveWithStatic(tasks, sys, nil)
+		b, err := solve(power.ModelStatic, tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestTable3CaseSelection(t *testing.T) {
 	sys := power.DefaultSystem()
 	sys.Memory.BreakEven = power.Milliseconds(1)
 	sys.Core.BreakEven = power.Milliseconds(0.5)
-	sol, err := SolveWithOverhead(tasks, sys, nil)
+	sol, err := solve(power.ModelOverhead, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTable3CaseSelection(t *testing.T) {
 	if b.MemorySleeps == 0 {
 		t.Error("row 1: memory should sleep when break-even is tiny")
 	}
-	free, _ := SolveWithStatic(tasks, sys, nil)
+	free, _ := solve(power.ModelStatic, tasks, sys, nil)
 	if !almost(sol.BusyLen, free.BusyLen, 1e-6) {
 		t.Errorf("row 1: busy length %g, want the ξ=0 optimum %g", sol.BusyLen, free.BusyLen)
 	}
@@ -131,7 +131,7 @@ func TestTable3CaseSelection(t *testing.T) {
 	sys = power.DefaultSystem()
 	sys.Memory.BreakEven = 10 // far beyond any possible sleep
 	sys.Core.BreakEven = power.Milliseconds(1)
-	sol, err = SolveWithOverhead(tasks, sys, nil)
+	sol, err = solve(power.ModelOverhead, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestTable3CaseSelection(t *testing.T) {
 	sys = power.DefaultSystem()
 	sys.Memory.BreakEven = power.Milliseconds(5)
 	sys.Core.BreakEven = 10
-	sol, err = SolveWithOverhead(tasks, sys, nil)
+	sol, err = solve(power.ModelOverhead, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestOverheadConstrainedSpeedUsed(t *testing.T) {
 	tasks := task.Set{{ID: 1, Release: 0, Deadline: d, Workload: w}}
 
 	sys.Core.BreakEven = power.Milliseconds(100) // cannot sleep: stretch
-	sol, err := SolveWithOverhead(tasks, sys, nil)
+	sol, err := solve(power.ModelOverhead, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestOverheadConstrainedSpeedUsed(t *testing.T) {
 	}
 
 	sys.Core.BreakEven = power.Milliseconds(1) // can sleep: race to s_m
-	sol, err = SolveWithOverhead(tasks, sys, nil)
+	sol, err = solve(power.ModelOverhead, tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestOverheadConstrainedSpeedUsed(t *testing.T) {
 
 func TestOverheadEmptyAndErrors(t *testing.T) {
 	sys := power.DefaultSystem()
-	sol, err := SolveWithOverhead(task.Set{}, sys, nil)
+	sol, err := solve(power.ModelOverhead, task.Set{}, sys, nil)
 	if err != nil || sol.Energy != 0 {
 		t.Errorf("empty: sol=%v err=%v", sol, err)
 	}
@@ -207,7 +207,7 @@ func TestOverheadEmptyAndErrors(t *testing.T) {
 		{ID: 1, Release: 0, Deadline: 1, Workload: 1e6},
 		{ID: 2, Release: 0.25, Deadline: 1, Workload: 1e6},
 	}
-	if _, err := SolveWithOverhead(bad, sys, nil); err == nil {
+	if _, err := solve(power.ModelOverhead, bad, sys, nil); err == nil {
 		t.Error("non-common release must be rejected")
 	}
 }
@@ -415,7 +415,7 @@ func TestNaturalCompletionsMatchPerTaskOracle(t *testing.T) {
 	}
 }
 
-// overheadInstance normalizes a §7 instance as SolveWithOverhead does.
+// overheadInstance normalizes a §7 instance as solve does for ModelOverhead.
 func overheadInstance(tasks task.Set, sys power.System) (*instance, error) {
 	return normalize(tasks, sys, power.ModelOverhead, nil)
 }
@@ -512,7 +512,7 @@ func TestOverheadScanPrunesBenchInstance(t *testing.T) {
 		t.Errorf("priced %d of %d pieces, want at most 3", priced, pieces)
 	}
 	tel := telemetry.New()
-	if _, err := SolveWithOverhead(tasks, sys, tel); err != nil {
+	if _, err := solve(power.ModelOverhead, tasks, sys, tel); err != nil {
 		t.Fatal(err)
 	}
 	if got := tel.CounterValue("sdem.solver.cr.pieces", ""); got != int64(priced) {

@@ -16,7 +16,7 @@ import (
 // buffers reach the high-water instance size.
 //
 // A Solver is not safe for concurrent use; retain one per goroutine (or
-// pool them, as internal/serve does).
+// pool them, as online.Schedule does).
 type Solver struct {
 	in   instance
 	ends []float64

@@ -152,7 +152,7 @@ func (c Config) Table3() ([]Table3Row, error) {
 		sys := power.DefaultSystem()
 		sys.Core.BreakEven = reg.xi
 		sys.Memory.BreakEven = reg.xiM
-		sol, err := commonrelease.SolveWithOverhead(tasks, sys, nil)
+		sol, err := commonrelease.Solve(tasks, sys, nil)
 		if err != nil {
 			return nil, err
 		}

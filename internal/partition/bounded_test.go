@@ -45,7 +45,7 @@ func TestGeneralDeadlinesFeasibleSchedules(t *testing.T) {
 			t.Errorf("seed %d: invalid schedule: %v", seed, err)
 		}
 		// Bounded cores cannot beat the unbounded §4.2 optimum.
-		unbounded, err := commonrelease.SolveWithStatic(tasks, sys, nil)
+		unbounded, err := commonrelease.Solve(tasks, sys, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestGeneralDeadlinesConvergesToUnboundedWithManyCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbounded, err := commonrelease.SolveWithStatic(tasks, sys, nil)
+	unbounded, err := commonrelease.Solve(tasks, sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
