@@ -18,7 +18,7 @@ import (
 	"os"
 
 	"sdem"
-	"sdem/internal/baseline"
+	"sdem/internal/core"
 	"sdem/internal/encode"
 	"sdem/internal/telemetry"
 )
@@ -112,25 +112,17 @@ func run(algo, wl string, n int, seed int64, x, u float64, cores int, alphaM, xi
 	var sched *sdem.Schedule
 	switch algo {
 	case "auto":
-		sol, err := sdem.SolveCtx(nil, tasks, sys, tel)
+		sol, res, err := core.Auto(nil, tasks, sys, tel)
 		switch {
-		case err == nil:
+		case err != nil:
+			return err
+		case sol != nil:
 			sched = sol.Schedule
 			fmt.Printf("offline optimal (%s on a %v model)\n", sol.Scheme, sol.Model)
-		case tasks.Classify() == sdem.ModelGeneral:
-			// No offline optimum exists for general sets; fall back to
-			// the online heuristic.
-			res, rerr := sdem.ScheduleOnline(tasks, sys, sdem.OnlineOptions{Cores: cores, Telemetry: tel})
-			if rerr != nil {
-				return rerr
-			}
-			if len(res.Misses) > 0 {
-				fmt.Printf("WARNING: %d deadline misses: %v\n", len(res.Misses), res.Misses)
-			}
+		default:
+			warnMisses(res)
 			sched = res.Schedule
 			fmt.Println("general model: fell back to SDEM-ON (online §6)")
-		default:
-			return err
 		}
 	case "bounded":
 		res, err := sdem.SolveBoundedGeneral(tasks, sys)
@@ -139,29 +131,17 @@ func run(algo, wl string, n int, seed int64, x, u float64, cores int, alphaM, xi
 		}
 		sched = res.Schedule
 		fmt.Printf("bounded-core heuristic on %d cores, busy %.4g ms\n", cores, res.BusyLen*1e3)
-	case "sdem-on", "mbkp", "mbkps", "race", "critical":
-		var res *sdem.OnlineResult
-		switch algo {
-		case "sdem-on":
-			res, err = sdem.ScheduleOnline(tasks, sys, sdem.OnlineOptions{Cores: cores, Telemetry: tel})
-		case "mbkp":
-			res, err = baseline.MBKP(tasks, sys, cores, tel)
-		case "mbkps":
-			res, err = baseline.MBKPS(tasks, sys, cores, tel)
-		case "race":
-			res, err = baseline.RaceToIdle(tasks, sys, cores, tel)
-		case "critical":
-			res, err = baseline.CriticalSpeed(tasks, sys, cores, tel)
+	default:
+		scheduler, err := core.LookupScheduler(algo)
+		if err != nil {
+			return fmt.Errorf("unknown algorithm %q", algo)
 		}
+		res, err := scheduler(nil, tasks, sys, tel)
 		if err != nil {
 			return err
 		}
-		if len(res.Misses) > 0 {
-			fmt.Printf("WARNING: %d deadline misses: %v\n", len(res.Misses), res.Misses)
-		}
+		warnMisses(res)
 		sched = res.Schedule
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
 	}
 
 	b := sdem.Audit(sched, sys)
@@ -198,4 +178,11 @@ func run(algo, wl string, n int, seed int64, x, u float64, cores int, alphaM, xi
 		fmt.Printf("run written to %s\n", out)
 	}
 	return nil
+}
+
+// warnMisses prints the deadline misses of an online run.
+func warnMisses(res *sdem.OnlineResult) {
+	if len(res.Misses) > 0 {
+		fmt.Printf("WARNING: %d deadline misses: %v\n", len(res.Misses), res.Misses)
+	}
 }

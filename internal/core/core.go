@@ -5,8 +5,10 @@
 // scheme of Table 1 — §4 for common-release sets, §5 for
 // agreeable-deadline sets, each in its α = 0 / α ≠ 0 / §7
 // transition-overhead variant. General sets have no offline optimum; the
-// §6 SDEM-ON heuristic (internal/online) schedules them. Every path
-// returns the same Schedule IR, independently audited.
+// §6 SDEM-ON heuristic (internal/online) schedules them. Auto is that
+// choice, and LookupScheduler is the one table from a scheduler name to
+// SDEM-ON or a §8 baseline. Every path returns the same Schedule IR,
+// independently audited.
 package core
 
 import (

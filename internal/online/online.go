@@ -15,6 +15,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync"
 
 	"sdem/internal/power"
 	"sdem/internal/sim"
@@ -65,11 +66,18 @@ type Plan struct {
 	Urgent bool
 }
 
-// Schedule runs SDEM-ON over the task set and returns the audited result.
-// Deadline misses (possible only under core shortage or infeasible
-// inputs) are reported in the result rather than failing the run.
+// runtimes recycles Runtime scratch (active set, plan memo, retained
+// solver arenas) across Schedule calls: concurrent callers each check out
+// a private Runtime, so the buffers amortize without contention.
+var runtimes = sync.Pool{New: func() any { return new(Runtime) }}
+
+// Schedule runs SDEM-ON over the task set on pooled Runtime scratch and
+// returns the audited result. Deadline misses (possible only under core
+// shortage or infeasible inputs) are reported in the result rather than
+// failing the run.
 func Schedule(tasks task.Set, sys power.System, opts Options) (*sim.Result, error) {
-	var rt Runtime
+	rt := runtimes.Get().(*Runtime)
+	defer runtimes.Put(rt)
 	return rt.Schedule(tasks, sys, opts)
 }
 

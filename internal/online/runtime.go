@@ -36,7 +36,7 @@ import (
 // fault-injected deterministic workloads.
 //
 // A Runtime is not safe for concurrent use, but is reusable: retaining
-// one across runs (as sdemd does via a sync.Pool) re-plans
+// one across runs (as Schedule does via a sync.Pool) re-plans
 // allocation-free once its buffers reach the high-water instance size.
 type Runtime struct {
 	solver commonrelease.Solver

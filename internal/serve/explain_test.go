@@ -192,7 +192,7 @@ func provenanceCases(t *testing.T) []provenanceCase {
 				)
 				switch sched {
 				case "sdem-on":
-					res, err = scheduleOnline(general, sys, online.Options{Cores: sys.Cores})
+					res, err = online.Schedule(general, sys, online.Options{Cores: sys.Cores})
 				case "mbkp":
 					res, err = baseline.MBKP(general, sys, sys.Cores, nil)
 				case "mbkps":
@@ -274,7 +274,7 @@ func TestProvenanceMatchesOracle(t *testing.T) {
 // directly: under the race detector sync.Pool drops items at random.)
 func TestProvenanceSummaryAllocs(t *testing.T) {
 	sys := power.DefaultSystem()
-	res, err := scheduleOnline(syntheticSet(t, 60, 7, false), sys, online.Options{Cores: sys.Cores})
+	res, err := online.Schedule(syntheticSet(t, 60, 7, false), sys, online.Options{Cores: sys.Cores})
 	if err != nil {
 		t.Fatal(err)
 	}

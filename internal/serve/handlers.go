@@ -15,11 +15,9 @@ import (
 	"net/http"
 	"sync"
 
-	"sdem/internal/baseline"
 	"sdem/internal/core"
 	"sdem/internal/encode"
 	"sdem/internal/faults"
-	"sdem/internal/online"
 	"sdem/internal/parallel"
 	"sdem/internal/power"
 	"sdem/internal/resilient"
@@ -46,9 +44,9 @@ type TaskRequest struct {
 	System *power.System `json:"system,omitempty"`
 	// Cores overrides the platform core count when > 0.
 	Cores int `json:"cores,omitempty"`
-	// Scheduler selects the algorithm: "auto" (offline optimal; the
-	// /v1/solve default) or an online policy — "sdem-on" (the
-	// /v1/simulate default), "mbkp", "mbkps", "race", "critical".
+	// Scheduler selects the algorithm: "auto" (core.Auto; the /v1/solve
+	// default) or a name in core.LookupScheduler's table ("sdem-on" is
+	// the /v1/simulate default).
 	Scheduler string `json:"scheduler,omitempty"`
 	// IncludeSchedule returns the full segment schedule in the response.
 	IncludeSchedule bool `json:"include_schedule,omitempty"`
@@ -344,18 +342,6 @@ func (s *Server) solveOne(ctx context.Context, tel *telemetry.Recorder, req *Tas
 	return stamp(resp, id), 0, nil
 }
 
-// runtimes recycles online.Runtime scratch (active set, plan memo, busy
-// vector) across requests: concurrent handlers each check out a private
-// Runtime, so the retained solver arenas amortize without contention.
-var runtimes = sync.Pool{New: func() any { return new(online.Runtime) }}
-
-// scheduleOnline is online.Schedule on pooled Runtime scratch.
-func scheduleOnline(tasks task.Set, sys power.System, opts online.Options) (*sim.Result, error) {
-	rt := runtimes.Get().(*online.Runtime)
-	defer runtimes.Put(rt)
-	return rt.Schedule(tasks, sys, opts)
-}
-
 // simulateOne runs one online policy on the given recorder; shared by
 // /v1/simulate, /v1/explain and /v1/batch.
 func (s *Server) simulateOne(ctx context.Context, tel *telemetry.Recorder, req *TaskRequest, id string, parent wspan.Span) (*TaskResponse, int, error) {
@@ -367,10 +353,9 @@ func (s *Server) simulateOne(ctx context.Context, tel *telemetry.Recorder, req *
 	if sched == "" {
 		sched = "sdem-on"
 	}
-	switch sched {
-	case "sdem-on", "mbkp", "mbkps", "race", "critical":
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown scheduler %q (want sdem-on, mbkp, mbkps, race or critical)", sched)
+	run, err := core.LookupScheduler(sched)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	resp, code, err := s.cached(ctx, tel, "simulate", sched, req, sys, parent, func(sp wspan.Span) (*TaskResponse, int, error) {
 		if ctx != nil {
@@ -383,23 +368,7 @@ func (s *Server) simulateOne(ctx context.Context, tel *telemetry.Recorder, req *
 		// this request's short-circuit provenance.
 		skip0 := tel.CounterValue(metricSkippedSolves, "")
 		reuse0 := tel.CounterValue(metricPlanReuse, "")
-		cores := sys.Cores
-		var (
-			res *sim.Result
-			err error
-		)
-		switch sched {
-		case "sdem-on":
-			res, err = scheduleOnline(req.Tasks, sys, online.Options{Cores: cores, Telemetry: tel, Ctx: ctx})
-		case "mbkp":
-			res, err = baseline.MBKP(req.Tasks, sys, cores, tel)
-		case "mbkps":
-			res, err = baseline.MBKPS(req.Tasks, sys, cores, tel)
-		case "race":
-			res, err = baseline.RaceToIdle(req.Tasks, sys, cores, tel)
-		case "critical":
-			res, err = baseline.CriticalSpeed(req.Tasks, sys, cores, tel)
-		}
+		res, err := run(ctx, req.Tasks, sys, tel)
 		if err != nil {
 			return nil, errorCode(err), err
 		}
@@ -506,17 +475,12 @@ func (s *Server) handleExecute(rc *requestCtx, w http.ResponseWriter, r *http.Re
 // budget context bounds the planning phase; the perturbed replay itself
 // is bounded by the admission gate's concurrency cap.
 func (s *Server) planSchedule(ctx context.Context, tel *telemetry.Recorder, req *TaskRequest, sys power.System) (*schedule.Schedule, string, int, error) {
-	sol, err := core.SolveCtx(ctx, req.Tasks, sys, tel)
-	if err == nil {
+	sol, res, err := core.Auto(ctx, req.Tasks, sys, tel)
+	switch {
+	case err != nil:
+		return nil, "", errorCode(err), err
+	case sol != nil:
 		return sol.Schedule, "auto", 0, nil
-	}
-	var general core.ErrGeneralOffline
-	if !errors.As(err, &general) {
-		return nil, "", errorCode(err), err
-	}
-	res, err := scheduleOnline(req.Tasks, sys, online.Options{Cores: sys.Cores, Telemetry: tel, Ctx: ctx})
-	if err != nil {
-		return nil, "", errorCode(err), err
 	}
 	return res.Schedule, "sdem-on", 0, nil
 }

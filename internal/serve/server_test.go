@@ -130,6 +130,13 @@ func TestSimulateEndpoint(t *testing.T) {
 	if w.Code != http.StatusBadRequest {
 		t.Errorf("unknown scheduler: %d, want 400", w.Code)
 	}
+	const want = `{
+  "error": "unknown scheduler \"nope\" (want sdem-on, mbkp, mbkps, race or critical)"
+}
+`
+	if got := w.Body.String(); got != want {
+		t.Errorf("unknown scheduler body:\n got %s\nwant %s", got, want)
+	}
 }
 
 func TestExecuteEndpoint(t *testing.T) {
