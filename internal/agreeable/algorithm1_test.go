@@ -1,6 +1,7 @@
 package agreeable
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -93,6 +94,62 @@ func TestAlgorithm1Degenerate(t *testing.T) {
 	}
 }
 
+// taskType is the §5.2 classification of Table 2.
+type taskType int
+
+const (
+	// typeI tasks execute at their critical speed s₀, strictly inside
+	// the busy interval.
+	typeI taskType = iota
+	// typeII tasks are aligned with the busy interval and execute within
+	// [s₀, s₁].
+	typeII
+)
+
+// classification reports the Table 2 structure of a single-block optimum.
+type classification struct {
+	// Types[k] classifies the k-th deadline-sorted positive-workload
+	// task.
+	Types []taskType
+	// Speeds[k] is its execution speed.
+	Speeds []float64
+	// BusyStart and BusyEnd delimit the block's busy interval.
+	BusyStart, BusyEnd float64
+}
+
+// classifyBlock solves the single-block §5.2 problem for the whole task
+// set and classifies every task per Table 2: Type-I tasks run at s₀
+// inside the interval, Type-II tasks align with it at speeds within
+// [s₀, s₁]. It exists to make the paper's structural claim checkable.
+func classifyBlock(tasks task.Set, sys power.System) (*classification, error) {
+	s, err := newSolver(tasks, sys, power.ModelStatic)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.tasks) == 0 {
+		return &classification{}, nil
+	}
+	blk := s.blockSolve(0, len(s.tasks)-1)
+	out := &classification{
+		Types:     make([]taskType, len(s.tasks)),
+		Speeds:    make([]float64, len(s.tasks)),
+		BusyStart: blk.BusyStart,
+		BusyEnd:   blk.BusyEnd,
+	}
+	for k, t := range s.tasks {
+		avail := math.Min(t.Deadline, blk.BusyEnd) - math.Max(t.Release, blk.BusyStart)
+		_, speed := s.coreEnergy(k, avail)
+		out.Speeds[k] = speed
+		exec := t.Workload / speed
+		if exec < avail*(1-relTol) {
+			out.Types[k] = typeI // shorter than its aligned span: runs at s₀
+		} else {
+			out.Types[k] = typeII
+		}
+	}
+	return out, nil
+}
+
 // TestTable2Classification validates the structural claims of the
 // paper's Table 2 on the single-block optimum: Type-I tasks run exactly
 // at their critical speed s₀ with their execution covered by the busy
@@ -102,7 +159,7 @@ func TestTable2Classification(t *testing.T) {
 	for seed := int64(50); seed < 62; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		tasks := randomAgreeable(r, 1+r.Intn(6))
-		cls, err := ClassifyBlock(tasks, sys)
+		cls, err := classifyBlock(tasks, sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +171,7 @@ func TestTable2Classification(t *testing.T) {
 			s1 := sys.Core.MemoryCriticalSpeed(sys.Memory, tk.FilledSpeed())
 			speed := cls.Speeds[k]
 			switch typ {
-			case TypeI:
+			case typeI:
 				if !almost(speed, s0, 1e-6) {
 					t.Errorf("seed %d task %d: Type-I speed %.6g != s₀ %.6g", seed, tk.ID, speed, s0)
 				}
@@ -123,7 +180,7 @@ func TestTable2Classification(t *testing.T) {
 				if start+tk.Workload/speed > cls.BusyEnd+1e-9 {
 					t.Errorf("seed %d task %d: Type-I execution escapes the busy interval", seed, tk.ID)
 				}
-			case TypeII:
+			case typeII:
 				if speed < s0*(1-1e-6) || speed > s1*(1+1e-6) {
 					t.Errorf("seed %d task %d: Type-II speed %.6g outside [s₀ %.6g, s₁ %.6g]",
 						seed, tk.ID, speed, s0, s1)

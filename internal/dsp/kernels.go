@@ -1,43 +1,11 @@
 package dsp
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
-// This file implements the remaining classic DSPstone kernels beyond FFT
-// and matrix multiply: FIR filtering, linear convolution and the IIR
-// biquad section. Each runs for real and reports the modelled DSP cycle
-// count, extending the workload generator's repertoire.
-
-// FIRResult is the outcome of an FIR filter run.
-type FIRResult struct {
-	// Output has len(signal) samples (zero-padded history).
-	Output []float64
-	// Cycles is the modelled DSP cycle count.
-	Cycles float64
-}
-
-// FIR filters the signal with the given tap coefficients (direct form,
-// zero initial history): out[n] = Σ_k taps[k]·signal[n−k].
-func FIR(signal, taps []float64, cm CostModel) (*FIRResult, error) {
-	if len(taps) == 0 {
-		return nil, errors.New("dsp: FIR needs at least one tap")
-	}
-	out := make([]float64, len(signal))
-	for n := range signal {
-		var acc float64
-		for k, c := range taps {
-			if n-k < 0 {
-				break
-			}
-			acc += c * signal[n-k]
-		}
-		out[n] = acc
-	}
-	cycles, _ := FIRCycles(len(signal), len(taps), cm)
-	return &FIRResult{Output: out, Cycles: cycles}, nil
-}
+// This file models the cycle counts of two more classic DSPstone kernels
+// beyond FFT and matrix multiply, FIR filtering and the IIR biquad
+// cascade, extending the workload generator's repertoire. Unlike FFT and
+// MatMul they are not run: only their cycle counts feed task parameters.
 
 // FIRCycles returns the modelled cycle count of an n-sample, t-tap FIR:
 // one MAC per tap per sample (the single-cycle-MAC showcase of every
@@ -48,71 +16,6 @@ func FIRCycles(n, taps int, cm CostModel) (float64, error) {
 	}
 	fn, ft := float64(n), float64(taps)
 	return cm.CallOverhead + fn*(ft*cm.MAC+cm.LoopOverhead+cm.LoadStore), nil
-}
-
-// ConvolveResult is the outcome of a linear convolution.
-type ConvolveResult struct {
-	// Output has len(a)+len(b)−1 samples.
-	Output []float64
-	Cycles float64
-}
-
-// Convolve computes the full linear convolution of a and b.
-func Convolve(a, b []float64, cm CostModel) (*ConvolveResult, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return nil, errors.New("dsp: convolution needs non-empty inputs")
-	}
-	out := make([]float64, len(a)+len(b)-1)
-	for i, x := range a {
-		for j, y := range b {
-			out[i+j] += x * y
-		}
-	}
-	cycles, _ := ConvolveCycles(len(a), len(b), cm)
-	return &ConvolveResult{Output: out, Cycles: cycles}, nil
-}
-
-// ConvolveCycles returns the modelled cycle count of an n×m linear
-// convolution: one MAC per product plus per-output overhead.
-func ConvolveCycles(n, m int, cm CostModel) (float64, error) {
-	if n <= 0 || m <= 0 {
-		return 0, fmt.Errorf("dsp: bad convolution shape %d×%d", n, m)
-	}
-	fn, fm := float64(n), float64(m)
-	return cm.CallOverhead + fn*fm*cm.MAC + (fn+fm-1)*(cm.LoopOverhead+cm.LoadStore), nil
-}
-
-// Biquad is one direct-form-I second-order IIR section:
-// y[n] = b0·x[n] + b1·x[n−1] + b2·x[n−2] − a1·y[n−1] − a2·y[n−2].
-type Biquad struct {
-	B0, B1, B2 float64
-	A1, A2     float64
-}
-
-// IIRResult is the outcome of a biquad cascade run.
-type IIRResult struct {
-	Output []float64
-	Cycles float64
-}
-
-// IIR filters the signal through a cascade of biquad sections.
-func IIR(signal []float64, sections []Biquad, cm CostModel) (*IIRResult, error) {
-	if len(sections) == 0 {
-		return nil, errors.New("dsp: IIR needs at least one section")
-	}
-	cur := make([]float64, len(signal))
-	copy(cur, signal)
-	for _, s := range sections {
-		var x1, x2, y1, y2 float64
-		for n, x := range cur {
-			y := s.B0*x + s.B1*x1 + s.B2*x2 - s.A1*y1 - s.A2*y2
-			x2, x1 = x1, x
-			y2, y1 = y1, y
-			cur[n] = y
-		}
-	}
-	cycles, _ := IIRCycles(len(signal), len(sections), cm)
-	return &IIRResult{Output: cur, Cycles: cycles}, nil
 }
 
 // IIRCycles returns the modelled cycle count of an n-sample cascade of k

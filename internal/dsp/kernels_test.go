@@ -1,196 +1,14 @@
 package dsp
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func TestFIRImpulseResponse(t *testing.T) {
-	cm := DefaultCostModel()
-	taps := []float64{0.5, 0.3, 0.2}
-	impulse := []float64{1, 0, 0, 0, 0}
-	res, err := FIR(impulse, taps, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0.5, 0.3, 0.2, 0, 0}
-	for i, v := range want {
-		if math.Abs(res.Output[i]-v) > 1e-12 {
-			t.Errorf("impulse response[%d] = %g, want %g", i, res.Output[i], v)
-		}
-	}
-	pred, err := FIRCycles(5, 3, cm)
-	if err != nil || res.Cycles != pred {
-		t.Errorf("cycles %g != predicted %g (%v)", res.Cycles, pred, err)
-	}
-}
-
-func TestFIRMovingAverage(t *testing.T) {
-	cm := DefaultCostModel()
-	taps := []float64{0.25, 0.25, 0.25, 0.25}
-	sig := []float64{4, 4, 4, 4, 4, 4}
-	res, err := FIR(sig, taps, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// After warm-up the moving average of a constant is the constant.
-	for i := 3; i < len(sig); i++ {
-		if math.Abs(res.Output[i]-4) > 1e-12 {
-			t.Errorf("steady state[%d] = %g, want 4", i, res.Output[i])
-		}
-	}
-}
+import "testing"
 
 func TestFIRRejectsEmptyTaps(t *testing.T) {
 	cm := DefaultCostModel()
-	if _, err := FIR([]float64{1}, nil, cm); err == nil {
+	if _, err := FIRCycles(1, 0, cm); err == nil {
 		t.Error("empty taps must be rejected")
 	}
 	if _, err := FIRCycles(-1, 3, cm); err == nil {
 		t.Error("negative n must be rejected")
-	}
-}
-
-func TestConvolveKnown(t *testing.T) {
-	cm := DefaultCostModel()
-	res, err := Convolve([]float64{1, 2, 3}, []float64{1, 1}, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 3, 5, 3}
-	if len(res.Output) != len(want) {
-		t.Fatalf("output length %d, want %d", len(res.Output), len(want))
-	}
-	for i, v := range want {
-		if math.Abs(res.Output[i]-v) > 1e-12 {
-			t.Errorf("conv[%d] = %g, want %g", i, res.Output[i], v)
-		}
-	}
-	pred, _ := ConvolveCycles(3, 2, cm)
-	if res.Cycles != pred {
-		t.Errorf("cycles %g != predicted %g", res.Cycles, pred)
-	}
-	if _, err := Convolve(nil, []float64{1}, cm); err == nil {
-		t.Error("empty input must be rejected")
-	}
-}
-
-func TestConvolveMatchesFIR(t *testing.T) {
-	// FIR output equals the first len(signal) samples of the
-	// convolution with the taps.
-	cm := DefaultCostModel()
-	r := rand.New(rand.NewSource(1))
-	sig := make([]float64, 32)
-	taps := make([]float64, 5)
-	for i := range sig {
-		sig[i] = r.NormFloat64()
-	}
-	for i := range taps {
-		taps[i] = r.NormFloat64()
-	}
-	fir, err := FIR(sig, taps, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conv, err := Convolve(sig, taps, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sig {
-		if math.Abs(fir.Output[i]-conv.Output[i]) > 1e-9 {
-			t.Fatalf("FIR[%d] = %g != conv %g", i, fir.Output[i], conv.Output[i])
-		}
-	}
-}
-
-func TestIIRPureGain(t *testing.T) {
-	cm := DefaultCostModel()
-	sections := []Biquad{{B0: 2}} // y[n] = 2·x[n]
-	res, err := IIR([]float64{1, 2, 3}, sections, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{2, 4, 6}
-	for i, v := range want {
-		if math.Abs(res.Output[i]-v) > 1e-12 {
-			t.Errorf("gain output[%d] = %g, want %g", i, res.Output[i], v)
-		}
-	}
-	if _, err := IIR([]float64{1}, nil, cm); err == nil {
-		t.Error("empty cascade must be rejected")
-	}
-}
-
-func TestIIRLeakyIntegratorStability(t *testing.T) {
-	// y[n] = x[n] + 0.9·y[n−1]: step response converges to 1/(1−0.9)=10.
-	cm := DefaultCostModel()
-	sections := []Biquad{{B0: 1, A1: -0.9}}
-	step := make([]float64, 200)
-	for i := range step {
-		step[i] = 1
-	}
-	res, err := IIR(step, sections, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Output[len(res.Output)-1]; math.Abs(got-10) > 1e-6 {
-		t.Errorf("steady state = %g, want 10", got)
-	}
-}
-
-func TestIIRCascadeEqualsSequentialSections(t *testing.T) {
-	cm := DefaultCostModel()
-	r := rand.New(rand.NewSource(2))
-	sig := make([]float64, 64)
-	for i := range sig {
-		sig[i] = r.NormFloat64()
-	}
-	s1 := Biquad{B0: 0.5, B1: 0.2, A1: -0.3}
-	s2 := Biquad{B0: 1.1, B2: 0.1, A2: -0.05}
-	cascade, err := IIR(sig, []Biquad{s1, s2}, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, _ := IIR(sig, []Biquad{s1}, cm)
-	second, _ := IIR(first.Output, []Biquad{s2}, cm)
-	for i := range sig {
-		if math.Abs(cascade.Output[i]-second.Output[i]) > 1e-9 {
-			t.Fatalf("cascade[%d] = %g != sequential %g", i, cascade.Output[i], second.Output[i])
-		}
-	}
-}
-
-func TestPropertyFIRLinearity(t *testing.T) {
-	cm := DefaultCostModel()
-	f := func(seed int64, scaleRaw uint8) bool {
-		r := rand.New(rand.NewSource(seed))
-		scale := 1 + float64(scaleRaw%10)
-		sig := make([]float64, 16)
-		scaled := make([]float64, 16)
-		for i := range sig {
-			sig[i] = r.NormFloat64()
-			scaled[i] = scale * sig[i]
-		}
-		taps := []float64{0.4, -0.2, 0.1}
-		a, err := FIR(sig, taps, cm)
-		if err != nil {
-			return false
-		}
-		b, err := FIR(scaled, taps, cm)
-		if err != nil {
-			return false
-		}
-		for i := range sig {
-			if math.Abs(b.Output[i]-scale*a.Output[i]) > 1e-9*(1+math.Abs(a.Output[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -200,11 +18,6 @@ func TestKernelCyclesScale(t *testing.T) {
 	big, _ := FIRCycles(512, 16, cm)
 	if big <= small {
 		t.Error("FIR cycles must grow with signal length")
-	}
-	c1, _ := ConvolveCycles(100, 10, cm)
-	c2, _ := ConvolveCycles(100, 20, cm)
-	if c2 <= c1 {
-		t.Error("convolution cycles must grow with kernel length")
 	}
 	i1, _ := IIRCycles(100, 1, cm)
 	i2, _ := IIRCycles(100, 4, cm)

@@ -1,7 +1,8 @@
 // Package encode provides stable JSON interchange for the library's data
-// types — task sets, system models and schedules — so the CLI tools can
-// pipe workloads and results between each other and external tooling
-// (plotting, trace viewers) can consume them.
+// types — task sets, whole runs (tasks, system, schedule and breakdown)
+// and fault sweeps — so the CLI tools can pipe workloads and results
+// between each other and external tooling (plotting, trace viewers) can
+// consume them.
 package encode
 
 import (
@@ -34,8 +35,6 @@ type Document struct {
 // Kinds of payloads.
 const (
 	KindTasks      = "tasks"
-	KindSystem     = "system"
-	KindSchedule   = "schedule"
 	KindRun        = "run"
 	KindFaultSweep = "fault-sweep"
 )
@@ -128,35 +127,6 @@ func UnmarshalTasks(data []byte) (task.Set, error) {
 		return nil, fmt.Errorf("encode: invalid tasks: %w", err)
 	}
 	return ts, nil
-}
-
-// MarshalSystem encodes a platform model.
-func MarshalSystem(sys power.System) ([]byte, error) { return wrap(KindSystem, sys) }
-
-// UnmarshalSystem decodes and validates a platform model.
-func UnmarshalSystem(data []byte) (power.System, error) {
-	var sys power.System
-	if err := unwrap(data, KindSystem, &sys); err != nil {
-		return power.System{}, err
-	}
-	if err := sys.Validate(); err != nil {
-		return power.System{}, fmt.Errorf("encode: invalid system: %w", err)
-	}
-	return sys, nil
-}
-
-// MarshalSchedule encodes a schedule.
-func MarshalSchedule(s *schedule.Schedule) ([]byte, error) { return wrap(KindSchedule, s) }
-
-// UnmarshalSchedule decodes a schedule (structural checks only; validate
-// against its task set separately).
-func UnmarshalSchedule(data []byte) (*schedule.Schedule, error) {
-	var s schedule.Schedule
-	if err := unwrap(data, KindSchedule, &s); err != nil {
-		return nil, err
-	}
-	s.Normalize()
-	return &s, nil
 }
 
 // MarshalRun encodes a full scheduling result.

@@ -39,18 +39,24 @@ func TestTasksRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSystemRoundTrip pins that the platform model a run document
+// carries decodes to the identical system.
 func TestSystemRoundTrip(t *testing.T) {
 	sys := power.DefaultSystem()
-	data, err := MarshalSystem(sys)
+	sol, err := commonrelease.Solve(sampleTasks(), sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalSystem(data)
+	data, err := MarshalRun(Run{Tasks: sampleTasks(), System: sys, Schedule: sol.Schedule, Breakdown: schedule.Audit(sol.Schedule, sys)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != sys {
-		t.Errorf("system round trip: %+v != %+v", got, sys)
+	got, err := UnmarshalRun(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.System != sys {
+		t.Errorf("system round trip: %+v != %+v", got.System, sys)
 	}
 }
 
@@ -61,21 +67,6 @@ func TestScheduleAndRunRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := MarshalSchedule(sol.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalSchedule(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(ts, schedule.ValidateOptions{SpeedMax: sys.Core.SpeedMax}); err != nil {
-		t.Fatalf("decoded schedule invalid: %v", err)
-	}
-	if a, b := schedule.Audit(got, sys).Total(), sol.Energy; a != b {
-		t.Errorf("decoded audit %g != original %g", a, b)
-	}
-
 	run := Run{Tasks: ts, System: sys, Schedule: sol.Schedule, Breakdown: schedule.Audit(sol.Schedule, sys)}
 	rdata, err := MarshalRun(run)
 	if err != nil {
@@ -84,6 +75,12 @@ func TestScheduleAndRunRoundTrip(t *testing.T) {
 	back, err := UnmarshalRun(rdata)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := back.Schedule.Validate(ts, schedule.ValidateOptions{SpeedMax: sys.Core.SpeedMax}); err != nil {
+		t.Fatalf("decoded schedule invalid: %v", err)
+	}
+	if a, b := schedule.Audit(back.Schedule, sys).Total(), sol.Energy; a != b {
+		t.Errorf("decoded audit %g != original %g", a, b)
 	}
 	if back.Breakdown.Total() != run.Breakdown.Total() {
 		t.Error("run breakdown changed in round trip")
@@ -113,7 +110,7 @@ func TestKindAndVersionGuards(t *testing.T) {
 	ts := sampleTasks()
 	data, _ := MarshalTasks(ts)
 	// Wrong kind.
-	if _, err := UnmarshalSystem(data); err == nil || !strings.Contains(err.Error(), "kind") {
+	if _, err := UnmarshalRun(data); err == nil || !strings.Contains(err.Error(), "kind") {
 		t.Errorf("kind mismatch should fail, got %v", err)
 	}
 	// Wrong version.

@@ -290,9 +290,9 @@ func (c Config) fig6(m metric, name string) ([]Series, error) {
 }
 
 // Fig6Extended runs the Fig. 6b sweep over the additional DSPstone
-// kernels this library implements beyond the paper's two (FIR filtering
-// and IIR biquad cascades) — an extension experiment, not a paper
-// artifact.
+// kernels whose cycle counts this library models beyond the paper's two
+// (FIR filtering and IIR biquad cascades) — an extension experiment, not
+// a paper artifact.
 func (c Config) Fig6Extended() ([]Series, error) {
 	return c.fig6Kernels(systemEnergy, "fig6ext", []workload.Kernel{workload.KernelFIR, workload.KernelIIR})
 }
