@@ -164,10 +164,10 @@ func campaignTotals(s *series.Series) ([]counterTotal, []floatTotal) {
 	fm := map[string]float64{}
 	for i := range s.Windows {
 		w := &s.Windows[i]
-		for _, k := range sortedKeys(w.Counters) {
+		for _, k := range series.SortedKeys(w.Counters) {
 			cm[bare(k)] += w.Counters[k]
 		}
-		for _, k := range sortedKeys(w.Floats) {
+		for _, k := range series.SortedKeys(w.Floats) {
 			fm[bare(k)] += w.Floats[k]
 		}
 	}
@@ -202,7 +202,7 @@ func mergedSketches(s *series.Series) []mergedSketch {
 	m := map[string]*series.Sketch{}
 	for i := range s.Windows {
 		w := &s.Windows[i]
-		for _, k := range sortedKeys(w.Sketches) {
+		for _, k := range series.SortedKeys(w.Sketches) {
 			b := bare(k)
 			if cur, ok := m[b]; ok {
 				if err := cur.Merge(w.Sketches[k]); err == nil {
@@ -235,7 +235,7 @@ func sumCounter(w *series.Window, name string) int64 {
 // windowSketch merges a window's sketch variants of one bare name.
 func windowSketch(w *series.Window, name string) *series.Sketch {
 	var merged *series.Sketch
-	for _, k := range sortedKeys(w.Sketches) {
+	for _, k := range series.SortedKeys(w.Sketches) {
 		if bare(k) != name {
 			continue
 		}
@@ -271,16 +271,4 @@ func shortName(name string) string {
 // encoder's number rendering.
 func ftoa(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }

@@ -133,7 +133,7 @@ func splitSample(line string) (string, float64, bool) {
 // cumulative value, the standard rate-reset convention.
 func deltaWindow(idx int64, prev, cur scrape) series.Window {
 	w := series.Window{Index: idx}
-	for _, k := range sortedKeys(cur.counters) {
+	for _, k := range series.SortedKeys(cur.counters) {
 		d := cur.counters[k] - prev.counters[k]
 		if d < 0 {
 			d = cur.counters[k]
@@ -145,7 +145,7 @@ func deltaWindow(idx int64, prev, cur scrape) series.Window {
 			w.Floats[k] = d
 		}
 	}
-	for _, k := range sortedKeys(cur.hcounts) {
+	for _, k := range series.SortedKeys(cur.hcounts) {
 		d := cur.hcounts[k] - prev.hcounts[k]
 		if d < 0 {
 			d = cur.hcounts[k]
@@ -157,7 +157,7 @@ func deltaWindow(idx int64, prev, cur scrape) series.Window {
 			w.Counters[k] = int64(d)
 		}
 	}
-	for _, k := range sortedKeys(cur.gauges) {
+	for _, k := range series.SortedKeys(cur.gauges) {
 		if w.Gauges == nil {
 			w.Gauges = map[string]float64{}
 		}

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"sdem/internal/schedule"
+	"sdem/internal/stats"
 	"sdem/internal/task"
 )
 
@@ -71,7 +72,7 @@ func (s *Streamer) Sample(t task.Task) JobFault {
 	if in > 1 {
 		in = 1
 	}
-	h := splitmix64(s.seed ^ (uint64(t.ID)+1)*0x9e3779b97f4a7c15)
+	h := stats.SplitMix64(s.seed ^ (uint64(t.ID)+1)*0x9e3779b97f4a7c15)
 	if s.cfg.wants(Overrun) {
 		p, mag := unitPair(&h)
 		if p < s.cfg.OverrunProb*in {
@@ -92,20 +93,11 @@ func (s *Streamer) Sample(t task.Task) JobFault {
 // unitPair advances the hash state and returns two independent uniform
 // draws in [0, 1).
 func unitPair(h *uint64) (a, b float64) {
-	x := splitmix64(*h)
-	y := splitmix64(x)
+	x := stats.SplitMix64(*h)
+	y := stats.SplitMix64(x)
 	*h = y
 	return unitFloat(x), unitFloat(y)
 }
 
 // unitFloat maps a hash value to [0, 1) with 53 bits of precision.
 func unitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }
-
-// splitmix64 is the SplitMix64 finalizer — a strong 64-bit mixer whose
-// output is equidistributed over the input space.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}

@@ -2,10 +2,12 @@ package stats
 
 import "math"
 
-// splitmix64 is the SplitMix64 finalizer (Steele, Lea & Flood, "Fast
+// SplitMix64 is the SplitMix64 finalizer (Steele, Lea & Flood, "Fast
 // Splittable Pseudorandom Number Generators", OOPSLA 2014): an invertible
-// avalanche mix in which every input bit influences every output bit.
-func splitmix64(z uint64) uint64 {
+// avalanche mix in which every input bit influences every output bit. It
+// is the module's one cheap mixer: seed derivation, fault streams and
+// trace IDs all use it.
+func SplitMix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -28,9 +30,9 @@ func splitmix64(z uint64) uint64 {
 // truncated float coordinates. The result is never 0, so a derived seed
 // cannot masquerade as a zero-value "use the default" config sentinel.
 func DeriveSeed(base int64, dims ...uint64) int64 {
-	z := splitmix64(uint64(base))
+	z := SplitMix64(uint64(base))
 	for _, d := range dims {
-		z = splitmix64(z ^ splitmix64(d))
+		z = SplitMix64(z ^ SplitMix64(d))
 	}
 	if z == 0 {
 		z = 0x9e3779b97f4a7c15

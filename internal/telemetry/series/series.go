@@ -192,13 +192,13 @@ func MergeWindows(ws []Window) (Window, error) {
 	}
 	out := Window{Index: ws[0].Index}
 	for _, w := range ws {
-		for _, k := range sortedKeys(w.Counters) {
+		for _, k := range SortedKeys(w.Counters) {
 			if out.Counters == nil {
 				out.Counters = make(map[string]int64)
 			}
 			out.Counters[k] += w.Counters[k]
 		}
-		for _, k := range sortedKeys(w.Floats) {
+		for _, k := range SortedKeys(w.Floats) {
 			if out.Floats == nil {
 				out.Floats = make(map[string]float64)
 			}
@@ -206,18 +206,18 @@ func MergeWindows(ws []Window) (Window, error) {
 		}
 		if len(w.Gauges) > 0 {
 			g := make(map[string]float64, len(w.Gauges))
-			for _, k := range sortedKeys(w.Gauges) {
+			for _, k := range SortedKeys(w.Gauges) {
 				g[k] = w.Gauges[k]
 			}
 			out.Gauges = g
 		}
-		for _, k := range sortedKeys(w.Hists) {
+		for _, k := range SortedKeys(w.Hists) {
 			if out.Hists == nil {
 				out.Hists = make(map[string]HistDelta)
 			}
 			out.Hists[k] = mergeHistDelta(out.Hists[k], w.Hists[k])
 		}
-		for _, k := range sortedKeys(w.Sketches) {
+		for _, k := range SortedKeys(w.Sketches) {
 			if out.Sketches == nil {
 				out.Sketches = make(map[string]*Sketch)
 			}
@@ -254,9 +254,9 @@ func mergeHistDelta(a, b HistDelta) HistDelta {
 	return out
 }
 
-// sortedKeys returns the map's keys in ascending order; folding maps
+// SortedKeys returns the map's keys in ascending order; folding maps
 // through it keeps every float accumulation order-deterministic.
-func sortedKeys[V any](m map[string]V) []string {
+func SortedKeys[V any](m map[string]V) []string {
 	if len(m) == 0 {
 		return nil
 	}

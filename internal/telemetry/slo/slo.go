@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"sdem/internal/telemetry/series"
@@ -416,18 +415,6 @@ func matchKeys(keys []string, key string) []string {
 	return out
 }
 
-func counterKeys(w *series.Window) []string { return sortedKeys(w.Counters) }
-func floatKeys(w *series.Window) []string   { return sortedKeys(w.Floats) }
-func sketchKeys(w *series.Window) []string  { return sortedKeys(w.Sketches) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
+func counterKeys(w *series.Window) []string { return series.SortedKeys(w.Counters) }
+func floatKeys(w *series.Window) []string   { return series.SortedKeys(w.Floats) }
+func sketchKeys(w *series.Window) []string  { return series.SortedKeys(w.Sketches) }

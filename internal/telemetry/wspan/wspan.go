@@ -38,6 +38,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"sdem/internal/stats"
 )
 
 // procNonce is the random high half of every trace ID minted by this
@@ -59,15 +61,6 @@ func init() {
 	if _, err := rand.Read(seed[:]); err == nil {
 		traceSeq.Store(binary.LittleEndian.Uint64(seed[:]))
 	}
-}
-
-// splitmix64 is the module's standard cheap mixer (same constants as
-// stats.DeriveSeed); it whitens the sequential counter into span IDs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Note is one key/value annotation on a span (decision provenance:
@@ -111,8 +104,8 @@ type Span struct {
 func New(name string) *Trace {
 	t := &Trace{epoch: time.Now()}
 	copy(t.traceID[:8], procNonce[:])
-	binary.BigEndian.PutUint64(t.traceID[8:], splitmix64(traceSeq.Add(1)))
-	t.spans = append(t.spans, span{name: name, parent: -1, id: splitmix64(traceSeq.Add(1)), dur: -1})
+	binary.BigEndian.PutUint64(t.traceID[8:], stats.SplitMix64(traceSeq.Add(1)))
+	t.spans = append(t.spans, span{name: name, parent: -1, id: stats.SplitMix64(traceSeq.Add(1)), dur: -1})
 	return t
 }
 
@@ -191,7 +184,7 @@ func (s Span) Start(name string) Span {
 	since := time.Since(t.epoch)
 	t.mu.Lock()
 	i := int32(len(t.spans))
-	t.spans = append(t.spans, span{name: name, parent: s.i, id: splitmix64(traceSeq.Add(1)), start: since, dur: -1})
+	t.spans = append(t.spans, span{name: name, parent: s.i, id: stats.SplitMix64(traceSeq.Add(1)), start: since, dur: -1})
 	t.mu.Unlock()
 	return Span{t: t, i: i}
 }
