@@ -29,16 +29,18 @@ lint:
 # fuzz is a short smoke run of each fuzz target: the resilient runtime,
 # the pruned §7 overhead scan against pricing every piece and against
 # the golden-section oracle, the SDEM-ON engine against its full-rescan
-# oracle, sdemd's single-pass request decoder against encoding/json, and
-# the offline solver dispatch (a typed error or a valid, audited schedule
-# at or above the lower bound). CI runs it on every push, longer
-# campaigns are manual (-fuzztime 10m etc.).
+# oracle, sdemd's single-pass request decoder against encoding/json, the
+# offline solver dispatch (a typed error or a valid, audited schedule at
+# or above the lower bound), and the streaming energy meter against the
+# Auditor. CI runs it on every push, longer campaigns are manual
+# (-fuzztime 10m etc.).
 fuzz:
 	$(GO) test ./internal/resilient -run '^$$' -fuzz FuzzExecute -fuzztime 10s
 	$(GO) test ./internal/commonrelease -run '^$$' -fuzz FuzzOverheadScan -fuzztime 10s
 	$(GO) test ./internal/online -run '^$$' -fuzz FuzzScheduleRescan -fuzztime 10s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolve -fuzztime 10s
+	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzMeter -fuzztime 10s
 
 # fault-sweep is the quick fault-injection acceptance sweep; its table
 # must match EXPERIMENTS.md's.

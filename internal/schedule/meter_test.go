@@ -114,33 +114,41 @@ func compareBreakdowns(t *testing.T, got, want Breakdown) {
 	}
 }
 
+// meterPolicies are the (core, memory) sleep-policy pairs the meter is
+// checked under.
+var meterPolicies = []struct {
+	name      string
+	core, mem SleepPolicy
+}{
+	{"breakeven", SleepBreakEven, SleepBreakEven},
+	{"never", SleepNever, SleepNever},
+	{"always", SleepAlways, SleepAlways},
+	{"mixed", SleepBreakEven, SleepNever},
+}
+
+// lastEnd is the latest segment end of a trace.
+func lastEnd(batches []batch) float64 {
+	end := 0.0
+	for _, b := range batches {
+		for _, cs := range b {
+			end = math.Max(end, cs.seg.End)
+		}
+	}
+	return end
+}
+
 // TestMeterMatchesAudit pins the incremental meter to the batch audit on
 // randomized traces: same charging decisions, totals within float
 // summation-order slack.
 func TestMeterMatchesAudit(t *testing.T) {
 	sys := power.DefaultSystem()
-	policies := []struct {
-		name      string
-		core, mem SleepPolicy
-	}{
-		{"breakeven", SleepBreakEven, SleepBreakEven},
-		{"never", SleepNever, SleepNever},
-		{"always", SleepAlways, SleepAlways},
-		{"mixed", SleepBreakEven, SleepNever},
-	}
-	for _, pol := range policies {
+	for _, pol := range meterPolicies {
 		t.Run(pol.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 8; seed++ {
 				r := rand.New(rand.NewSource(seed))
 				cores := 1 + r.Intn(4)
 				batches := randomBatches(r, cores, 30)
-				end := 0.0
-				for _, b := range batches {
-					for _, cs := range b {
-						end = math.Max(end, cs.seg.End)
-					}
-				}
-				end += r.Float64() * 0.3 // trailing idle past the last segment
+				end := lastEnd(batches) + r.Float64()*0.3 // trailing idle past the last segment
 
 				m := NewMeter(cores, 0, sys, pol.core, pol.mem)
 				feedBatches(t, m, batches)
@@ -150,6 +158,30 @@ func TestMeterMatchesAudit(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzMeter extends TestMeterMatchesAudit past its eight seeds: the
+// fuzz input seeds randomBatches (1–4 cores, 1–64 batches) and sets the
+// trailing idle (up to 0.3 s), and under every policy pair the meter
+// must match the audit within the same 1e-9 relative bound.
+func FuzzMeter(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(29), uint16(30000))
+	f.Add(int64(7), uint8(0), uint8(0), uint16(0))
+	f.Add(int64(-3), uint8(255), uint8(63), uint16(65535))
+	sys := power.DefaultSystem()
+	f.Fuzz(func(t *testing.T, seed int64, coresRaw, nRaw uint8, tailRaw uint16) {
+		r := rand.New(rand.NewSource(seed))
+		cores := 1 + int(coresRaw%4)
+		batches := randomBatches(r, cores, 1+int(nRaw%64))
+		end := lastEnd(batches) + 0.3*float64(tailRaw)/math.MaxUint16
+		for _, pol := range meterPolicies {
+			m := NewMeter(cores, 0, sys, pol.core, pol.mem)
+			feedBatches(t, m, batches)
+			got := m.Finish(end)
+			want := Audit(scheduleOf(batches, cores, 0, end, pol.core, pol.mem), sys)
+			compareBreakdowns(t, got, want)
+		}
+	})
 }
 
 // TestMeterNeverUsedComponents covers the horizon-only charges: a core
