@@ -31,8 +31,9 @@ lint:
 # the golden-section oracle, the SDEM-ON engine against its full-rescan
 # oracle, sdemd's single-pass request decoder against encoding/json, the
 # offline solver dispatch (a typed error or a valid, audited schedule at
-# or above the lower bound), and the streaming energy meter against the
-# Auditor. CI runs it on every push, longer campaigns are manual
+# or above the lower bound), the streaming energy meter against the
+# Auditor, and the bounded agreeable DP against the DP that solves every
+# block. CI runs it on every push, longer campaigns are manual
 # (-fuzztime 10m etc.).
 fuzz:
 	$(GO) test ./internal/resilient -run '^$$' -fuzz FuzzExecute -fuzztime 10s
@@ -41,6 +42,7 @@ fuzz:
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecode -fuzztime 10s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolve -fuzztime 10s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzMeter -fuzztime 10s
+	$(GO) test ./internal/agreeable -run '^$$' -fuzz FuzzAgreeableDP -fuzztime 10s
 
 # fault-sweep is the quick fault-injection acceptance sweep; its table
 # must match EXPERIMENTS.md's.
@@ -89,15 +91,16 @@ BENCH_BASE = BENCH_$(BENCH_N).json
 BENCH_NEXT = BENCH_$(shell expr $(BENCH_N) + 1).json
 
 # bench runs the fast micro-benchmarks and snapshots them to $(BENCH_NEXT)
-# via cmd/benchreport, comparing allocs/op against the $(BENCH_BASE)
-# baseline (fails on >5% growth). The figure-scale sweeps
+# via cmd/benchreport, comparing allocs/op and the solver work units
+# (evals/op, pieces/op, cells/op, blocks/op, slope_evals/op) against the
+# $(BENCH_BASE) baseline (fails on >5% growth). The figure-scale sweeps
 # (Fig6*/Fig7*/Table3/Sweep*) are excluded: they take minutes and are run
 # manually when sweep performance is the topic. ScheduleStreamMillion
 # runs at a single iteration (one million-arrival pass is the statement)
 # and lands in the snapshot alongside the pattern benchmarks; the 10k
 # sibling rides in the alloc gate too. Serve* are whole sdemd requests
 # through the in-process handler chain.
-BENCH_PATTERN = SolveCommonRelease|SolveAgreeableDP|SolveHeterogeneous|ScheduleOnline|ScheduleStream10k|MBKPBaseline|Audit|FFT1024|PartitionExact|Quantize|LowerBound|Telemetry|Uninstrumented|SnapshotDisabled|CanonicalKey|DecodeTaskRequest|Serve
+BENCH_PATTERN = SolveCommonRelease|SolveAgreeable|SolveHeterogeneous|ScheduleOnline|ScheduleStream10k|MBKPBaseline|Audit|FFT1024|PartitionExact|Quantize|LowerBound|Telemetry|Uninstrumented|SnapshotDisabled|CanonicalKey|DecodeTaskRequest|Serve
 
 bench:
 	( $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem ./... && \
@@ -106,9 +109,10 @@ bench:
 	@echo "wrote $(BENCH_NEXT)"
 
 # bench-gate re-runs the micro-benchmarks without touching the committed
-# snapshot and fails if any allocs/op regressed >5% vs the $(BENCH_BASE)
-# baseline. This is the CI alloc-regression gate; allocs/op (unlike ns/op)
-# is deterministic for a fixed binary, so it never flakes under load.
+# snapshot and fails if any allocs/op or work unit regressed >5% vs the
+# $(BENCH_BASE) baseline. This is the CI count-regression gate; counts
+# (unlike ns/op) are deterministic for a fixed binary, so it never flakes
+# under load.
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 100x \
 		-benchmem ./... | $(GO) run ./cmd/benchreport -compare $(BENCH_BASE) > /dev/null

@@ -14,6 +14,7 @@ package sdem
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"sdem/internal/dsp"
@@ -217,13 +218,43 @@ func benchCommonRelease(b *testing.B, sys System) {
 }
 
 // BenchmarkSolveAgreeableDP times the §5.2 dynamic program on 12 tasks:
-// O(n²) block solves, each a handful of closed-form subgradient
-// evaluations over the block's boundary tasks.
+// at most n(n+1)/2 block solves, each a handful of closed-form
+// subgradient evaluations over the block's boundary tasks. Like the §7
+// scan's benchmark it reports the DP's work per solve from one recorded
+// run outside the timed loop: DP cells scanned (cells/op), blocks solved
+// (blocks/op) and slope evaluations (slope_evals/op).
 func BenchmarkSolveAgreeableDP(b *testing.B) { benchAgreeableDP(b, 12) }
 
 // BenchmarkSolveAgreeableDP50 is the same chain of overlapping tasks at
 // n = 50.
 func BenchmarkSolveAgreeableDP50(b *testing.B) { benchAgreeableDP(b, 50) }
+
+// BenchmarkSolveAgreeableOverhead is the §7 sibling: 16 sets of 8
+// agreeable tasks, the shape sdemd's offline-solve benchmark sends, on
+// the default platform with its break-even times on. One op solves one
+// set; the work metrics are per set.
+func BenchmarkSolveAgreeableOverhead(b *testing.B) {
+	sets := make([]TaskSet, 16)
+	for i := range sets {
+		sets[i] = agreeableBenchSet(8, int64(i))
+	}
+	benchAgreeableSets(b, sets, DefaultSystem())
+}
+
+// agreeableBenchSet draws n overlapping tasks whose deadlines never
+// decrease with their releases: releases 5–25 ms apart, windows of
+// 40–80 ms, 2–5·10⁶ cycles.
+func agreeableBenchSet(n int, seed int64) TaskSet {
+	r := rand.New(rand.NewSource(seed))
+	tasks := make(TaskSet, n)
+	var rel, dl float64
+	for i := range tasks {
+		rel += Milliseconds(5 + 20*r.Float64())
+		dl = max(dl, rel+Milliseconds(40+40*r.Float64()))
+		tasks[i] = Task{ID: i, Release: rel, Deadline: dl, Workload: 2e6 + 3e6*r.Float64()}
+	}
+	return tasks
+}
 
 func benchAgreeableDP(b *testing.B, n int) {
 	sys := DefaultSystem()
@@ -235,12 +266,30 @@ func benchAgreeableDP(b *testing.B, n int) {
 		rel += Milliseconds(15)
 		tasks[i] = Task{ID: i, Release: rel, Deadline: rel + Milliseconds(60), Workload: 3e6}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(tasks, sys); err != nil {
+	benchAgreeableSets(b, []TaskSet{tasks}, sys)
+}
+
+// benchAgreeableSets solves the sets in turn, one per op, and reports
+// the DP's mean work per set from one recorded pass over them.
+func benchAgreeableSets(b *testing.B, sets []TaskSet, sys System) {
+	tel := NewTelemetry()
+	for _, tasks := range sets {
+		if _, err := SolveCtx(context.Background(), tasks, sys, tel); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Solve(sets[i%len(sets)], sys); err != nil {
+			b.Fatal(err)
+		}
+	}
+	perSet := func(name string) float64 {
+		return float64(tel.CounterValue(name, "")) / float64(len(sets))
+	}
+	b.ReportMetric(perSet("sdem.solver.agr.dp_cells"), "cells/op")
+	b.ReportMetric(perSet("sdem.solver.agr.block_solves"), "blocks/op")
+	b.ReportMetric(perSet("sdem.solver.agr.slope_evals"), "slope_evals/op")
 }
 
 // BenchmarkScheduleOnline times SDEM-ON over 200 sporadic tasks.

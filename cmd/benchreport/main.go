@@ -11,12 +11,14 @@
 // sorts entries by name so the file is deterministic for a fixed
 // benchmark outcome.
 //
-// With -compare BASELINE.json the tool additionally gates allocation
+// With -compare BASELINE.json the tool additionally gates count
 // regressions: every benchmark present in both the baseline and the new
-// run has its allocs/op compared, and the exit status is 1 if any rose
-// by more than -max-alloc-growth (default 5%). Only allocs/op is gated —
-// unlike wall time it is deterministic for a fixed binary, so the gate
-// never flakes on a loaded CI machine.
+// run has its allocs/op and its solver work units (workUnits: evals/op,
+// pieces/op, cells/op, blocks/op, slope_evals/op) compared, and the exit
+// status is 1 if any rose by more than -max-alloc-growth (default 5%).
+// Only counts are gated — unlike wall time they are deterministic for a
+// fixed binary, so the gate never flakes on a loaded CI machine. A work
+// unit the baseline entry lacks is noted, not gated.
 //
 // With -merge EXISTING.json the emitted document is the union of the
 // existing report and the new run: entries with the same package and
@@ -71,8 +73,8 @@ type Report struct {
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	merge := flag.String("merge", "", "existing report to merge the parsed run into (same package+name replaced, rest kept; shapes the output only, never the gates)")
-	compare := flag.String("compare", "", "baseline report to gate allocs/op regressions against")
-	maxGrowth := flag.Float64("max-alloc-growth", 0.05, "maximum allowed relative allocs/op growth vs the baseline")
+	compare := flag.String("compare", "", "baseline report to gate allocs/op and work-unit regressions against")
+	maxGrowth := flag.Float64("max-alloc-growth", 0.05, "maximum allowed relative allocs/op and work-unit growth vs the baseline")
 	var require requireList
 	flag.Var(&require, "require", "improvement floor 'BenchmarkName:ns=2,allocs=5' vs the -compare baseline (repeatable)")
 	flag.Parse()
@@ -130,9 +132,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchreport: parsing %s: %v\n", *compare, err)
 		os.Exit(1)
 	}
-	regressions := compareAllocs(os.Stderr, baseline, report, *maxGrowth)
+	regressions := compareCounts(os.Stderr, baseline, report, *maxGrowth)
 	if regressions > 0 {
-		fmt.Fprintf(os.Stderr, "benchreport: %d allocs/op regression(s) vs %s (limit +%.0f%%)\n",
+		fmt.Fprintf(os.Stderr, "benchreport: %d allocs/op or work-unit regression(s) vs %s (limit +%.0f%%)\n",
 			regressions, *compare, *maxGrowth*100)
 		os.Exit(1)
 	}
@@ -286,11 +288,16 @@ func ratio(old, now float64) float64 {
 	return old / now
 }
 
-// compareAllocs reports every benchmark's allocs/op movement against the
-// baseline and returns the number of regressions beyond maxGrowth.
-// Benchmarks present on only one side are noted but never gate: a new
-// benchmark has no baseline, and a deleted one has nothing to regress.
-func compareAllocs(w io.Writer, baseline, current Report, maxGrowth float64) int {
+// workUnits are the custom units gated like allocs/op: solver work
+// counts taken from one recorded solve, which do not depend on the host.
+var workUnits = [...]string{"evals/op", "pieces/op", "cells/op", "blocks/op", "slope_evals/op"}
+
+// compareCounts reports every benchmark's allocs/op and work-unit
+// movement against the baseline and returns the number of regressions
+// beyond maxGrowth. Benchmarks present on only one side are noted but
+// never gate: a new benchmark has no baseline, and a deleted one has
+// nothing to regress. So is a work unit the baseline entry lacks.
+func compareCounts(w io.Writer, baseline, current Report, maxGrowth float64) int {
 	type key struct{ pkg, name string }
 	base := make(map[key]*Entry, len(baseline.Benchmarks))
 	for i := range baseline.Benchmarks {
@@ -300,27 +307,30 @@ func compareAllocs(w io.Writer, baseline, current Report, maxGrowth float64) int
 	regressions := 0
 	for i := range current.Benchmarks {
 		e := &current.Benchmarks[i]
+		id := e.Package + "/" + e.Name
 		b, ok := base[key{e.Package, e.Name}]
 		if !ok {
-			fmt.Fprintf(w, "  new       %s/%s: no baseline entry\n", e.Package, e.Name)
+			fmt.Fprintf(w, "  new       %s: no baseline entry\n", id)
 			continue
 		}
 		delete(base, key{e.Package, e.Name})
-		if b.AllocsPerOp == nil || e.AllocsPerOp == nil {
-			continue // run without -benchmem on one side; nothing to gate
-		}
-		old, now := *b.AllocsPerOp, *e.AllocsPerOp
-		switch {
-		case now > old && now > old*(1+maxGrowth):
+		// A run without -benchmem on one side has no allocs/op to gate.
+		if b.AllocsPerOp != nil && e.AllocsPerOp != nil && !judge(w, id, "allocs/op", *b.AllocsPerOp, *e.AllocsPerOp, maxGrowth) {
 			regressions++
-			fmt.Fprintf(w, "  REGRESSED %s/%s: allocs/op %.0f -> %.0f (%+.1f%%)\n",
-				e.Package, e.Name, old, now, growthPct(old, now))
-		case now < old:
-			fmt.Fprintf(w, "  improved  %s/%s: allocs/op %.0f -> %.0f (%+.1f%%)\n",
-				e.Package, e.Name, old, now, growthPct(old, now))
-		default:
-			fmt.Fprintf(w, "  ok        %s/%s: allocs/op %.0f -> %.0f\n",
-				e.Package, e.Name, old, now)
+		}
+		for _, unit := range workUnits {
+			now, ok := e.Custom[unit]
+			if !ok {
+				continue
+			}
+			old, ok := b.Custom[unit]
+			if !ok {
+				fmt.Fprintf(w, "  new unit  %s: %s has no baseline\n", id, unit)
+				continue
+			}
+			if !judge(w, id, unit, old, now, maxGrowth) {
+				regressions++
+			}
 		}
 	}
 	// Walk the baseline slice, not the map, so the report order is stable.
@@ -333,10 +343,29 @@ func compareAllocs(w io.Writer, baseline, current Report, maxGrowth float64) int
 	return regressions
 }
 
-// growthPct is the relative allocs/op change in percent; a zero baseline
+// judge prints one count's movement and reports whether it stayed within
+// maxGrowth of the baseline.
+func judge(w io.Writer, id, unit string, old, now, maxGrowth float64) bool {
+	switch {
+	case now > old && now > old*(1+maxGrowth):
+		fmt.Fprintf(w, "  REGRESSED %s: %s %s -> %s (%+.1f%%)\n", id, unit, num(old), num(now), growthPct(old, now))
+		return false
+	case now < old:
+		fmt.Fprintf(w, "  improved  %s: %s %s -> %s (%+.1f%%)\n", id, unit, num(old), num(now), growthPct(old, now))
+	default:
+		fmt.Fprintf(w, "  ok        %s: %s %s -> %s\n", id, unit, num(old), num(now))
+	}
+	return true
+}
+
+// num formats a count in its shortest exact form: 52, or 17.5 for a
+// mean over several solves.
+func num(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// growthPct is the relative count change in percent; a zero baseline
 // with any growth reads as +Inf, which formats as the honest answer.
 func growthPct(old, now float64) float64 {
-	if old == 0 { //lint:allow floatcmp: allocs/op counts are exact integers; this guards the division
+	if old == 0 { //lint:allow floatcmp: gated counts are exact; this guards the division
 		if now == 0 { //lint:allow floatcmp: see above
 			return 0
 		}

@@ -83,9 +83,9 @@ func TestCompareAllocs(t *testing.T) {
 		entry("sdem", "BenchmarkNoMem", nil),       // no memstats: never gates
 	}}
 	var buf strings.Builder
-	got := compareAllocs(&buf, baseline, current, 0.05)
+	got := compareCounts(&buf, baseline, current, 0.05)
 	if got != 2 {
-		t.Fatalf("compareAllocs = %d regressions, want 2\nreport:\n%s", got, buf.String())
+		t.Fatalf("compareCounts = %d regressions, want 2\nreport:\n%s", got, buf.String())
 	}
 	out := buf.String()
 	for _, want := range []string{
@@ -213,10 +213,54 @@ func TestCompareAllocsImprovement(t *testing.T) {
 	baseline := Report{Benchmarks: []Entry{entry("sdem", "BenchmarkA", allocs(200))}}
 	current := Report{Benchmarks: []Entry{entry("sdem", "BenchmarkA", allocs(50))}}
 	var buf strings.Builder
-	if got := compareAllocs(&buf, baseline, current, 0.05); got != 0 {
+	if got := compareCounts(&buf, baseline, current, 0.05); got != 0 {
 		t.Fatalf("improvement counted as regression:\n%s", buf.String())
 	}
 	if !strings.Contains(buf.String(), "improved  sdem/BenchmarkA: allocs/op 200 -> 50 (-75.0%)") {
 		t.Errorf("unexpected improvement line:\n%s", buf.String())
+	}
+}
+
+func worked(pkg, name string, units map[string]float64) Entry {
+	return Entry{Name: name, Package: pkg, Iterations: 1, NsPerOp: 1, AllocsPerOp: allocs(10), Custom: units}
+}
+
+// TestCompareWorkUnits gates the solver work units like allocs/op, notes
+// a unit the baseline lacks without gating it, and leaves other custom
+// units ungated.
+func TestCompareWorkUnits(t *testing.T) {
+	baseline := Report{Benchmarks: []Entry{
+		worked("sdem", "BenchmarkDP", map[string]float64{"cells/op": 1275, "blocks/op": 240, "slope_evals/op": 12511}),
+		worked("sdem", "BenchmarkScan", map[string]float64{"evals/op": 6, "pieces/op": 1, "joules": 1}),
+		worked("sdem", "BenchmarkMean", map[string]float64{"blocks/op": 17.5}),
+	}}
+	current := Report{Benchmarks: []Entry{
+		// blocks/op +10%: regression; slope_evals/op falls; cells/op holds.
+		worked("sdem", "BenchmarkDP", map[string]float64{"cells/op": 1275, "blocks/op": 264, "slope_evals/op": 500}),
+		// evals/op 6 -> 7: regression; joules is not a work unit.
+		worked("sdem", "BenchmarkScan", map[string]float64{"evals/op": 7, "pieces/op": 1, "joules": 100}),
+		// blocks/op within budget; cells/op has no baseline: noted only.
+		worked("sdem", "BenchmarkMean", map[string]float64{"blocks/op": 18, "cells/op": 36}),
+	}}
+	var buf strings.Builder
+	if got := compareCounts(&buf, baseline, current, 0.05); got != 2 {
+		t.Fatalf("compareCounts = %d regressions, want 2\nreport:\n%s", got, buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{
+		"REGRESSED sdem/BenchmarkDP: blocks/op 240 -> 264 (+10.0%)",
+		"improved  sdem/BenchmarkDP: slope_evals/op 12511 -> 500",
+		"ok        sdem/BenchmarkDP: cells/op 1275 -> 1275",
+		"REGRESSED sdem/BenchmarkScan: evals/op 6 -> 7",
+		"ok        sdem/BenchmarkScan: pieces/op 1 -> 1",
+		"ok        sdem/BenchmarkMean: blocks/op 17.5 -> 18",
+		"new unit  sdem/BenchmarkMean: cells/op has no baseline",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "joules") {
+		t.Errorf("a unit outside workUnits was judged:\n%s", out)
 	}
 }

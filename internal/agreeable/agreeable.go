@@ -96,6 +96,9 @@ type solver struct {
 	// of every block solve so a caller's deadline budget can abandon an
 	// expensive solve cooperatively.
 	ctx context.Context
+	// The solve's work tallies, reported to tel once by dp: slope
+	// evaluations, block solves and DP cells scanned.
+	slopeEvals, blockSolves, dpCells int64
 }
 
 // newSolver normalizes the instance for the block-local objective of
@@ -194,14 +197,36 @@ func (s *solver) coreEnergy(k int, avail float64) (float64, float64) {
 	return e, speed
 }
 
+// boundSlack is the relative margin by which a block's lower bound must
+// exceed the DP row's best value before dp skips the block: far above
+// the rounding of the bound's and the block cost's sums, far below any
+// cost gap the block solver's relTol/1000 root finding resolves.
+const boundSlack = 1e-12
+
+// blockBound is an O(1) lower bound on the cost of block [from..to]:
+// each task's core energy is at least its full-window energy, and the
+// busy interval starts before d_from and ends after r_to.
+func (s *solver) blockBound(from, to int) float64 {
+	gap := math.Max(0, s.tasks[to].Release-s.tasks[from].Deadline)
+	return s.fullPrefix[to+1] - s.fullPrefix[from] + s.sys.Memory.Static*gap
+}
+
 // dp runs the prefix dynamic program of §5.1.2/§5.2.2 and returns the
 // optimal block partition. blockExtra is added per block (α_m·ξ_m in the
 // §7 DP).
+//
+// Each row q opens with the singleton block [q−1, q−1]: its value U is
+// the sum the scan's last cell computes, so no row minimum exceeds it.
+// The scan then skips every block whose lower bound (blockBound), less
+// boundSlack, exceeds min(opt[q], U): such a block can neither be nor tie
+// the row's minimum, so the partition and every bit of its cost are
+// those of the DP that solves all n(n+1)/2 blocks.
 func (s *solver) dp(blockExtra float64) []Block {
 	n := len(s.tasks)
 	if n == 0 {
 		return nil
 	}
+	defer s.reportWork()
 	// Memoized block costs, row-major by (first, last) task.
 	blocks := make([]Block, n*n)
 	for i := range blocks {
@@ -223,12 +248,17 @@ func (s *solver) dp(blockExtra float64) []Block {
 		if s.ctx != nil && s.ctx.Err() != nil {
 			return nil // solve surfaces the context error
 		}
+		best := opt[q-1] + get(q-1, q-1).Cost + blockExtra // U
 		opt[q] = math.Inf(1)
 		for p := 0; p < q; p++ {
-			s.tel.Count("sdem.solver.agr.dp_cells", 1)
+			s.dpCells++
+			if lb := opt[p] + blockExtra + s.blockBound(p, q-1); lb-boundSlack*math.Abs(lb) > best {
+				continue
+			}
 			if c := opt[p] + get(p, q-1).Cost + blockExtra; c < opt[q] {
 				opt[q] = c
 				choice[q] = p
+				best = math.Min(best, c)
 			}
 		}
 	}
@@ -241,6 +271,23 @@ func (s *solver) dp(blockExtra float64) []Block {
 		out[i], out[j] = out[j], out[i]
 	}
 	return out
+}
+
+// reportWork adds the solve's work tallies to the recorder, one Count
+// per counter. A counter with nothing to add stays out of the dump.
+func (s *solver) reportWork() {
+	for _, c := range [...]struct {
+		name string
+		n    int64
+	}{
+		{"sdem.solver.agr.slope_evals", s.slopeEvals},
+		{"sdem.solver.agr.block_solves", s.blockSolves},
+		{"sdem.solver.agr.dp_cells", s.dpCells},
+	} {
+		if c.n > 0 {
+			s.tel.Count(c.name, c.n)
+		}
+	}
 }
 
 // buildSchedule lays out the blocks: within a block each task starts at
@@ -294,21 +341,9 @@ func solve(ctx context.Context, m power.Model, tasks task.Set, sys power.System,
 			return nil, fmt.Errorf("agreeable: solve cancelled: %w", err)
 		}
 	}
-	sched := s.buildSchedule(blocks)
-	energy := schedule.Audit(sched, s.sys).Total()
-	if m == power.ModelOverhead {
-		// The DP's block objective values memory compression as if the
-		// freed time always slept, but gaps below ξ_m save nothing
-		// (Table 3's Δ = 0 row). Audit the no-compression alternative —
-		// every task at its constrained natural speed from its window
-		// start — and keep the cheaper schedule. Blocks still report the
-		// DP's partition.
-		if fb := s.buildNaturalFallback(); fb != nil {
-			if e := schedule.Audit(fb, s.sys).Total(); e < energy {
-				sched, energy = fb, e
-				tel.Count("sdem.solver.agr.fallback_used", 1)
-			}
-		}
+	sched, energy, fellBack := s.place(m, blocks)
+	if fellBack {
+		tel.Count("sdem.solver.agr.fallback_used", 1)
 	}
 	if tel != nil {
 		tel.CountL("sdem.solver.agr.solves", "scheme="+schemes[m], 1)
@@ -323,6 +358,25 @@ func solve(ctx context.Context, m power.Model, tasks task.Set, sys power.System,
 		Blocks:   blocks,
 		Energy:   energy,
 	}, nil
+}
+
+// place lays out the DP's blocks and audits the schedule. In the §7
+// model the block objective values memory compression as if the freed
+// time always slept, but gaps below ξ_m save nothing (Table 3's Δ = 0
+// row), so place also audits the no-compression alternative — every task
+// at its constrained natural speed from its window start — and keeps the
+// cheaper schedule (fellBack). Blocks still report the DP's partition.
+func (s *solver) place(m power.Model, blocks []Block) (sched *schedule.Schedule, energy float64, fellBack bool) {
+	sched = s.buildSchedule(blocks)
+	energy = schedule.Audit(sched, s.sys).Total()
+	if m == power.ModelOverhead {
+		if fb := s.buildNaturalFallback(); fb != nil {
+			if e := schedule.Audit(fb, s.sys).Total(); e < energy {
+				return fb, e, true
+			}
+		}
+	}
+	return sched, energy, false
 }
 
 // buildNaturalFallback places every task at its window start running at

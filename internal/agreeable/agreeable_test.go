@@ -406,18 +406,25 @@ func (c *countdownCtx) Err() error {
 
 // TestSolveCtxPollsEveryBlock checks cancellation is polled per block
 // solve, not only per DP row: after the cancelling poll no further block
-// is solved, so blocks solved stay below the polls answered.
+// is solved, so blocks solved stay below the polls answered. It also
+// checks the solve's work tally reaches the recorder on the cancel path:
+// the first two polls are row 1's and its singleton block's, so every
+// later poll follows a solved block.
 func TestSolveCtxPollsEveryBlock(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	tasks := randomAgreeable(r, 30)
-	for _, n := range []int{1, 2, 10, 50} {
+	for _, n := range []int{1, 2, 3, 10, 50} {
 		ctx := &countdownCtx{Context: context.Background(), n: n}
 		rec := telemetry.New()
 		if _, err := SolveCtx(ctx, tasks, testSystem(), rec); !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel at poll %d: err = %v, want context.Canceled", n, err)
 		}
-		if solved := rec.CounterValue("sdem.solver.agr.block_solves", ""); solved >= int64(n) {
+		solved := rec.CounterValue("sdem.solver.agr.block_solves", "")
+		if solved >= int64(n) {
 			t.Errorf("cancel at poll %d: %d blocks solved", n, solved)
+		}
+		if n > 2 && solved == 0 {
+			t.Errorf("cancel at poll %d: no block solves reported", n)
 		}
 	}
 }

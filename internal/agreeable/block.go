@@ -66,7 +66,7 @@ func (s *solver) slope(k int, a float64) (g, dg float64) {
 //
 //sdem:hotpath
 func (s *solver) endSlope(from, to int, x, y float64) (left, right, curv float64) {
-	s.tel.Count("sdem.solver.agr.slope_evals", 1)
+	s.slopeEvals++
 	left, right = s.sys.Memory.Static, s.sys.Memory.Static
 	for k := to; k >= from && s.tasks[k].Deadline >= y; k-- {
 		t := &s.tasks[k]
@@ -87,7 +87,7 @@ func (s *solver) endSlope(from, to int, x, y float64) (left, right, curv float64
 //
 //sdem:hotpath
 func (s *solver) startSlope(from, to int, x, y float64) (left, right, xx, xy, scale float64) {
-	s.tel.Count("sdem.solver.agr.slope_evals", 1)
+	s.slopeEvals++
 	left, right = -s.sys.Memory.Static, -s.sys.Memory.Static
 	scale = s.sys.Memory.Static
 	for k := from; k <= to && s.tasks[k].Release <= x; k++ {
@@ -199,15 +199,17 @@ func (s *solver) startDeriv(from, to int, x, guess float64) (left, right, curv, 
 }
 
 // blockSolve finds the optimal busy interval for tasks [from..to]. The DP
-// memoizes it per (from, to), so it runs O(n²) times per solve; it returns
-// an infinite-cost block without solving once the solve's context is done.
+// memoizes it per (from, to) and calls it only for blocks its lower bound
+// cannot rule out, so it runs at most n(n+1)/2 times per solve; it
+// returns an infinite-cost block without solving once the solve's context
+// is done.
 //
 //sdem:hotpath
 func (s *solver) blockSolve(from, to int) Block {
 	if s.ctx != nil && s.ctx.Err() != nil {
 		return Block{From: from, To: to, Cost: math.Inf(1)}
 	}
-	s.tel.Count("sdem.solver.agr.block_solves", 1)
+	s.blockSolves++
 	// The busy start lies in the first task's window, and late enough
 	// starts would squeeze some task below its s_up floor.
 	lo, hi := s.tasks[from].Release, s.tasks[from].Deadline
