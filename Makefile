@@ -32,8 +32,9 @@ lint:
 # oracle, sdemd's single-pass request decoder against encoding/json, the
 # offline solver dispatch (a typed error or a valid, audited schedule at
 # or above the lower bound), the streaming energy meter against the
-# Auditor, and the bounded agreeable DP against the DP that solves every
-# block. CI runs it on every push, longer campaigns are manual
+# Auditor, the bounded agreeable DP against the DP that solves every
+# block, and the wall-clock span-tree document (round trip and tree
+# contract). CI runs it on every push, longer campaigns are manual
 # (-fuzztime 10m etc.).
 fuzz:
 	$(GO) test ./internal/resilient -run '^$$' -fuzz FuzzExecute -fuzztime 10s
@@ -43,6 +44,7 @@ fuzz:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzSolve -fuzztime 10s
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzMeter -fuzztime 10s
 	$(GO) test ./internal/agreeable -run '^$$' -fuzz FuzzAgreeableDP -fuzztime 10s
+	$(GO) test ./internal/telemetry/wspan -run '^$$' -fuzz FuzzTraceDoc -fuzztime 10s
 
 # fault-sweep is the quick fault-injection acceptance sweep; its table
 # must match EXPERIMENTS.md's.

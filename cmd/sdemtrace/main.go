@@ -11,13 +11,13 @@
 //	sdemtrace traces.jsonl
 //	curl -s $ADDR/debug/trace/42?format=wall | sdemtrace
 //
-// -verify switches to the CI contract: every trace must be a well-formed
-// tree — exactly one root span named by the serve path ("request"),
-// parent indices that precede their children, no never-ended spans,
-// children contained in their parents, and the union-length of the
-// root's direct children no longer than the root itself (union, not sum:
-// parallel batch items legitimately overlap). Violations go to stderr
-// and the exit status is nonzero.
+// -verify switches to the CI contract, wspan.Doc.Verify: every trace must
+// be a well-formed tree — exactly one root span, parent indices that
+// precede their children, no never-ended spans, children contained in
+// their parents, and the union-length of the root's direct children no
+// longer than the root itself (union, not sum: parallel batch items
+// legitimately overlap). Violations go to stderr and the exit status is
+// nonzero.
 package main
 
 import (
@@ -27,30 +27,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"text/tabwriter"
 
 	"sdem/internal/stats"
+	"sdem/internal/telemetry/wspan"
 )
-
-// span mirrors one element of wspan's AppendJSON spans array.
-type span struct {
-	Name    string            `json:"name"`
-	Parent  int               `json:"parent"`
-	SpanID  string            `json:"span_id"`
-	StartNs int64             `json:"start_ns"`
-	DurNs   int64             `json:"dur_ns"` // -1: never ended
-	Notes   map[string]string `json:"notes,omitempty"`
-}
-
-// trace mirrors wspan's AppendJSON document.
-type trace struct {
-	TraceID      string `json:"trace_id"`
-	RemoteParent string `json:"remote_parent,omitempty"`
-	Spans        []span `json:"spans"`
-}
 
 func main() {
 	verify := flag.Bool("verify", false, "check span-tree invariants instead of printing tables; nonzero exit on any violation")
@@ -72,7 +55,7 @@ func run(w, diag io.Writer, verify bool, files []string) error {
 	if verify {
 		bad := 0
 		for i, t := range traces {
-			errs := verifyTrace(&traces[i])
+			errs := traces[i].Verify()
 			if len(errs) == 0 {
 				continue
 			}
@@ -91,9 +74,9 @@ func run(w, diag io.Writer, verify bool, files []string) error {
 }
 
 // read parses JSONL traces from the named files, or stdin when none.
-// Blank lines and "null" records (a nil trace's AppendJSON) are skipped.
-func read(files []string) ([]trace, error) {
-	var traces []trace
+// Blank lines and "null" records (a nil trace's document) are skipped.
+func read(files []string) ([]wspan.Doc, error) {
+	var traces []wspan.Doc
 	scan := func(name string, r io.Reader) error {
 		sc := bufio.NewScanner(r)
 		sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -104,7 +87,7 @@ func read(files []string) ([]trace, error) {
 			if len(b) == 0 || bytes.Equal(b, []byte("null")) {
 				continue
 			}
-			var t trace
+			var t wspan.Doc
 			if err := json.Unmarshal(b, &t); err != nil {
 				return fmt.Errorf("%s:%d: %v", name, line, err)
 			}
@@ -129,79 +112,6 @@ func read(files []string) ([]trace, error) {
 	return traces, nil
 }
 
-// verifyTrace checks the structural invariants one span tree must hold.
-func verifyTrace(t *trace) []error {
-	var errs []error
-	if len(t.Spans) == 0 {
-		return []error{fmt.Errorf("no spans")}
-	}
-	if len(t.TraceID) != 32 {
-		errs = append(errs, fmt.Errorf("trace_id %q is not 32 hex chars", t.TraceID))
-	}
-	root := t.Spans[0]
-	if root.Parent != -1 {
-		errs = append(errs, fmt.Errorf("first span %q has parent %d, want -1 (root)", root.Name, root.Parent))
-	}
-	for i, sp := range t.Spans {
-		if i > 0 && sp.Parent == -1 {
-			errs = append(errs, fmt.Errorf("span %d %q is a second root", i, sp.Name))
-			continue
-		}
-		if i > 0 && (sp.Parent < 0 || sp.Parent >= i) {
-			errs = append(errs, fmt.Errorf("span %d %q: orphan — parent index %d does not precede it", i, sp.Name, sp.Parent))
-			continue
-		}
-		if sp.DurNs < 0 {
-			errs = append(errs, fmt.Errorf("span %d %q never ended", i, sp.Name))
-			continue
-		}
-		if i == 0 {
-			continue
-		}
-		p := t.Spans[sp.Parent]
-		if p.DurNs >= 0 && (sp.StartNs < p.StartNs || sp.StartNs+sp.DurNs > p.StartNs+p.DurNs) {
-			errs = append(errs, fmt.Errorf("span %d %q [%d,%d]ns escapes parent %q [%d,%d]ns",
-				i, sp.Name, sp.StartNs, sp.StartNs+sp.DurNs,
-				p.Name, p.StartNs, p.StartNs+p.DurNs))
-		}
-	}
-	// The ISSUE-named gate, independent of the per-child containment
-	// check above: stage coverage of the request span. Union, not sum —
-	// parallel batch item spans overlap and must not trip this.
-	if root.DurNs >= 0 {
-		if u := stageUnion(t); u > root.DurNs {
-			errs = append(errs, fmt.Errorf("stage union %dns exceeds the %dns request span", u, root.DurNs))
-		}
-	}
-	return errs
-}
-
-// stageUnion sweeps the ended direct children of the root and returns
-// the length of the union of their intervals in nanoseconds.
-func stageUnion(t *trace) int64 {
-	type iv struct{ lo, hi int64 }
-	var ivs []iv
-	for i, sp := range t.Spans {
-		if i == 0 || sp.Parent != 0 || sp.DurNs < 0 {
-			continue
-		}
-		ivs = append(ivs, iv{sp.StartNs, sp.StartNs + sp.DurNs})
-	}
-	sort.Slice(ivs, func(a, b int) bool { return ivs[a].lo < ivs[b].lo })
-	var total, hi int64
-	hi = math.MinInt64
-	for _, v := range ivs {
-		if v.lo > hi {
-			total += v.hi - v.lo
-			hi = v.hi
-		} else if v.hi > hi {
-			total += v.hi - hi
-			hi = v.hi
-		}
-	}
-	return total
-}
-
 // stageAgg accumulates one stage's per-trace millisecond totals.
 type stageAgg struct {
 	name    string
@@ -214,7 +124,7 @@ type stageAgg struct {
 // stage accounts for. "(untracked)" is request time no stage covered.
 // Output ordering is deterministic: request first, then by total time
 // descending with name as the tiebreak.
-func attribute(w io.Writer, traces []trace) error {
+func attribute(w io.Writer, traces []wspan.Doc) error {
 	byName := make(map[string]*stageAgg)
 	var rootTotalNs int64
 	used := 0
@@ -233,7 +143,7 @@ func attribute(w io.Writer, traces []trace) error {
 				perTrace[sp.Name] += sp.DurNs
 			}
 		}
-		if un := root.DurNs - stageUnion(t); un > 0 {
+		if un := root.DurNs - t.StageUnion(); un > 0 {
 			perTrace["(untracked)"] = un
 		}
 		for name, ns := range perTrace {

@@ -1,10 +1,12 @@
 // sdemtrace tests: the verifier against both real wspan output and
-// hand-built corrupt documents, and the attribution table's arithmetic
-// and determinism against fixed synthetic traces.
+// hand-built corrupt documents, the attribution table's arithmetic and
+// determinism against fixed synthetic traces, and both outputs on
+// recorded sdemd traces against goldens.
 package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +28,11 @@ func realTraceLine(t *testing.T) []byte {
 	esp := tr.Root().Start("encode")
 	esp.End()
 	tr.Finish()
-	return append(tr.AppendJSON(nil), '\n')
+	var b bytes.Buffer
+	if err := tr.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
 }
 
 func runOn(t *testing.T, verify bool, input string) (out, diag string, err error) {
@@ -177,5 +183,37 @@ func TestNoTracesIsAnError(t *testing.T) {
 	}
 	if _, _, err := runOn(t, false, ""); err == nil {
 		t.Error("attribution passed on empty input")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current sdemtrace")
+
+// TestRecordedTraces pins the table and the -verify summary on span trees
+// recorded from a local sdemd (sdemload -trace-out, simulate and solve
+// traffic), so a change to the reader or the tree contract that moves
+// either output fails here.
+func TestRecordedTraces(t *testing.T) {
+	in := filepath.Join("testdata", "traces.jsonl")
+	for _, tc := range []struct {
+		golden string
+		verify bool
+	}{{"table.golden", false}, {"verify.golden", true}} {
+		var out, diag bytes.Buffer
+		if err := run(&out, &diag, tc.verify, []string{in}); err != nil {
+			t.Fatalf("%s: %v\n%s", tc.golden, err, diag.String())
+		}
+		path := filepath.Join("testdata", tc.golden)
+		if *update {
+			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s differs (run with -update to rewrite):\ngot:\n%s\nwant:\n%s", path, out.Bytes(), want)
+		}
 	}
 }

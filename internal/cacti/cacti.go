@@ -89,17 +89,6 @@ func ForStaticPower(alphaM float64) (DRAM, error) {
 	return DRAM{TechNM: refTech, CapacityMB: alphaM / refLeakWPerMB}, nil
 }
 
-// Table4Grid returns the DRAM configurations realizing the paper's
-// α_m ∈ {1..8} W sweep at 50 nm.
-func Table4Grid() []DRAM {
-	out := make([]DRAM, 8)
-	for i := range out {
-		d, _ := ForStaticPower(float64(i + 1))
-		out[i] = d
-	}
-	return out
-}
-
 // ScaleBreakEven returns a copy whose transition energy is adjusted so
 // that the break-even time equals xi seconds — how the experiments pin
 // ξ_m to the Table 4 grid independently of α_m.

@@ -56,18 +56,19 @@ func TestForStaticPowerInverts(t *testing.T) {
 	}
 }
 
+// TestTable4GridSpansPaperRange: ForStaticPower realizes every point of
+// the paper's α_m ∈ {1..8} W sweep as a valid 50 nm DRAM.
 func TestTable4GridSpansPaperRange(t *testing.T) {
-	grid := Table4Grid()
-	if len(grid) != 8 {
-		t.Fatalf("grid size = %d, want 8", len(grid))
-	}
-	for i, d := range grid {
-		want := float64(i + 1)
-		if got := d.StaticPower(); math.Abs(got-want) > 1e-9 {
-			t.Errorf("grid[%d] α_m = %g, want %g", i, got, want)
+	for am := 1.0; am <= 8; am++ {
+		d, err := ForStaticPower(am)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := d.StaticPower(); math.Abs(got-am) > 1e-9 {
+			t.Errorf("α_m %g leaks %g", am, got)
 		}
 		if err := d.Validate(); err != nil {
-			t.Errorf("grid[%d] invalid: %v", i, err)
+			t.Errorf("α_m %g invalid: %v", am, err)
 		}
 	}
 }

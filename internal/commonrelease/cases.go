@@ -97,7 +97,7 @@ func tailChargeFixed(tail, breakEven float64) bool {
 
 // energyClosed is the audited energy of the busy-length-L candidate in
 // closed form, for L ≤ c_n: tasks with natural completion ≥ L−Tol align
-// to [0, L] (the same boundary build draws), each non-aligned core runs
+// to [0, L] (alignedEnd's rule, found by index here), each non-aligned core runs
 // [0, c_j] and idles the tail, and the memory is busy exactly [0, L].
 // Every term prices what the Auditor would charge — same gapCost
 // branches, same Tol boundary — so it matches the audit of build(L) to

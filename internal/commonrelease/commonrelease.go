@@ -253,16 +253,26 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, m power.Mode
 	return nil
 }
 
-// build constructs the schedule for busy length L: tasks with natural
-// completion ≥ L−ε align to [0, L]; the rest run at natural speed. One
-// core per positive-workload task (unbounded-core model).
+// alignedEnd is the Tol alignment rule: under busy length L, task i ends
+// at L when its natural completion c_i ≥ L − Tol, and at c_i otherwise.
+// build and PlanEndsRel both call it, so their ends agree bit for bit;
+// energyClosed's sort.SearchFloat64s(in.c, L−Tol) is the same rule in
+// index form (the first aligned task of the ascending c).
+func (in *instance) alignedEnd(i int, L float64) float64 {
+	end := in.c[i]
+	if end >= L-schedule.Tol {
+		end = L
+	}
+	return end
+}
+
+// build constructs the schedule for busy length L: tasks aligned by
+// alignedEnd run over [0, L]; the rest run at natural speed. One core
+// per positive-workload task (unbounded-core model).
 func (in *instance) build(L float64) *schedule.Schedule {
 	s := schedule.New(len(in.tasks), in.release, in.release+in.horizon)
 	for i, t := range in.tasks {
-		end := in.c[i]
-		if end >= L-schedule.Tol {
-			end = L
-		}
+		end := in.alignedEnd(i, L)
 		s.Add(i, schedule.Segment{
 			TaskID: t.ID,
 			Start:  in.release,

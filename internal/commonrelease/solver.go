@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"sdem/internal/power"
-	"sdem/internal/schedule"
 	"sdem/internal/task"
 	"sdem/internal/telemetry"
 )
@@ -63,13 +62,7 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 		ends[i] = 0
 	}
 	for i := range in.tasks {
-		// Mirror build bit-for-bit: aligned tasks (natural completion
-		// within Tol of L or beyond) end at L, the rest at c_i.
-		end := in.c[i]
-		if end >= L-schedule.Tol {
-			end = L
-		}
-		ends[in.pos[i]] = end
+		ends[in.pos[i]] = in.alignedEnd(i, L)
 	}
 	return ends, nil
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"sdem/internal/numeric"
 	"sdem/internal/schedule"
 )
 
@@ -124,21 +123,6 @@ func Quantize(s *schedule.Schedule, ladder Ladder) (*schedule.Schedule, error) {
 	return out, nil
 }
 
-// EnergyPenalty quantizes the schedule and returns the relative increase
-// of audited energy, (E_discrete − E_continuous)/E_continuous — the gap
-// §3 argues shrinks as ladders densify.
-func EnergyPenalty(s *schedule.Schedule, ladder Ladder, audit func(*schedule.Schedule) float64) (float64, error) {
-	q, err := Quantize(s, ladder)
-	if err != nil {
-		return 0, err
-	}
-	base := audit(s)
-	if numeric.IsZero(base, 0) {
-		return 0, nil
-	}
-	return (audit(q) - base) / base, nil
-}
-
 // UniformLadder builds an n-level ladder evenly spaced over [lo, hi] —
 // useful for studying the continuous-vs-discrete gap as n grows.
 func UniformLadder(lo, hi float64, n int) (Ladder, error) {
@@ -157,13 +141,3 @@ func UniformLadder(lo, hi float64, n int) (Ladder, error) {
 
 // MaxLevel returns the ladder's top frequency.
 func (l Ladder) MaxLevel() float64 { return l[len(l)-1] }
-
-// Nearest returns the smallest ladder level that is at least s (clamped
-// to the top level); useful for conservative single-level rounding.
-func (l Ladder) Nearest(s float64) float64 {
-	i := sort.SearchFloat64s(l, s)
-	if i >= len(l) {
-		return l[len(l)-1]
-	}
-	return l[i]
-}

@@ -108,26 +108,6 @@ func FFT(signal []complex128, cm CostModel) (*FFTResult, error) {
 	return &FFTResult{Output: out, Cycles: cycles}, nil
 }
 
-// InverseFFT inverts FFT (up to the modelled cycle count of a forward
-// transform plus the scaling pass).
-func InverseFFT(spectrum []complex128, cm CostModel) (*FFTResult, error) {
-	n := len(spectrum)
-	conj := make([]complex128, n)
-	for i, v := range spectrum {
-		conj[i] = cmplx.Conj(v)
-	}
-	res, err := FFT(conj, cm)
-	if err != nil {
-		return nil, err
-	}
-	inv := float64(n)
-	for i, v := range res.Output {
-		res.Output[i] = cmplx.Conj(v) / complex(inv, 0)
-	}
-	res.Cycles += float64(2*n) * cm.LoadStore
-	return res, nil
-}
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int

@@ -49,6 +49,24 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	}
 }
 
+// inverseFFT inverts FFT through the conjugate identity
+// ifft(x) = conj(fft(conj(x)))/n.
+func inverseFFT(spectrum []complex128, cm CostModel) (*FFTResult, error) {
+	n := len(spectrum)
+	conj := make([]complex128, n)
+	for i, v := range spectrum {
+		conj[i] = cmplx.Conj(v)
+	}
+	res, err := FFT(conj, cm)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range res.Output {
+		res.Output[i] = cmplx.Conj(v) / complex(float64(n), 0)
+	}
+	return res, nil
+}
+
 func TestFFTRoundTrip(t *testing.T) {
 	cm := DefaultCostModel()
 	r := rand.New(rand.NewSource(2))
@@ -57,7 +75,7 @@ func TestFFTRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := InverseFFT(fwd.Output, cm)
+	back, err := inverseFFT(fwd.Output, cm)
 	if err != nil {
 		t.Fatal(err)
 	}

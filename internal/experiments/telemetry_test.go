@@ -10,14 +10,14 @@ import (
 )
 
 // dumpAll renders a recorder's full deterministic output (metrics plus
-// JSONL trace) for byte comparison.
+// Chrome trace) for byte comparison.
 func dumpAll(t *testing.T, tel *telemetry.Recorder) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := tel.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := tel.WriteTraceJSONL(&buf); err != nil {
+	if err := tel.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()

@@ -147,19 +147,6 @@ func (p ServePlan) At(id int64) (ServeFault, bool) {
 	return f, true
 }
 
-// Materialize lists the faults the plan injects over the first n request
-// ordinals (1..n), in ordinal order — the explicit form used by tests
-// and by operators inspecting a storm before replaying it.
-func (p ServePlan) Materialize(n int64) []ServeFault {
-	var out []ServeFault
-	for id := int64(1); id <= n; id++ {
-		if f, ok := p.At(id); ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // unit derives a uniform float64 in [0, 1) from the plan seed, the
 // request ordinal, and a draw slot.
 func unit(seed, id int64, slot uint64) float64 {

@@ -5,38 +5,50 @@ import (
 	"testing"
 )
 
+// materialize lists the faults the plan injects over the first n request
+// ordinals (1..n), in ordinal order.
+func materialize(p ServePlan, n int64) []ServeFault {
+	var out []ServeFault
+	for id := int64(1); id <= n; id++ {
+		if f, ok := p.At(id); ok {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
 func TestServePlanDeterministic(t *testing.T) {
 	cfg := ServeConfig{Rate: 0.3, Kinds: []ServeKind{ServeLatency, ServeError, ServePanic}}
-	a := NewServePlan(cfg, 42).Materialize(2000)
-	b := NewServePlan(cfg, 42).Materialize(2000)
+	a := materialize(NewServePlan(cfg, 42), 2000)
+	b := materialize(NewServePlan(cfg, 42), 2000)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed produced different storms")
 	}
 	if len(a) == 0 {
 		t.Fatalf("rate 0.3 over 2000 requests injected nothing")
 	}
-	c := NewServePlan(cfg, 43).Materialize(2000)
+	c := materialize(NewServePlan(cfg, 43), 2000)
 	if reflect.DeepEqual(a, c) {
 		t.Fatalf("different seeds produced identical storms")
 	}
 }
 
 func TestServePlanRateBounds(t *testing.T) {
-	if got := NewServePlan(ServeConfig{Rate: 0}, 1).Materialize(500); len(got) != 0 {
+	if got := materialize(NewServePlan(ServeConfig{Rate: 0}, 1), 500); len(got) != 0 {
 		t.Fatalf("rate 0 injected %d faults", len(got))
 	}
-	all := NewServePlan(ServeConfig{Rate: 1}, 1).Materialize(500)
+	all := materialize(NewServePlan(ServeConfig{Rate: 1}, 1), 500)
 	if len(all) != 500 {
 		t.Fatalf("rate 1 injected %d of 500", len(all))
 	}
-	mid := NewServePlan(ServeConfig{Rate: 0.5}, 7).Materialize(2000)
+	mid := materialize(NewServePlan(ServeConfig{Rate: 0.5}, 7), 2000)
 	if len(mid) < 800 || len(mid) > 1200 {
 		t.Fatalf("rate 0.5 injected %d of 2000 — badly biased derivation", len(mid))
 	}
 }
 
 func TestServePlanDefaultsLatencyOnly(t *testing.T) {
-	for _, f := range NewServePlan(ServeConfig{Rate: 1}, 3).Materialize(200) {
+	for _, f := range materialize(NewServePlan(ServeConfig{Rate: 1}, 3), 200) {
 		if f.Kind != ServeLatency {
 			t.Fatalf("default kinds injected %v", f.Kind)
 		}
@@ -49,14 +61,14 @@ func TestServePlanDefaultsLatencyOnly(t *testing.T) {
 func TestServePlanAtMatchesMaterialize(t *testing.T) {
 	p := NewServePlan(ServeConfig{Rate: 0.4, Kinds: []ServeKind{ServeLatency, ServePanic}, MaxDelay: 0.01}, 11)
 	byID := map[int64]ServeFault{}
-	for _, f := range p.Materialize(300) {
+	for _, f := range materialize(p, 300) {
 		byID[f.Request] = f
 	}
 	for id := int64(1); id <= 300; id++ {
 		f, ok := p.At(id)
 		mf, want := byID[id]
 		if ok != want || (ok && f != mf) {
-			t.Fatalf("At(%d) = (%+v, %v) disagrees with Materialize", id, f, ok)
+			t.Fatalf("At(%d) = (%+v, %v) disagrees with materialize", id, f, ok)
 		}
 	}
 }

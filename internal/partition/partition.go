@@ -95,21 +95,6 @@ func OptimalBusyLength(sums []float64, sys power.System, deadline float64) (floa
 	return L, nil
 }
 
-// MinEnergyClosedForm evaluates Eq. (3): the minimum system energy of a
-// 2-core (or C-core) common-deadline instance with per-core sums, ignoring
-// core static power and assuming the unconstrained L of Eq. (2) is
-// feasible.
-func MinEnergyClosedForm(sums []float64, sys power.System) float64 {
-	core, mem := sys.Core, sys.Memory
-	var sumPow float64
-	for _, w := range sums {
-		sumPow += math.Pow(w, core.Lambda)
-	}
-	l := core.Lambda
-	return math.Pow(mem.Static, (l-1)/l) * math.Pow(core.Beta, 1/l) * l *
-		math.Pow(l-1, (1-l)/l) * math.Pow(sumPow, 1/l)
-}
-
 // costOf is the partition objective Σ_c W_c^λ — minimizing it minimizes
 // the system energy for any fixed L, and the minimizer is the most
 // balanced partition.

@@ -76,6 +76,21 @@ func TestOptimalBusyLengthClamping(t *testing.T) {
 	}
 }
 
+// minEnergyClosedForm evaluates Eq. (3): the minimum system energy of a
+// 2-core (or C-core) common-deadline instance with per-core sums, ignoring
+// core static power and assuming the unconstrained L of Eq. (2) is
+// feasible.
+func minEnergyClosedForm(sums []float64, sys power.System) float64 {
+	core, mem := sys.Core, sys.Memory
+	var sumPow float64
+	for _, w := range sums {
+		sumPow += math.Pow(w, core.Lambda)
+	}
+	l := core.Lambda
+	return math.Pow(mem.Static, (l-1)/l) * math.Pow(core.Beta, 1/l) * l *
+		math.Pow(l-1, (1-l)/l) * math.Pow(sumPow, 1/l)
+}
+
 func TestMinEnergyClosedFormMatchesDirectEvaluation(t *testing.T) {
 	// Eq. (3) must equal E(L*) with L* from Eq. (2).
 	sys := testSystem(2)
@@ -85,7 +100,7 @@ func TestMinEnergyClosedFormMatchesDirectEvaluation(t *testing.T) {
 	for _, w := range sums {
 		direct += sys.Core.Beta * math.Pow(w, 3) * math.Pow(L, -2)
 	}
-	closed := MinEnergyClosedForm(sums, sys)
+	closed := minEnergyClosedForm(sums, sys)
 	if math.Abs(direct-closed) > 1e-9*closed {
 		t.Errorf("Eq.(3) %.12g != direct %.12g", closed, direct)
 	}
@@ -157,8 +172,8 @@ func TestBalancedBeatsUnbalanced(t *testing.T) {
 	// energy. Compare the exact split of a symmetric instance against a
 	// deliberately skewed one.
 	sys := testSystem(2)
-	balanced := MinEnergyClosedForm([]float64{5e6, 5e6}, sys)
-	skewed := MinEnergyClosedForm([]float64{8e6, 2e6}, sys)
+	balanced := minEnergyClosedForm([]float64{5e6, 5e6}, sys)
+	skewed := minEnergyClosedForm([]float64{8e6, 2e6}, sys)
 	if balanced >= skewed {
 		t.Errorf("balanced %.9g should beat skewed %.9g", balanced, skewed)
 	}
@@ -188,7 +203,7 @@ func TestSolveEndToEnd(t *testing.T) {
 	}
 	// Audited energy must match Eq. (3) when unclamped (plus nothing else:
 	// α = 0, free sleeping).
-	want := MinEnergyClosedForm(res.Sums, sys)
+	want := minEnergyClosedForm(res.Sums, sys)
 	if math.Abs(res.Energy-want) > 1e-6*want {
 		t.Errorf("audit %.9g != Eq.(3) %.9g", res.Energy, want)
 	}

@@ -254,22 +254,9 @@ func (c Core) ConstrainedCriticalSpeed(sm, filled, w, horizon float64) float64 {
 // the core, α·ξ.
 func (c Core) TransitionEnergy() float64 { return c.Static * c.BreakEven }
 
-// SleepGain returns the net energy saved by sleeping the core through an
-// idle gap of the given length rather than staying idle-active. It is
-// negative for gaps shorter than the break-even time.
-func (c Core) SleepGain(gap float64) float64 {
-	return c.Static * (gap - c.BreakEven)
-}
-
 // TransitionEnergy returns the energy cost of one full sleep/wake cycle of
 // the memory, α_m·ξ_m.
 func (m Memory) TransitionEnergy() float64 { return m.Static * m.BreakEven }
-
-// SleepGain returns the net energy saved by sleeping the memory through an
-// idle gap of the given length.
-func (m Memory) SleepGain(gap float64) float64 {
-	return m.Static * (gap - m.BreakEven)
-}
 
 // Validate reports whether the core model is physically meaningful.
 func (c Core) Validate() error {

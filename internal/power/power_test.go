@@ -138,13 +138,16 @@ func TestSleepGainAndTransitionEnergy(t *testing.T) {
 	if got := mem.TransitionEnergy(); !almostEqual(got, 0.16, 1e-12) {
 		t.Errorf("memory transition energy = %g, want 0.16 J", got)
 	}
-	if gain := mem.SleepGain(Milliseconds(40)); !almostEqual(gain, 0, 1e-12) {
+	// The net energy saved by sleeping through an idle gap rather than
+	// idling: the idle charge α_m·gap minus one sleep/wake cycle.
+	sleepGain := func(gap float64) float64 { return mem.Static*gap - mem.TransitionEnergy() }
+	if gain := sleepGain(Milliseconds(40)); !almostEqual(gain, 0, 1e-12) {
 		t.Errorf("sleeping exactly the break-even time should be net zero, got %g", gain)
 	}
-	if gain := mem.SleepGain(Milliseconds(20)); gain >= 0 {
+	if gain := sleepGain(Milliseconds(20)); gain >= 0 {
 		t.Errorf("sleeping for less than break-even must lose energy, got %g", gain)
 	}
-	if gain := mem.SleepGain(Milliseconds(100)); !almostEqual(gain, 0.24, 1e-12) {
+	if gain := sleepGain(Milliseconds(100)); !almostEqual(gain, 0.24, 1e-12) {
 		t.Errorf("gain for 100 ms sleep = %g, want 0.24 J", gain)
 	}
 	core := Core{Static: 0.3, Beta: 1, Lambda: 3, BreakEven: 0.01}

@@ -154,13 +154,19 @@ func TestShedTimeout(t *testing.T) {
 	}
 }
 
-// TestBudgetExpiryMidSolve sends a solve big enough to outlive a 1 ms
-// budget (a 40-task agreeable DP, tens of milliseconds): a cancellation
-// checkpoint must abandon the DP and the request must surface as a
-// mid-flight shed — 429 with reason budget, never a 500 and never a
-// torn response.
+// TestBudgetExpiryMidSolve expires a 1 ms budget after admission and
+// before the solver's first cancellation checkpoint, whatever the
+// solver's speed: a chaos latency fault sleeps past the budget between
+// admission and the handler. The checkpoint must abandon the solve and
+// the request must surface as a mid-flight shed — 429 with reason
+// budget, never a 500 and never a torn response. (That the agreeable DP
+// polls between blocks is agreeable's TestSolveCtxPollsEveryBlock.)
 func TestBudgetExpiryMidSolve(t *testing.T) {
-	s := testServer(t)
+	plan := faults.NewServePlan(faults.ServeConfig{Rate: 1, MaxDelay: 0.05}, 1)
+	if f, ok := plan.At(1); !ok || f.Kind != faults.ServeLatency || f.Delay <= 0.002 {
+		t.Fatalf("chaos plan's first fault %+v (ok %v) is not a latency fault past the 1 ms budget", f, ok)
+	}
+	s := configuredServer(t, func(c *Config) { c.Chaos = &plan })
 	w := postHdr(t, s, "/v1/solve", TaskRequest{Tasks: agreeableSet(40)}, map[string]string{"X-Budget-Ms": "1"})
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("expired solve: %d, want 429\n%s", w.Code, w.Body.String())

@@ -43,6 +43,7 @@ import (
 	"sdem/internal/telemetry"
 	"sdem/internal/telemetry/export"
 	"sdem/internal/telemetry/series"
+	"sdem/internal/telemetry/wspan"
 )
 
 // Config tunes a Server. The zero value serves the paper's default
@@ -309,7 +310,7 @@ type traceDoc struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// WallTrace is the wspan span tree (absent when the request was not
 	// sampled for wall tracing).
-	WallTrace json.RawMessage `json:"wall_trace,omitempty"`
+	WallTrace *wspan.Doc `json:"wall_trace,omitempty"`
 	// Provenance is the per-gap race/sleep/crawl record (absent on
 	// requests that produced no schedule).
 	Provenance *Explanation `json:"provenance,omitempty"`
@@ -325,8 +326,8 @@ type traceDoc struct {
 // 404, never a torn entry.
 //
 // Formats: default is the combined traceDoc; ?format=chrome is the bare
-// Chrome trace_event document; ?format=wall is the bare wspan JSONL
-// record (what cmd/sdemtrace aggregates).
+// Chrome trace_event document; ?format=wall is the bare wspan.Doc as one
+// JSONL record (what cmd/sdemtrace aggregates).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.ring.get(r.PathValue("id"))
 	if !ok {
@@ -357,7 +358,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		doc := traceDoc{Request: e.id, Route: e.route, Status: e.status, Provenance: e.prov.explain()}
 		if e.wall != nil {
 			doc.TraceID = e.wall.TraceID()
-			doc.WallTrace = e.wall.AppendJSON(nil)
+			doc.WallTrace = e.wall.Doc()
 		}
 		var buf bytes.Buffer
 		if err := e.rec.WriteChromeTrace(&buf); err == nil {

@@ -12,23 +12,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"sdem/internal/telemetry/wspan"
 )
-
-// wallSpan / wallDoc mirror the wspan JSON shape for assertions.
-type wallSpan struct {
-	Name    string            `json:"name"`
-	Parent  int32             `json:"parent"`
-	SpanID  string            `json:"span_id"`
-	StartNs int64             `json:"start_ns"`
-	DurNs   int64             `json:"dur_ns"`
-	Notes   map[string]string `json:"notes"`
-}
-
-type wallDoc struct {
-	TraceID      string     `json:"trace_id"`
-	RemoteParent string     `json:"remote_parent"`
-	Spans        []wallSpan `json:"spans"`
-}
 
 // debugDoc decodes the combined /debug/trace/{id} document.
 type debugDoc struct {
@@ -36,7 +22,7 @@ type debugDoc struct {
 	Route        string          `json:"route"`
 	Status       int             `json:"status"`
 	TraceID      string          `json:"trace_id"`
-	WallTrace    *wallDoc        `json:"wall_trace"`
+	WallTrace    *wspan.Doc      `json:"wall_trace"`
 	Provenance   *Explanation    `json:"provenance"`
 	VirtualTrace json.RawMessage `json:"virtual_trace"`
 }
@@ -54,10 +40,10 @@ func fetchTrace(t *testing.T, s *Server, id string) debugDoc {
 	return doc
 }
 
-// TestSpanTreeComplete checks the tentpole invariant: every /v1 request
-// produces a complete span tree — request root with admission, decode,
-// cache (solve nested under it), encode and write children, all ended,
-// each child contained in the root.
+// TestSpanTreeComplete checks that a /v1 request produces a complete
+// span tree: one that satisfies wspan's tree contract (all spans ended,
+// each contained in its parent), rooted at request with admission,
+// decode, cache (solve nested under it), encode and write children.
 func TestSpanTreeComplete(t *testing.T) {
 	s := testServer(t)
 	if w := post(t, s, "/v1/solve", TaskRequest{Tasks: commonRelease()}); w.Code != http.StatusOK {
@@ -73,24 +59,15 @@ func TestSpanTreeComplete(t *testing.T) {
 	if doc.TraceID != doc.WallTrace.TraceID || len(doc.TraceID) != 32 {
 		t.Errorf("trace id mismatch: %q vs %q", doc.TraceID, doc.WallTrace.TraceID)
 	}
+	if errs := doc.WallTrace.Verify(); len(errs) > 0 {
+		t.Fatalf("span tree violates the contract: %v", errs)
+	}
 	spans := doc.WallTrace.Spans
-	if len(spans) == 0 || spans[0].Name != "request" || spans[0].Parent != -1 {
+	if len(spans) == 0 || spans[0].Name != "request" {
 		t.Fatalf("no request root span: %+v", spans)
 	}
-	root := spans[0]
-	byName := map[string]wallSpan{}
+	byName := map[string]wspan.DocSpan{}
 	for _, sp := range spans {
-		if sp.DurNs < 0 {
-			t.Errorf("span %q never ended", sp.Name)
-		}
-		if sp.Parent >= 0 {
-			if int(sp.Parent) >= len(spans) {
-				t.Fatalf("span %q has out-of-range parent %d", sp.Name, sp.Parent)
-			}
-			if sp.StartNs+sp.DurNs > root.StartNs+root.DurNs {
-				t.Errorf("span %q (%d+%dns) escapes the root (%dns)", sp.Name, sp.StartNs, sp.DurNs, root.DurNs)
-			}
-		}
 		byName[sp.Name] = sp
 	}
 	for _, stage := range []string{"admission", "decode", "cache", "encode", "write"} {
@@ -339,7 +316,8 @@ func TestExplainEndpoint(t *testing.T) {
 }
 
 // TestBatchSpanTree checks batch items appear as parallel item spans
-// under the batch request root.
+// under the batch request root, in a tree that satisfies the contract
+// although the items overlap.
 func TestBatchSpanTree(t *testing.T) {
 	s := testServer(t)
 	items := []BatchItemRequest{
@@ -352,6 +330,9 @@ func TestBatchSpanTree(t *testing.T) {
 	doc := fetchTrace(t, s, "1")
 	if doc.WallTrace == nil {
 		t.Fatal("no wall trace")
+	}
+	if errs := doc.WallTrace.Verify(); len(errs) > 0 {
+		t.Fatalf("span tree violates the contract: %v", errs)
 	}
 	var itemSpans int
 	for _, sp := range doc.WallTrace.Spans {

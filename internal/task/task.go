@@ -90,15 +90,6 @@ func (s Set) Clone() Set {
 	return out
 }
 
-// TotalWorkload returns Σ w_i.
-func (s Set) TotalWorkload() float64 {
-	var sum float64
-	for _, t := range s {
-		sum += t.Workload
-	}
-	return sum
-}
-
 // Workloads returns the slice of workloads in set order.
 func (s Set) Workloads() []float64 {
 	out := make([]float64, len(s))
@@ -120,16 +111,6 @@ func (s Set) Span() (start, end float64) {
 		end = math.Max(end, t.Deadline)
 	}
 	return start, end
-}
-
-// MaxFilledSpeed returns the largest filled speed in the set; this is the
-// minimum s_up for which the instance is feasible at all.
-func (s Set) MaxFilledSpeed() float64 {
-	var m float64
-	for _, t := range s {
-		m = math.Max(m, t.FilledSpeed())
-	}
-	return m
 }
 
 // SortByDeadline sorts the set in place by (deadline, release, ID).
@@ -261,26 +242,6 @@ func (s Set) Feasible(speedMax float64) bool {
 		}
 	}
 	return true
-}
-
-// Shifted returns a copy of the set with all times translated by dt.
-func (s Set) Shifted(dt float64) Set {
-	out := s.Clone()
-	for i := range out {
-		out[i].Release += dt
-		out[i].Deadline += dt
-	}
-	return out
-}
-
-// ByID returns the task with the given ID and whether it exists.
-func (s Set) ByID(id int) (Task, bool) {
-	for _, t := range s {
-		if t.ID == id {
-			return t, true
-		}
-	}
-	return Task{}, false
 }
 
 func min(a, b int) int {

@@ -127,9 +127,6 @@ func TestSpanAndTotals(t *testing.T) {
 	if start != 1 || end != 9 {
 		t.Errorf("Span = (%g, %g), want (1, 9)", start, end)
 	}
-	if s.TotalWorkload() != 8 {
-		t.Errorf("TotalWorkload = %g, want 8", s.TotalWorkload())
-	}
 	ws := s.Workloads()
 	if len(ws) != 2 || ws[0] != 5 || ws[1] != 3 {
 		t.Errorf("Workloads = %v", ws)
@@ -152,30 +149,6 @@ func TestFeasible(t *testing.T) {
 	}
 	if !s.Feasible(0) {
 		t.Error("zero speedMax means unbounded")
-	}
-	if got := s.MaxFilledSpeed(); got != 100 {
-		t.Errorf("MaxFilledSpeed = %g, want 100", got)
-	}
-}
-
-func TestShifted(t *testing.T) {
-	s := Set{{ID: 1, Release: 1, Deadline: 2, Workload: 7}}
-	sh := s.Shifted(-1)
-	if sh[0].Release != 0 || sh[0].Deadline != 1 {
-		t.Errorf("Shifted = %+v", sh[0])
-	}
-	if s[0].Release != 1 {
-		t.Error("Shifted must not mutate the receiver")
-	}
-}
-
-func TestByID(t *testing.T) {
-	s := Set{{ID: 7, Workload: 1, Deadline: 1}}
-	if tk, ok := s.ByID(7); !ok || tk.Workload != 1 {
-		t.Error("ByID(7) failed")
-	}
-	if _, ok := s.ByID(8); ok {
-		t.Error("ByID(8) should miss")
 	}
 }
 

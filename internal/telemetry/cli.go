@@ -14,7 +14,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 )
 
 // CLI bundles the standard telemetry and profiling options of the SDEM
@@ -24,8 +23,7 @@ type CLI struct {
 	// Enabled turns collection on even when no output path is given (the
 	// metrics dump then defaults to stderr).
 	Enabled bool
-	// TraceOut is the trace destination ("-" = stderr). Paths ending in
-	// .jsonl get the line-delimited format; everything else gets a Chrome
+	// TraceOut is the trace destination ("-" = stderr): a Chrome
 	// trace_event JSON array loadable in Perfetto or chrome://tracing.
 	TraceOut string
 	// MetricsOut is the metrics-dump destination ("-" = stderr).
@@ -41,7 +39,7 @@ type CLI struct {
 // Register declares the telemetry flags on the flag set.
 func (c *CLI) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Enabled, "telemetry", false, "collect metrics and traces (deterministic; stdout is unchanged)")
-	fs.StringVar(&c.TraceOut, "trace-out", "", "write the event trace to this file ('-' = stderr; .jsonl = line format, otherwise Chrome trace_event); implies -telemetry")
+	fs.StringVar(&c.TraceOut, "trace-out", "", "write the event trace to this file (Chrome trace_event JSON; '-' = stderr); implies -telemetry")
 	fs.StringVar(&c.MetricsOut, "metrics-out", "", "write the metrics dump to this file ('-' = stderr); implies -telemetry")
 	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&c.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
@@ -136,11 +134,7 @@ func (c *CLI) Finish() error {
 		if err != nil {
 			return fmt.Errorf("telemetry: -trace-out: %w", err)
 		}
-		write := tel.WriteChromeTrace
-		if strings.HasSuffix(c.TraceOut, ".jsonl") {
-			write = tel.WriteTraceJSONL
-		}
-		if err := write(w); err != nil {
+		if err := tel.WriteChromeTrace(w); err != nil {
 			closeW()
 			return err
 		}

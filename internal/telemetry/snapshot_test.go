@@ -148,7 +148,7 @@ func TestExemplarFlow(t *testing.T) {
 // into the byte-stable WriteMetrics dump.
 func TestExemplarsAbsentFromMetricsDump(t *testing.T) {
 	with := New()
-	with.ObserveEx("h", 0.5, "trace_id=deadbeef")
+	with.ObserveExL("h", "", 0.5, "trace_id=deadbeef")
 	without := New()
 	without.Observe("h", 0.5)
 	var a, b strings.Builder

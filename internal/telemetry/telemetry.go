@@ -325,18 +325,13 @@ func (r *Recorder) ObserveL(name, labels string, v float64) {
 	r.mu.Unlock()
 }
 
-// ObserveEx records v into the named histogram and pins it as the
-// exemplar of the bucket it lands in. exLabels is a canonical
-// "k=v,k=v" label set identifying the originating event — by convention
-// `trace_id=<hex>` — and is surfaced by Snapshot and the OpenMetrics
-// export, never by the deterministic WriteMetrics dump (trace IDs are
-// wall-clock-seeded and would break byte-stable dumps). An empty
-// exLabels degenerates to Observe.
-func (r *Recorder) ObserveEx(name string, v float64, exLabels string) {
-	r.ObserveExL(name, "", v, exLabels)
-}
-
-// ObserveExL is ObserveEx for a labeled histogram instance.
+// ObserveExL records v into the named, labeled histogram instance and
+// pins it as the exemplar of the bucket it lands in. exLabels is a
+// canonical "k=v,k=v" label set identifying the originating event — by
+// convention `trace_id=<hex>` — and is surfaced by Snapshot and the
+// OpenMetrics export, never by the deterministic WriteMetrics dump
+// (trace IDs are wall-clock-seeded and would break byte-stable dumps).
+// An empty exLabels degenerates to ObserveL.
 func (r *Recorder) ObserveExL(name, labels string, v float64, exLabels string) {
 	if r == nil {
 		return

@@ -61,14 +61,6 @@ func TestGoldenMetrics(t *testing.T) {
 	checkGolden(t, "metrics.golden", buf.Bytes())
 }
 
-func TestGoldenTraceJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	if err := sample().WriteTraceJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "trace.jsonl.golden", buf.Bytes())
-}
-
 func TestGoldenChromeTrace(t *testing.T) {
 	var buf bytes.Buffer
 	if err := sample().WriteChromeTrace(&buf); err != nil {
@@ -100,9 +92,6 @@ func TestNilRecorderNoops(t *testing.T) {
 	var buf bytes.Buffer
 	if err := r.WriteMetrics(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil.WriteMetrics wrote %q, err %v", buf.String(), err)
-	}
-	if err := r.WriteTraceJSONL(&buf); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil.WriteTraceJSONL wrote %q, err %v", buf.String(), err)
 	}
 	if err := r.WriteChromeTrace(&buf); err != nil || buf.Len() != 0 {
 		t.Fatalf("nil.WriteChromeTrace wrote %q, err %v", buf.String(), err)
@@ -197,7 +186,7 @@ func TestMergeOrderIndependentOfComputationOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		var tr bytes.Buffer
-		if err := root.WriteTraceJSONL(&tr); err != nil {
+		if err := root.WriteChromeTrace(&tr); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String() + tr.String()

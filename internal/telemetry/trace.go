@@ -2,10 +2,9 @@
 //
 // Trace events carry timestamps in schedule/sim seconds — never
 // wall-clock — so a trace is a pure function of the experiment inputs and
-// replays identically. Events are emitted either as JSONL (one
-// hand-marshaled object per line, fixed field order) or as Chrome
-// trace_event JSON loadable in chrome://tracing and ui.perfetto.dev,
-// with seconds scaled to the microseconds that format expects.
+// replays identically. Events are emitted as Chrome trace_event JSON
+// loadable in chrome://tracing and ui.perfetto.dev, with seconds scaled
+// to the microseconds that format expects.
 package telemetry
 
 import (
@@ -101,8 +100,8 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// jsonString escapes s as a JSON string literal. Hand-rolled so both
-// writers share one deterministic escaper with no reflection.
+// jsonString escapes s as a JSON string literal. Hand-rolled so the
+// Chrome writer's bytes are deterministic with no reflection.
 func jsonString(b *strings.Builder, s string) {
 	b.WriteByte('"')
 	for i := 0; i < len(s); i++ {
@@ -135,41 +134,6 @@ func writeArgs(b *strings.Builder, args []Arg) {
 		jsonString(b, a.Val)
 	}
 	b.WriteByte('}')
-}
-
-// WriteTraceJSONL emits one JSON object per event with fixed field order
-// (name, cat, ph, ts, dur, pid, tid, args), timestamps in virtual
-// seconds. Output is byte-stable for a given computation.
-func (r *Recorder) WriteTraceJSONL(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	var b strings.Builder
-	for _, e := range r.Events() {
-		b.WriteString(`{"name":`)
-		jsonString(&b, e.Name)
-		b.WriteString(`,"cat":`)
-		jsonString(&b, e.Cat)
-		b.WriteString(`,"ph":"`)
-		b.WriteByte(e.Phase)
-		b.WriteString(`","ts":`)
-		b.WriteString(ftoa(e.TS))
-		if e.Phase == 'X' {
-			b.WriteString(`,"dur":`)
-			b.WriteString(ftoa(e.Dur))
-		}
-		b.WriteString(`,"pid":`)
-		b.WriteString(strconv.Itoa(e.PID))
-		b.WriteString(`,"tid":`)
-		b.WriteString(strconv.Itoa(e.TID))
-		if len(e.Args) > 0 {
-			b.WriteString(`,"args":`)
-			writeArgs(&b, e.Args)
-		}
-		b.WriteString("}\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // WriteChromeTrace emits the Chrome trace_event JSON array format.

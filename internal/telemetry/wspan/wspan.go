@@ -24,16 +24,21 @@
 //     span), Traceparent renders the outgoing one.
 //   - Server-Timing: ServerTiming renders the ended direct children of
 //     the root as `name;dur=ms` entries for the response header.
-//   - JSON: AppendJSON renders the whole tree as a single-line JSON
-//     object (nanosecond offsets from the trace start) consumed by
-//     /debug/trace/{id} and aggregated by cmd/sdemtrace.
+//   - JSON: Doc is the whole tree as a document (nanosecond offsets
+//     from the trace start), served by /debug/trace/{id} and aggregated
+//     by cmd/sdemtrace; Doc.Verify is the tree contract that
+//     sdemtrace -verify and the serve tests check.
 package wspan
 
 import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"io"
+	"math"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -279,97 +284,135 @@ func (t *Trace) ServerTiming() string {
 	return string(b)
 }
 
-// AppendJSON appends the trace as a single-line JSON object:
-//
-//	{"trace_id":"…","spans":[{"name":"request","parent":-1,
-//	  "span_id":"…","start_ns":0,"dur_ns":123,"notes":{"k":"v"}},…]}
-//
-// Span order is creation order, so a span's parent index always precedes
-// it; dur_ns is -1 for spans never ended. Nil traces append "null".
-func (t *Trace) AppendJSON(dst []byte) []byte {
+// Doc is one wall-clock span tree as a JSON document: what
+// /debug/trace/{id}?format=wall serves, sdemload -trace-out appends one
+// per line and cmd/sdemtrace reads. Span order is creation order, so a
+// span's parent index always precedes it.
+type Doc struct {
+	TraceID      string    `json:"trace_id"`
+	RemoteParent string    `json:"remote_parent,omitempty"`
+	Spans        []DocSpan `json:"spans"`
+}
+
+// DocSpan is one span of a Doc, with nanosecond offsets from the trace
+// start.
+type DocSpan struct {
+	Name    string            `json:"name"`
+	Parent  int               `json:"parent"` // -1 for the root
+	SpanID  string            `json:"span_id"`
+	StartNs int64             `json:"start_ns"`
+	DurNs   int64             `json:"dur_ns"` // -1: never ended
+	Notes   map[string]string `json:"notes,omitempty"`
+}
+
+// Doc returns the tree as a document, or nil on a nil trace.
+func (t *Trace) Doc() *Doc {
 	if t == nil {
-		return append(dst, "null"...)
+		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	dst = append(dst, `{"trace_id":"`...)
-	dst = appendHex(dst, t.traceID[:])
+	d := &Doc{TraceID: hex.EncodeToString(t.traceID[:]), Spans: make([]DocSpan, len(t.spans))}
 	if t.remote != 0 {
-		dst = append(dst, `","remote_parent":"`...)
-		var p [8]byte
-		binary.BigEndian.PutUint64(p[:], t.remote)
-		dst = appendHex(dst, p[:])
+		d.RemoteParent = hexID(t.remote)
 	}
-	dst = append(dst, `","spans":[`...)
 	for i, sp := range t.spans {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"name":`...)
-		dst = appendJSONString(dst, sp.name)
-		dst = append(dst, `,"parent":`...)
-		dst = strconv.AppendInt(dst, int64(sp.parent), 10)
-		dst = append(dst, `,"span_id":"`...)
-		var id [8]byte
-		binary.BigEndian.PutUint64(id[:], sp.id)
-		dst = appendHex(dst, id[:])
-		dst = append(dst, `","start_ns":`...)
-		dst = strconv.AppendInt(dst, int64(sp.start), 10)
-		dst = append(dst, `,"dur_ns":`...)
-		dst = strconv.AppendInt(dst, int64(sp.dur), 10)
+		ds := DocSpan{Name: sp.name, Parent: int(sp.parent), SpanID: hexID(sp.id), StartNs: int64(sp.start), DurNs: int64(sp.dur)}
 		if len(sp.notes) > 0 {
-			dst = append(dst, `,"notes":{`...)
-			for j, n := range sp.notes {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				dst = appendJSONString(dst, n.Key)
-				dst = append(dst, ':')
-				dst = appendJSONString(dst, n.Val)
+			ds.Notes = make(map[string]string, len(sp.notes))
+			for _, n := range sp.notes {
+				ds.Notes[n.Key] = n.Val
 			}
-			dst = append(dst, '}')
 		}
-		dst = append(dst, '}')
+		d.Spans[i] = ds
 	}
-	return append(dst, `]}`...)
+	return d
 }
 
-// WriteJSON writes AppendJSON's document followed by a newline — one
-// JSONL record.
+// WriteJSON writes the Doc as one JSONL record ("null" on a nil trace).
 func (t *Trace) WriteJSON(w io.Writer) error {
-	_, err := w.Write(append(t.AppendJSON(nil), '\n'))
-	return err
+	return json.NewEncoder(w).Encode(t.Doc())
 }
 
-const hexdigits = "0123456789abcdef"
+func hexID(id uint64) string {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], id)
+	return hex.EncodeToString(b[:])
+}
 
-func appendHex(dst, src []byte) []byte {
-	for _, c := range src {
-		dst = append(dst, hexdigits[c>>4], hexdigits[c&0xf])
+// Verify checks the structural invariants one span tree must hold:
+// exactly one root, first, with parent -1; parent indices that precede
+// their children; no never-ended spans; children contained in their
+// parents; and the union-length of the root's direct children no longer
+// than the root itself. It returns one error per violation.
+func (d *Doc) Verify() []error {
+	var errs []error
+	if len(d.Spans) == 0 {
+		return []error{fmt.Errorf("no spans")}
 	}
-	return dst
-}
-
-// appendJSONString appends s as a quoted JSON string, escaping the
-// characters that cannot appear raw. Span names and note values are
-// ASCII identifiers in practice; anything else passes through as UTF-8.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '"':
-			dst = append(dst, '\\', '"')
-		case c == '\\':
-			dst = append(dst, '\\', '\\')
-		case c == '\n':
-			dst = append(dst, '\\', 'n')
-		case c == '\t':
-			dst = append(dst, '\\', 't')
-		case c < 0x20:
-			dst = append(dst, '\\', 'u', '0', '0', hexdigits[c>>4], hexdigits[c&0xf])
-		default:
-			dst = append(dst, c)
+	if len(d.TraceID) != 32 {
+		errs = append(errs, fmt.Errorf("trace_id %q is not 32 hex chars", d.TraceID))
+	}
+	root := d.Spans[0]
+	if root.Parent != -1 {
+		errs = append(errs, fmt.Errorf("first span %q has parent %d, want -1 (root)", root.Name, root.Parent))
+	}
+	for i, sp := range d.Spans {
+		if i > 0 && sp.Parent == -1 {
+			errs = append(errs, fmt.Errorf("span %d %q is a second root", i, sp.Name))
+			continue
+		}
+		if i > 0 && (sp.Parent < 0 || sp.Parent >= i) {
+			errs = append(errs, fmt.Errorf("span %d %q: orphan — parent index %d does not precede it", i, sp.Name, sp.Parent))
+			continue
+		}
+		if sp.DurNs < 0 {
+			errs = append(errs, fmt.Errorf("span %d %q never ended", i, sp.Name))
+			continue
+		}
+		if i == 0 {
+			continue
+		}
+		p := d.Spans[sp.Parent]
+		if p.DurNs >= 0 && (sp.StartNs < p.StartNs || sp.StartNs+sp.DurNs > p.StartNs+p.DurNs) {
+			errs = append(errs, fmt.Errorf("span %d %q [%d,%d]ns escapes parent %q [%d,%d]ns",
+				i, sp.Name, sp.StartNs, sp.StartNs+sp.DurNs,
+				p.Name, p.StartNs, p.StartNs+p.DurNs))
 		}
 	}
-	return append(dst, '"')
+	// Stage coverage of the request span, independent of the per-child
+	// containment check above. Union, not sum: parallel batch item spans
+	// overlap and must not trip this.
+	if root.DurNs >= 0 {
+		if u := d.StageUnion(); u > root.DurNs {
+			errs = append(errs, fmt.Errorf("stage union %dns exceeds the %dns request span", u, root.DurNs))
+		}
+	}
+	return errs
+}
+
+// StageUnion sweeps the ended direct children of the root and returns
+// the length of the union of their intervals in nanoseconds.
+func (d *Doc) StageUnion() int64 {
+	type iv struct{ lo, hi int64 }
+	var ivs []iv
+	for i, sp := range d.Spans {
+		if i == 0 || sp.Parent != 0 || sp.DurNs < 0 {
+			continue
+		}
+		ivs = append(ivs, iv{sp.StartNs, sp.StartNs + sp.DurNs})
+	}
+	sort.Slice(ivs, func(a, b int) bool { return ivs[a].lo < ivs[b].lo })
+	var total, hi int64
+	hi = math.MinInt64
+	for _, v := range ivs {
+		if v.lo > hi {
+			total += v.hi - v.lo
+			hi = v.hi
+		} else if v.hi > hi {
+			total += v.hi - hi
+			hi = v.hi
+		}
+	}
+	return total
 }

@@ -8,10 +8,6 @@ import (
 	"sdem/internal/task"
 )
 
-// relTol is the package's relative feasibility tolerance for speed and
-// utilization checks; it matches schedule.Tol (1e-9) by value.
-const relTol = 1e-9
-
 // defaultResolution is the period-quantization step (seconds) used by
 // Hyperperiod when the caller passes none: 1 µs keeps LCMs meaningful for
 // millisecond-scale periods. A quantization step, not a tolerance.
@@ -169,21 +165,4 @@ func (ss PeriodicSystem) Expand(horizon float64, seed int64) (task.Set, error) {
 	}
 	out.SortByRelease()
 	return out, nil
-}
-
-// FeasibleOnCores reports whether the system passes the trivial
-// per-stream feasibility check at speed s_up (each job completable in
-// its window) and the aggregate utilization bound u ≤ cores at s_up.
-// It is a necessary condition, not sufficient for the non-migrating
-// model.
-func (ss PeriodicSystem) FeasibleOnCores(cores int, speedMax float64) bool {
-	if speedMax <= 0 {
-		return true
-	}
-	for _, s := range ss {
-		if s.Workload/s.window() > speedMax*(1+relTol) {
-			return false
-		}
-	}
-	return ss.Utilization(speedMax) <= float64(cores)*(1+relTol)
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"sdem/internal/power"
 )
 
 func TestStreamValidate(t *testing.T) {
@@ -118,27 +116,6 @@ func TestUtilizationAndHyperperiod(t *testing.T) {
 	}
 	if got := (PeriodicSystem{mixed[2]}).Hyperperiod(1e-3); got != 0 {
 		t.Errorf("all-sporadic hyperperiod = %g, want 0", got)
-	}
-}
-
-func TestFeasibleOnCores(t *testing.T) {
-	ok := PeriodicSystem{{ID: 1, Period: 0.01, Window: 0.005, Workload: 4e6}} // needs 800 MHz within window
-	if !ok.FeasibleOnCores(1, power.MHz(1900)) {
-		t.Error("feasible stream rejected")
-	}
-	tight := PeriodicSystem{{ID: 1, Period: 0.01, Window: 0.001, Workload: 4e6}} // needs 4 GHz
-	if tight.FeasibleOnCores(1, power.MHz(1900)) {
-		t.Error("per-job infeasible stream accepted")
-	}
-	over := PeriodicSystem{
-		{ID: 1, Period: 0.01, Workload: 1.2e7}, // u = 0.63 at 1.9 GHz
-		{ID: 2, Period: 0.01, Workload: 1.2e7},
-	}
-	if over.FeasibleOnCores(1, power.MHz(1900)) {
-		t.Error("over-utilized system accepted for one core")
-	}
-	if !over.FeasibleOnCores(2, power.MHz(1900)) {
-		t.Error("two cores should pass the utilization bound")
 	}
 }
 
