@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check build vet test lint fmt fuzz fault-sweep experiments-smoke telemetry-smoke telemetry-bench \
-	trace-demo bench bench-gate bench-stream soak-smoke serve-smoke overload-smoke cache-smoke trace-smoke \
+	trace-demo bench bench-gate bench-ab bench-stream soak-smoke serve-smoke overload-smoke cache-smoke trace-smoke \
 	watch-smoke campaign
 
 # check chains the first CI steps; .github/workflows/ci.yml runs every
@@ -118,6 +118,45 @@ bench:
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 100x \
 		-benchmem ./... | $(GO) run ./cmd/benchreport -compare $(BENCH_BASE) > /dev/null
+
+# bench-ab compares the solver and online micro-benchmarks of BASE (any
+# git revision) against the working tree on this host: each side's root
+# and internal/online test binaries are built once (the base from a
+# `git archive` of BASE, so no worktree is registered), then AB_ROUNDS
+# rounds run both sides alternately, base first in odd rounds and change
+# first in even ones, so slow host drift hits both sides alike.
+# benchreport pairs the runs and prints each benchmark's median ns/op
+# per side and the median change/base ratio with its quartiles. The raw
+# outputs stay in .bench_ab/{base,change}.txt.
+#
+#	make bench-ab BASE=HEAD~1
+BASE ?= HEAD
+AB_ROUNDS ?= 5
+AB_BENCHTIME ?= 1s
+AB_PATTERN ?= SolveCommonRelease|SolveAgreeable|ScheduleOnline|ScheduleStream10k|Audit
+
+bench-ab:
+	@set -e; rm -rf .bench_ab; mkdir -p .bench_ab/base-src; \
+	trap 'rm -rf .bench_ab/base-src .bench_ab/*.test' EXIT; \
+	git archive "$(BASE)" | tar -x -C .bench_ab/base-src; \
+	( cd .bench_ab/base-src && $(GO) test -c -o ../base-root.test . && \
+	  $(GO) test -c -o ../base-online.test ./internal/online ); \
+	$(GO) test -c -o .bench_ab/change-root.test . && \
+	$(GO) test -c -o .bench_ab/change-online.test ./internal/online; \
+	AB=$$(pwd)/.bench_ab; \
+	side() { \
+		src=.; [ $$1 = base ] && src=$$AB/base-src; \
+		for pkg in root online; do \
+			dir=$$src; [ $$pkg = online ] && dir=$$src/internal/online; \
+			( cd $$dir && $$AB/$$1-$$pkg.test -test.run '^$$' -test.bench '$(AB_PATTERN)' \
+				-test.benchmem -test.benchtime $(AB_BENCHTIME) -test.timeout 30m ) >> $$AB/$$1.txt; \
+		done; \
+	}; \
+	for i in $$(seq 1 $(AB_ROUNDS)); do \
+		echo "bench-ab: round $$i of $(AB_ROUNDS)" >&2; \
+		if [ $$((i % 2)) -eq 1 ]; then side base; side change; else side change; side base; fi; \
+	done; \
+	$(GO) run ./cmd/benchreport -ab-base .bench_ab/base.txt -ab-change .bench_ab/change.txt
 
 # bench-stream pushes one million sporadic arrivals through the streaming
 # engine in a single pass: allocations must track the active set (the
@@ -256,6 +295,7 @@ trace-smoke:
 	curl -sf -d "$$BODY" "http://$$ADDR/v1/solve" > traced.smoke; \
 	curl -sf -d "$$BODY" "http://$$OFF/v1/solve" > untraced.smoke; \
 	diff traced.smoke untraced.smoke; \
+	rm -f traces.jsonl; \
 	./sdemload.smoke -addr "$$ADDR" -op simulate -requests 40 -duration 30s \
 		-concurrency 4 -tasks 10 -max-5xx 0 -trace-out traces.jsonl -out report.smoke; \
 	grep -q '"traces_fetched": 40' report.smoke; \

@@ -28,6 +28,14 @@
 // merge only shapes the output; the -compare/-require gates still judge
 // the parsed run alone.
 //
+// With -ab-base BASE.txt -ab-change CHANGE.txt the tool reads no stdin
+// and compares two sides' concatenated `go test -bench` outputs instead:
+// the i-th run of a benchmark on one side pairs with its i-th run on the
+// other, and the table gives each benchmark's median ns/op per side and
+// the median change/base ratio with its quartiles. `make bench-ab
+// BASE=<rev>` produces the two files by alternating the runs, so each
+// pair shares the host's state.
+//
 // A repeatable -require flag turns the comparison into an improvement
 // gate for specific benchmarks:
 //
@@ -66,7 +74,10 @@ type Entry struct {
 
 // Report is the emitted document.
 type Report struct {
-	GoVersion  string  `json:"go_version,omitempty"`
+	GoVersion string `json:"go_version,omitempty"`
+	// CPU is the `cpu:` header of the run: the host the ns/op were
+	// measured on.
+	CPU        string  `json:"cpu,omitempty"`
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
@@ -77,7 +88,20 @@ func main() {
 	maxGrowth := flag.Float64("max-alloc-growth", 0.05, "maximum allowed relative allocs/op and work-unit growth vs the baseline")
 	var require requireList
 	flag.Var(&require, "require", "improvement floor 'BenchmarkName:ns=2,allocs=5' vs the -compare baseline (repeatable)")
+	abBase := flag.String("ab-base", "", "A/B mode: the base side's `go test -bench` output (needs -ab-change; reads no stdin)")
+	abChange := flag.String("ab-change", "", "A/B mode: the change side's `go test -bench` output")
 	flag.Parse()
+	if *abBase != "" || *abChange != "" {
+		if *abBase == "" || *abChange == "" {
+			fmt.Fprintln(os.Stderr, "benchreport: -ab-base and -ab-change go together")
+			os.Exit(1)
+		}
+		if err := runAB(os.Stdout, *abBase, *abChange); err != nil {
+			fmt.Fprintln(os.Stderr, "benchreport:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	if len(require) > 0 && *compare == "" {
 		fmt.Fprintln(os.Stderr, "benchreport: -require needs a -compare baseline")
 		os.Exit(1)
@@ -159,9 +183,12 @@ func mergeReports(existing, cur Report) Report {
 	for _, e := range cur.Benchmarks {
 		replaced[key{e.Package, e.Name}] = true
 	}
-	out := Report{GoVersion: cur.GoVersion}
+	out := Report{GoVersion: cur.GoVersion, CPU: cur.CPU}
 	if out.GoVersion == "" {
 		out.GoVersion = existing.GoVersion
+	}
+	if out.CPU == "" {
+		out.CPU = existing.CPU
 	}
 	for _, e := range existing.Benchmarks {
 		if !replaced[key{e.Package, e.Name}] {
@@ -388,7 +415,11 @@ func parse(sc lineScanner) (Report, error) {
 		switch {
 		case strings.HasPrefix(line, "pkg:"):
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"), strings.HasPrefix(line, "cpu:"):
+		case strings.HasPrefix(line, "cpu:"):
+			if report.CPU == "" {
+				report.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+			}
+		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"):
 			// environment header, ignored
 		case strings.HasPrefix(line, "go version") || strings.HasPrefix(line, "go1"):
 			if report.GoVersion == "" {
@@ -406,7 +437,8 @@ func parse(sc lineScanner) (Report, error) {
 	if err := sc.Err(); err != nil {
 		return report, err
 	}
-	sort.Slice(report.Benchmarks, func(i, j int) bool {
+	// Stable, so repeated runs of one benchmark keep their run order.
+	sort.SliceStable(report.Benchmarks, func(i, j int) bool {
 		a, b := report.Benchmarks[i], report.Benchmarks[j]
 		if a.Package != b.Package {
 			return a.Package < b.Package

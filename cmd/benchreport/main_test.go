@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,9 @@ func TestParse(t *testing.T) {
 	}
 	if tel.AllocsPerOp == nil || *tel.AllocsPerOp != 0 {
 		t.Errorf("nil-path allocs = %+v", tel)
+	}
+	if report.CPU != "Some CPU @ 2.40GHz" {
+		t.Errorf("cpu = %q, want the cpu: header", report.CPU)
 	}
 }
 
@@ -262,5 +266,49 @@ func TestCompareWorkUnits(t *testing.T) {
 	}
 	if strings.Contains(out, "joules") {
 		t.Errorf("a unit outside workUnits was judged:\n%s", out)
+	}
+}
+
+// TestCompareAB pins the A/B pairing: the i-th base run of a benchmark
+// pairs with its i-th change run, the ratio is the median of the pair
+// ratios with nearest-rank quartiles, and one-sided benchmarks are
+// listed apart.
+func TestCompareAB(t *testing.T) {
+	side := func(ns map[string][]float64) Report {
+		var sb strings.Builder
+		sb.WriteString("pkg: sdem\ncpu: Test CPU\n")
+		for round := 0; round < 4; round++ {
+			for _, name := range []string{"BenchmarkA", "BenchmarkB", "BenchmarkOnly"} {
+				if v, ok := ns[name]; ok {
+					sb.WriteString(name + "-2 100 " + strconv.FormatFloat(v[round], 'f', -1, 64) + " ns/op\n")
+				}
+			}
+		}
+		rep, err := parse(bufio.NewScanner(strings.NewReader(sb.String())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	base := side(map[string][]float64{"BenchmarkA": {100, 200, 400, 800}, "BenchmarkB": {10, 10, 10, 10}})
+	change := side(map[string][]float64{"BenchmarkA": {50, 200, 100, 400}, "BenchmarkB": {20, 10, 10, 10}, "BenchmarkOnly": {1, 1, 1, 1}})
+	rows, only := compareAB(base, change)
+	if len(rows) != 2 || rows[0].id != "sdem/BenchmarkA" || rows[1].id != "sdem/BenchmarkB" {
+		t.Fatalf("rows = %+v", rows)
+	}
+	// A's pair ratios are 0.5, 1, 0.25, 0.5: sorted 0.25, 0.5, 0.5, 1.
+	if a := rows[0]; a.pairs != 4 || a.ratio != 0.5 || a.q1 != 0.25 || a.q3 != 0.5 || a.baseNs != 200 || a.changeNs != 100 {
+		t.Errorf("A = %+v", a)
+	}
+	if b := rows[1]; b.ratio != 1 || b.q3 != 1 {
+		t.Errorf("B = %+v", b)
+	}
+	if len(only) != 1 || only[0] != "change only: sdem/BenchmarkOnly" {
+		t.Errorf("one-sided = %q", only)
+	}
+	var sb strings.Builder
+	printAB(&sb, base, change, rows, only)
+	if !strings.Contains(sb.String(), "base cpu:   Test CPU") {
+		t.Errorf("table lacks the cpu header:\n%s", sb.String())
 	}
 }

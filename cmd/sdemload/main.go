@@ -419,7 +419,7 @@ func run(o options) error {
 	if o.trace || o.traceOut != "" {
 		sink = &traceSink{base: "http://" + o.addr}
 		if o.traceOut != "" {
-			f, err := os.Create(o.traceOut)
+			f, err := os.OpenFile(o.traceOut, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 			if err != nil {
 				return err
 			}
@@ -564,17 +564,34 @@ func hotBodies(o options) ([][]byte, error) {
 	return bodies, nil
 }
 
+// executeIntensity is the fault intensity of every -op execute request,
+// cmd/faultsim's default single point: /v1/execute requires a faults
+// spec, and sdemload has no flag for one.
+const executeIntensity = 0.5
+
+// faultSpec is the faults field of an execute request.
+type faultSpec struct {
+	Seed      int64   `json:"seed"`
+	Intensity float64 `json:"intensity"`
+}
+
 // body marshals one request envelope around a synthetic task set drawn
-// from the given seed.
+// from the given seed. An execute request also carries a faults spec
+// whose seed derives from the same seed, so a replayed body replays its
+// faults too.
 func body(o options, seed int64) ([]byte, error) {
 	tasks, err := workload.Synthetic(workload.SyntheticConfig{N: o.tasks}, seed)
 	if err != nil {
 		return nil, err
 	}
 	req := struct {
-		Tasks     task.Set `json:"tasks"`
-		Scheduler string   `json:"scheduler,omitempty"`
+		Tasks     task.Set   `json:"tasks"`
+		Scheduler string     `json:"scheduler,omitempty"`
+		Faults    *faultSpec `json:"faults,omitempty"`
 	}{Tasks: tasks, Scheduler: o.scheduler}
+	if o.op == "execute" {
+		req.Faults = &faultSpec{Seed: stats.DeriveSeed(seed, 0xfa17), Intensity: executeIntensity}
+	}
 	return json.Marshal(req)
 }
 

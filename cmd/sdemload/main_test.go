@@ -1,10 +1,18 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
+	"log/slog"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"sdem/internal/serve"
 )
 
 // TestLoadWindowsOrdinalMembership pins the window-clock rule: request
@@ -123,5 +131,76 @@ func TestBenchLinesParseable(t *testing.T) {
 		if !units[u] {
 			t.Fatalf("missing unit %q in %q", u, sb.String())
 		}
+	}
+}
+
+// startServer runs an in-process sdemd and returns its host:port.
+func startServer(t *testing.T) string {
+	t.Helper()
+	srv := httptest.NewServer(serve.New(serve.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}).Handler())
+	t.Cleanup(srv.Close)
+	return strings.TrimPrefix(srv.URL, "http://")
+}
+
+// loadOptions is a small closed-loop run against addr that writes its
+// JSON report to out.
+func loadOptions(addr, op, out string, requests, seed int64) options {
+	return options{
+		addr: addr, op: op, duration: 30 * time.Second, requests: requests,
+		concurrency: 2, tasks: 6, seed: seed, hot: 0.5, hotSets: 2,
+		retries: 3, backoff: time.Millisecond, out: out,
+	}
+}
+
+// readReport decodes the JSON report a run wrote.
+func readReport(t *testing.T, path string) report {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestExecuteSendsFaultsSpec checks that -op execute requests carry the
+// faults spec /v1/execute requires: every request succeeds.
+func TestExecuteSendsFaultsSpec(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "report.json")
+	if err := run(loadOptions(startServer(t), "execute", out, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if rep := readReport(t, out); rep.OK != 4 || rep.Errors4xx != 0 {
+		t.Fatalf("execute run: ok %d, errors_4xx %d; want 4 and 0", rep.OK, rep.Errors4xx)
+	}
+}
+
+// TestTraceOutAppends checks that -trace-out appends: two runs into one
+// file leave both runs' span trees.
+func TestTraceOutAppends(t *testing.T) {
+	addr, dir := startServer(t), t.TempDir()
+	traces := filepath.Join(dir, "traces.jsonl")
+	var fetched int64
+	for seed := int64(1); seed <= 2; seed++ {
+		o := loadOptions(addr, "simulate", filepath.Join(dir, "report.json"), 3, seed)
+		o.traceOut = traces
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		rep := readReport(t, o.out)
+		if rep.Traces == 0 {
+			t.Fatalf("run %d fetched no traces", seed)
+		}
+		fetched += rep.Traces
+	}
+	data, err := os.ReadFile(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := int64(strings.Count(string(data), "\n")); lines != fetched {
+		t.Fatalf("%s holds %d traces, want both runs' %d", traces, lines, fetched)
 	}
 }

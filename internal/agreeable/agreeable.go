@@ -82,6 +82,10 @@ type solver struct {
 	// static power is sunk and it stretches to fill its available window
 	// (constrained critical speed semantics of §7).
 	static []float64
+	// slackBelow[k] is a filled speed at or below which task k's window
+	// is certainly slack (slackSpeed), or 0 when task k pays no static
+	// power: slope returns zero there without pricing the power.
+	slackBelow []float64
 	// minAvail[k] is the shortest window task k fits in at s_up.
 	minAvail []float64
 	// fullPrefix[k] sums the core energies of tasks [0..k) run in their
@@ -142,9 +146,11 @@ func newSolver(tasks task.Set, sys power.System, m power.Model) (*solver, error)
 	s.dynSlope = core.Beta * (core.Lambda - 1)
 	s.sm = core.CriticalSpeedRaw()
 	s.static = make([]float64, len(s.tasks))
+	s.slackBelow = make([]float64, len(s.tasks))
 	s.minAvail = make([]float64, len(s.tasks))
 	s.fullPrefix = make([]float64, len(s.tasks)+1)
 	horizon := s.end - s.start
+	slack := s.slackSpeed()
 	for k, t := range s.tasks {
 		s.static[k] = core.Static
 		if m == power.ModelOverhead {
@@ -156,6 +162,9 @@ func newSolver(tasks task.Set, sys power.System, m power.Model) (*solver, error)
 				s.static[k] = 0
 			}
 		}
+		if s.static[k] > 0 {
+			s.slackBelow[k] = slack
+		}
 		if core.SpeedMax > 0 {
 			// A task whose window is tight to within relTol keeps it.
 			s.minAvail[k] = math.Min(t.Workload/core.SpeedMax, t.Window())
@@ -164,6 +173,31 @@ func newSolver(tasks task.Set, sys power.System, m power.Model) (*solver, error)
 		s.fullPrefix[k+1] = s.fullPrefix[k] + e
 	}
 	return s, nil
+}
+
+// slackMargin is the relative distance below s_m of the slack
+// threshold slackSpeed, and the margin by which the power there must
+// clear α: ten orders of magnitude above the relative rounding error of
+// s_m's root and of the power, so no speed at or below the threshold can
+// round past α, and still close enough to s_m that almost every slack
+// window is caught.
+const slackMargin = 1000 * relTol
+
+// slackSpeed returns the filled speed at or below which slope's exact
+// test β(λ−1)·f^λ ≤ α certainly holds for a task paying the core's
+// static power α: s_m·(1 − slackMargin), where the power is
+// (1 − slackMargin)^λ·α. It returns 0, which no positive speed is at or
+// below, when the core has no static power or the power at that speed is
+// not certified below α(1 − slackMargin) (an overflowed or non-finite
+// s_m, or a power so small that its rounding is no longer relative).
+func (s *solver) slackSpeed() float64 {
+	core := s.sys.Core
+	f := s.sm * (1 - slackMargin)
+	pow := core.PowLambda(f)
+	if !(core.Static > 0) || !(pow >= 0x1p-1000) || s.dynSlope*pow > core.Static*(1-slackMargin) {
+		return 0
+	}
+	return f
 }
 
 // coreEnergy returns the minimal core energy of task k given an available

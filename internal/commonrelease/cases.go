@@ -40,13 +40,13 @@ func (in *instance) prepTables() {
 	in.sufPow[n], in.sufMaxW[n] = 0, 0
 	for i := n - 1; i >= 0; i-- {
 		w := in.tasks[i].Workload
-		in.sufPow[i] = in.sufPow[i+1] + math.Pow(w, core.Lambda)
+		in.sufPow[i] = in.sufPow[i+1] + core.PowLambda(w)
 		in.sufMaxW[i] = math.Max(in.sufMaxW[i+1], w)
 	}
 	in.prefDyn[0], in.prefFix[0] = 0, 0
 	for i, tk := range in.tasks {
 		c := in.c[i]
-		in.prefDyn[i+1] = in.prefDyn[i] + core.Beta*math.Pow(tk.Workload, core.Lambda)*math.Pow(c, 1-core.Lambda)
+		in.prefDyn[i+1] = in.prefDyn[i] + core.Beta*core.PowLambda(tk.Workload)*core.PowOneMinusLambda(c)
 		in.prefFix[i+1] = in.prefFix[i] + core.Static*c +
 			schedule.SleepBreakEven.GapEnergy(in.horizon-c, core.Static, core.BreakEven)
 	}
@@ -108,7 +108,7 @@ func (in *instance) energyClosed(L float64) float64 {
 	k := float64(len(in.tasks) - i)
 	tail := in.horizon - L
 	return in.prefDyn[i] + in.prefFix[i] +
-		core.Beta*in.sufPow[i]*math.Pow(L, 1-core.Lambda) +
+		core.Beta*in.sufPow[i]*core.PowOneMinusLambda(L) +
 		k*(core.Static*L+schedule.SleepBreakEven.GapEnergy(tail, core.Static, core.BreakEven)) +
 		mem.Static*L + schedule.SleepBreakEven.GapEnergy(tail, mem.Static, mem.BreakEven)
 }

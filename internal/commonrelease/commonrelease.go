@@ -76,6 +76,13 @@ type instance struct {
 
 	// Overhead-scan scratch (overhead.go), retained across solves.
 	bounds []float64 // lower bound of each scan piece, in breakpoint order
+	lstars []float64 // stationary point L* of each scan piece, beside bounds
+
+	// s_m memo (criticalSpeed): the core's CriticalSpeedRaw, keyed on the
+	// bits of its (α, β, λ).
+	smKey [3]uint64
+	sm    float64
+	smOK  bool
 
 	// Per-scan work tallies of the overhead scan, flushed into tel once
 	// per scan so the probes never touch the recorder's lock.
@@ -159,6 +166,18 @@ func naturalSpeed(t task.Task, sys power.System, m power.Model, horizon, sm floa
 	return t.FilledSpeed()
 }
 
+// criticalSpeed returns the core's CriticalSpeedRaw s_m, derived once
+// per core model: a retained instance keeps the last core's s_m keyed on
+// the bits of the (α, β, λ) it depends on, so re-planning on one
+// platform takes the root once, and a different core re-derives it.
+func (in *instance) criticalSpeed(c power.Core) float64 {
+	key := [3]uint64{math.Float64bits(c.Static), math.Float64bits(c.Beta), math.Float64bits(c.Lambda)}
+	if !in.smOK || key != in.smKey {
+		in.smKey, in.sm, in.smOK = key, c.CriticalSpeedRaw(), true
+	}
+	return in.sm
+}
+
 // normalizeInto validates the input and fills the instance for the
 // scheme of system model m: release shifted to 0, zero-workload tasks
 // set aside, tasks sorted by natural completion. Every slice is reset and
@@ -221,7 +240,7 @@ func (in *instance) normalizeInto(tasks task.Set, sys power.System, m power.Mode
 		in.horizon = math.Max(in.horizon, t.Deadline)
 	}
 	in.c = in.c[:0]
-	horizon0, sm := overheadHorizon(tasks), sys.Core.CriticalSpeedRaw()
+	horizon0, sm := overheadHorizon(tasks), in.criticalSpeed(sys.Core)
 	for _, t := range in.tasks {
 		s := naturalSpeed(t, sys, m, horizon0, sm)
 		if m == power.ModelStatic && s <= t.FilledSpeed()*(1+relTol) {

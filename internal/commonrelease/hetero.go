@@ -87,7 +87,7 @@ func SolveHetero(tasks task.Set, cores []power.Core, mem power.Memory) (*Solutio
 	for i := n - 1; i >= 0; i-- {
 		it := items[i]
 		sufA[i] = sufA[i+1] + it.core.Static
-		sufB[i] = sufB[i+1] + it.core.Beta*math.Pow(it.t.Workload, lambda)
+		sufB[i] = sufB[i+1] + it.core.Beta*it.core.PowLambda(it.t.Workload)
 		cap := 0.0
 		if it.core.SpeedMax > 0 {
 			cap = it.t.Workload / it.core.SpeedMax
@@ -122,7 +122,7 @@ func SolveHetero(tasks task.Set, cores []power.Core, mem power.Memory) (*Solutio
 			continue
 		}
 		L := numeric.Clamp(lstar, lo, hi)
-		e := denom*L + sufB[i]*math.Pow(L, 1-lambda) + prefix[i]
+		e := denom*L + sufB[i]*cores[0].PowOneMinusLambda(L) + prefix[i]
 		if e < bestE {
 			bestE, bestL = e, L
 		}

@@ -48,11 +48,12 @@ func (in *instance) evalOverhead(L float64) float64 {
 // in two passes:
 //
 //  1. bound every piece from below in closed form (pieceBound), with no
-//     search;
+//     search, keeping each piece's stationary point L* beside its bound;
 //  2. price the piece with the lowest bound (searchPiece) to get an
 //     achieved energy U, then walk the pieces in breakpoint order,
 //     pricing every piece whose bound does not exceed U and keeping the
-//     first strictly better result.
+//     first strictly better result. Pricing reuses pass 1's L*, so each
+//     piece's root is taken once per scan.
 //
 // A skipped piece's price could only have been more than U, so it could
 // neither win nor tie: the result is the same bits as pricing every
@@ -68,21 +69,23 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 	// At most one piece per breakpoint: n completions and two tails.
 	if cap(in.bounds) < n+2 {
 		in.bounds = make([]float64, 0, max(n+2, 2*cap(in.bounds)))
+		in.lstars = make([]float64, 0, cap(in.bounds))
 	}
 	in.evals, in.priced = 0, 0
 
 	bestL, bestE := in.c[n-1], in.evalOverhead(in.c[n-1])
 
 	// Pass 1: bound every piece and note the one with the lowest bound.
-	in.bounds = in.bounds[:0]
+	in.bounds, in.lstars = in.bounds[:0], in.lstars[:0]
 	first, firstA, firstB := -1, 0.0, 0.0
 	w := in.walkPieces()
 	for a, b, ok := w.next(); ok; a, b, ok = w.next() {
-		lb := in.pieceBound(a, b)
+		lb, lstar := in.pieceBound(a, b)
 		if first < 0 || lb < in.bounds[first] {
 			first, firstA, firstB = len(in.bounds), a, b
 		}
 		in.bounds = append(in.bounds, lb)
+		in.lstars = append(in.lstars, lstar)
 	}
 
 	// Pass 2: price the most promising piece first, then every piece
@@ -90,7 +93,7 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 	var firstL, firstE float64
 	achieved := bestE
 	if first >= 0 {
-		firstL, firstE = in.searchPiece(firstA, firstB)
+		firstL, firstE = in.searchPiece(firstA, firstB, in.lstars[first])
 		if firstE < achieved {
 			achieved = firstE
 		}
@@ -103,7 +106,7 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 		}
 		x, e := firstL, firstE
 		if k != first {
-			x, e = in.searchPiece(a, b)
+			x, e = in.searchPiece(a, b, in.lstars[k])
 		}
 		if e < bestE {
 			bestL, bestE = x, e
@@ -124,17 +127,16 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 // returns the first strictly cheapest. Away from Tol-wide slivers the
 // objective on the piece is the convex g(L) = K + β·S_i·L^(1−λ) + C·L
 // (pieceBound), whose minimum over the feasible span [lo, b],
-// lo = max(a, capFor(b)), is its stationary point L* clamped into the
-// span; lo and b cover a minimum at either end of that span. The
-// remaining candidates are the points where the objective can dip below
+// lo = max(a, capFor(b)), is its stationary point lstar (piece's L*,
+// taken once by pieceBound) clamped into the span; lo and b cover a
+// minimum at either end of that span. The remaining candidates are the points where the objective can dip below
 // g inside a sliver: the piece start a, where a task's alignment flips,
 // b−Tol just before the next flip, and d_max−Tol, the first busy length
 // whose idle tail is short enough that the audit stops charging it.
 // a+Tol is not one: a task whose natural completion a is its deadline
 // would stay aligned there and end past that deadline.
-func (in *instance) searchPiece(a, b float64) (L, e float64) {
+func (in *instance) searchPiece(a, b, lstar float64) (L, e float64) {
 	in.priced++
-	_, lstar := in.piece(a, b)
 	lo := math.Max(a, in.capFor(b))
 	// d_max − Tol rounds to either side of the audit's tail ≤ Tol test;
 	// one ulp up puts it on the uncharged side.
@@ -162,21 +164,21 @@ func (in *instance) searchPiece(a, b float64) (L, e float64) {
 // §4.2 case energy. g is convex with stationary point L* (piece), so its
 // minimum over the piece's feasible span is at L* clamped into the span.
 // The bound is the objective there, less the sliver slack and a
-// float-rounding margin.
-func (in *instance) pieceBound(a, b float64) float64 {
-	_, lstar := in.piece(a, b)
+// float-rounding margin. It also returns L* for searchPiece.
+func (in *instance) pieceBound(a, b float64) (bound, lstar float64) {
+	_, lstar = in.piece(a, b)
 	// capFor is non-increasing in L, so no L below capFor(b)−Tol is
 	// feasible anywhere in the piece.
 	lo := math.Max(a, in.capFor(b)-schedule.Tol)
 	if lo > b {
-		return math.Inf(1)
+		return math.Inf(1), lstar
 	}
 	e := in.energyClosed(numeric.Clamp(lstar, lo, b))
 	if math.IsInf(e, 0) || math.IsNaN(e) {
 		// An overflowed term bounds nothing: price the piece.
-		return math.Inf(-1)
+		return math.Inf(-1), lstar
 	}
-	return e - in.sliverSlack(a, b) - boundRelMargin*math.Abs(e)
+	return e - in.sliverSlack(a, b) - boundRelMargin*math.Abs(e), lstar
 }
 
 // boundRelMargin covers the float rounding of energyClosed, a sum of a
@@ -207,7 +209,7 @@ func (in *instance) sliverSlack(a, b float64) float64 {
 			return math.Inf(1)
 		}
 		speed := in.tasks[j].Workload / e
-		d += 3*tol*(core.Beta*(core.Lambda-1)*math.Pow(speed, core.Lambda)+2*core.Static) + core.Static*tol
+		d += 3*tol*(core.Beta*(core.Lambda-1)*core.PowLambda(speed)+2*core.Static) + core.Static*tol
 	}
 	if in.tailMayFlip(a, b, core.BreakEven) {
 		d += 2 * tol * float64(len(in.tasks)) * core.Static

@@ -399,7 +399,7 @@ func TestNaturalCompletionsMatchPerTaskOracle(t *testing.T) {
 			for _, tk := range tasks {
 				want = math.Max(want, naturalCompletionOracle(tk, sys, horizon))
 			}
-			if got := MaxNaturalCompletion(tasks, sys); math.Float64bits(got) != math.Float64bits(want) {
+			if got := new(Solver).MaxNaturalCompletion(tasks, sys); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("seed %d model %d: MaxNaturalCompletion %.17g, oracle %.17g", seed, sys.Model(), got, want)
 			}
 			in, err := normalize(tasks, sys, sys.Model(), nil)
@@ -422,7 +422,8 @@ func overheadInstance(tasks task.Set, sys power.System) (*instance, error) {
 
 // checkAgainstOracle runs the scan and two oracles on one normalized
 // instance. The pruning must be exact: the scan returns the bits of
-// pricing every piece with searchPiece. Every piece's bound must lie at
+// pricing every piece with searchPiece at a freshly taken L*, which must
+// equal the L* the scan retained. Every piece's bound must lie at
 // or below the golden-section minimum on that piece, and the scan's
 // energy may exceed the golden-section oracle's only by what the closed
 // form cannot see: the largest sliver slack over the pieces plus the
@@ -445,7 +446,11 @@ func checkAgainstOracle(t testing.TB, in *instance) (priced, pieces int) {
 			t.Fatalf("piece %d [%.17g, %.17g]: bound %.17g above its golden minimum %.17g", k, a, b, lb, e)
 		}
 		slack = math.Max(slack, in.sliverSlack(a, b))
-		if x, e := in.searchPiece(a, b); e < allE {
+		_, lstar := in.piece(a, b)
+		if math.Float64bits(in.lstars[k]) != math.Float64bits(lstar) {
+			t.Fatalf("piece %d [%.17g, %.17g]: retained L* %.17g, fresh root %.17g", k, a, b, in.lstars[k], lstar)
+		}
+		if x, e := in.searchPiece(a, b, lstar); e < allE {
 			allL, allE = x, e
 		}
 	}

@@ -72,15 +72,16 @@ func (sv *Solver) PlanEndsRel(tasks task.Set, sys power.System, tel *telemetry.R
 // set when it runs at its natural speed under sys: the same bits as the
 // largest in.c entry of normalizeInto, which derives each through the
 // same naturalSpeed with the same §7 horizon max_j (d_j − r_j). The
-// system model and s_m are derived once for the whole set.
+// system model is derived once for the whole set, and s_m comes from the
+// Solver's memo, shared with PlanEndsRel.
 //
 // Every scheme picks a busy length L ≤ max_j c_j and every planned
 // completion is ≤ max(c_j, L), so release + MaxNaturalCompletion bounds
 // all planned execution — the online engine uses this to certify that a
 // planning step cannot schedule work past a point without running the
 // solve.
-func MaxNaturalCompletion(tasks task.Set, sys power.System) float64 {
-	m, horizon, sm := sys.Model(), overheadHorizon(tasks), sys.Core.CriticalSpeedRaw()
+func (sv *Solver) MaxNaturalCompletion(tasks task.Set, sys power.System) float64 {
+	m, horizon, sm := sys.Model(), overheadHorizon(tasks), sv.in.criticalSpeed(sys.Core)
 	var cmax float64
 	for _, t := range tasks {
 		cmax = math.Max(cmax, t.Workload/naturalSpeed(t, sys, m, horizon, sm))

@@ -303,7 +303,7 @@ func (rt *Runtime) certifySleep(now, next float64, sys, planSys power.System) bo
 	if math.IsInf(next, 1) || len(rt.virtual) == 0 {
 		return false
 	}
-	cmax := commonrelease.MaxNaturalCompletion(rt.virtual, planSys)
+	cmax := rt.solver.MaxNaturalCompletion(rt.virtual, planSys)
 	bound := (now + cmax) - now // ≥ any solved plan's p
 	for _, vt := range rt.virtual {
 		if vt.Deadline-bound < next {

@@ -69,7 +69,7 @@ func OptimalBusyLength(sums []float64, sys power.System, deadline float64) (floa
 		if w > 0 {
 			used++
 		}
-		sumPow += math.Pow(w, core.Lambda)
+		sumPow += core.PowLambda(w)
 		maxW = math.Max(maxW, w)
 	}
 	if numeric.IsZero(sumPow, 0) {
@@ -99,9 +99,10 @@ func OptimalBusyLength(sums []float64, sys power.System, deadline float64) (floa
 // the system energy for any fixed L, and the minimizer is the most
 // balanced partition.
 func costOf(sums []float64, lambda float64) float64 {
+	law := power.Core{Lambda: lambda}
 	var s float64
 	for _, w := range sums {
-		s += math.Pow(w, lambda)
+		s += law.PowLambda(w)
 	}
 	return s
 }

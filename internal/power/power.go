@@ -12,6 +12,14 @@
 //
 // All quantities are SI: seconds, hertz (cycles per second), watts, joules.
 // Helper constructors convert from the paper's mW/MHz³ convention.
+//
+// Core.PowLambda (x^λ) and Core.PowOneMinusLambda (x^(1−λ)) are the one
+// place the power law is evaluated: Dynamic, both offline solvers'
+// closed forms, the partition objective and, through Dynamic, the
+// Auditor and the streaming meter all go through them. For the CMOS
+// cube λ = 3 of both presets they are plain products that carry
+// math.Pow's exact bits; the 1/λ roots (critical speeds, stationary
+// busy lengths) stay on math.Pow.
 package power
 
 import (
@@ -159,8 +167,47 @@ func (c Core) Dynamic(s float64) float64 {
 	if s <= 0 {
 		return 0
 	}
-	return c.Beta * math.Pow(s, c.Lambda)
+	return c.Beta * c.PowLambda(s)
 }
+
+// isCube reports whether the core follows the cube law λ = 3.
+//
+// For an integer exponent math.Pow multiplies the Frexp mantissa by
+// repeated squaring and rescales by exact powers of two, so in the
+// normal range math.Pow(x, 3) is (x·x)·x and math.Pow(x, −2) is
+// 1/(x·x), bit for bit; at ±0, ±Inf and NaN the products agree with
+// Pow's special cases too. No other exponent has such an identity.
+func (c Core) isCube() bool {
+	//lint:allow floatcmp: exact-integer dispatch; only λ = 3 exactly has the bit-identical product form
+	return c.Lambda == 3
+}
+
+// PowLambda returns x^λ with math.Pow's bits: (x·x)·x for λ = 3,
+// math.Pow otherwise.
+func (c Core) PowLambda(x float64) float64 {
+	if c.isCube() {
+		// The conversion keeps the product rounded on its own, so no
+		// caller's addition fuses with it.
+		return float64(x * x * x)
+	}
+	return pow(x, c.Lambda)
+}
+
+// PowOneMinusLambda returns x^(1−λ) with math.Pow's bits: 1/(x·x) for
+// λ = 3, math.Pow otherwise.
+func (c Core) PowOneMinusLambda(x float64) float64 {
+	if c.isCube() {
+		return 1 / (x * x)
+	}
+	return pow(x, 1-c.Lambda)
+}
+
+// pow is math.Pow kept out of line: inlined, its body would push
+// PowLambda and PowOneMinusLambda past the inliner's budget, and the
+// cube-law fast path must inline into the solvers' loops.
+//
+//go:noinline
+func pow(x, y float64) float64 { return math.Pow(x, y) }
 
 // Power returns the total active power α + β·s^λ at speed s.
 func (c Core) Power(s float64) float64 { return c.Static + c.Dynamic(s) }

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -274,5 +275,57 @@ func TestCortexA7Preset(t *testing.T) {
 	// Sanity: ~0.4 W dynamic at peak.
 	if p := little.Dynamic(MHz(1300)); p < 0.25 || p > 0.6 {
 		t.Errorf("A7 peak dynamic power %g W, want ≈0.4", p)
+	}
+}
+
+// samePow reports whether got carries math.Pow's bits, or is NaN where
+// math.Pow is (NaN payloads are not part of the contract).
+func samePow(got, want float64) bool {
+	if math.IsNaN(want) {
+		return math.IsNaN(got)
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// TestPowKernelMatchesMathPow pins the power-law kernel to math.Pow, its
+// oracle, bit for bit: on the cube law over random x spanning the ranges
+// the solvers feed it (workloads in cycles, speeds in Hz, busy lengths
+// and completions in seconds) and at the special values, and on the
+// math.Pow path for random non-cube λ.
+func TestPowKernelMatchesMathPow(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	// Log-uniform draws over [lo, hi].
+	ranges := []struct {
+		name   string
+		lo, hi float64
+	}{
+		{"workload", 1e3, 1e12},
+		{"speed", 1e5, 1e12},
+		{"length", 1e-9, 1e4},
+	}
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	check := func(c Core, x float64) {
+		t.Helper()
+		if got, want := c.PowLambda(x), math.Pow(x, c.Lambda); !samePow(got, want) {
+			t.Fatalf("λ %v: PowLambda(%.17g) = %.17g, math.Pow %.17g", c.Lambda, x, got, want)
+		}
+		if got, want := c.PowOneMinusLambda(x), math.Pow(x, 1-c.Lambda); !samePow(got, want) {
+			t.Fatalf("λ %v: PowOneMinusLambda(%.17g) = %.17g, math.Pow %.17g", c.Lambda, x, got, want)
+		}
+	}
+	cube := CortexA57()
+	for _, x := range specials {
+		check(cube, x)
+	}
+	for _, rg := range ranges {
+		for i := 0; i < 200000; i++ {
+			check(cube, rg.lo*math.Pow(rg.hi/rg.lo, r.Float64()))
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		c := Core{Lambda: 1 + 3*r.Float64()}
+		rg := ranges[r.Intn(len(ranges))]
+		check(c, rg.lo*math.Pow(rg.hi/rg.lo, r.Float64()))
+		check(c, specials[r.Intn(len(specials))])
 	}
 }
