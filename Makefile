@@ -120,23 +120,20 @@ bench-gate:
 		-benchmem ./... | $(GO) run ./cmd/benchreport -compare $(BENCH_BASE) > /dev/null
 
 # bench-ab compares the solver and online micro-benchmarks of BASE (any
-# git revision) against the working tree on this host: each side's root
-# and internal/online test binaries are built once (the base from a
-# `git archive` of BASE, so no worktree is registered), then AB_ROUNDS
-# rounds run both sides alternately, base first in odd rounds and change
-# first in even ones, so slow host drift hits both sides alike.
-# benchreport pairs the runs and prints each benchmark's median ns/op
-# per side and the median change/base ratio with its quartiles. The raw
-# outputs stay in .bench_ab/{base,change}.txt.
+# git revision, required) against the working tree on this host: each
+# side's root and internal/online test binaries are built once (the base
+# from a `git archive` of BASE, so no worktree is registered), then ten
+# rounds of 1 s runs alternate the sides, base first in odd rounds and
+# change first in even ones, so slow host drift hits both sides alike.
+# Ten pairs is the least a gain can be cited from. benchreport pairs the
+# runs and prints each benchmark's median ns/op per side and the median
+# change/base ratio with its quartiles. The raw outputs stay in
+# .bench_ab/{base,change}.txt.
 #
 #	make bench-ab BASE=HEAD~1
-BASE ?= HEAD
-AB_ROUNDS ?= 5
-AB_BENCHTIME ?= 1s
-AB_PATTERN ?= SolveCommonRelease|SolveAgreeable|ScheduleOnline|ScheduleStream10k|Audit
-
 bench-ab:
-	@set -e; rm -rf .bench_ab; mkdir -p .bench_ab/base-src; \
+	@set -e; [ -n "$(BASE)" ] || { echo "usage: make bench-ab BASE=<rev>" >&2; exit 2; }; \
+	rm -rf .bench_ab; mkdir -p .bench_ab/base-src; \
 	trap 'rm -rf .bench_ab/base-src .bench_ab/*.test' EXIT; \
 	git archive "$(BASE)" | tar -x -C .bench_ab/base-src; \
 	( cd .bench_ab/base-src && $(GO) test -c -o ../base-root.test . && \
@@ -148,12 +145,13 @@ bench-ab:
 		src=.; [ $$1 = base ] && src=$$AB/base-src; \
 		for pkg in root online; do \
 			dir=$$src; [ $$pkg = online ] && dir=$$src/internal/online; \
-			( cd $$dir && $$AB/$$1-$$pkg.test -test.run '^$$' -test.bench '$(AB_PATTERN)' \
-				-test.benchmem -test.benchtime $(AB_BENCHTIME) -test.timeout 30m ) >> $$AB/$$1.txt; \
+			( cd $$dir && $$AB/$$1-$$pkg.test -test.run '^$$' \
+				-test.bench 'SolveCommonRelease|SolveAgreeable|ScheduleOnline|ScheduleStream10k|Audit' \
+				-test.benchmem -test.benchtime 1s -test.timeout 30m ) >> $$AB/$$1.txt; \
 		done; \
 	}; \
-	for i in $$(seq 1 $(AB_ROUNDS)); do \
-		echo "bench-ab: round $$i of $(AB_ROUNDS)" >&2; \
+	for i in 1 2 3 4 5 6 7 8 9 10; do \
+		echo "bench-ab: round $$i of 10" >&2; \
 		if [ $$((i % 2)) -eq 1 ]; then side base; side change; else side change; side base; fi; \
 	done; \
 	$(GO) run ./cmd/benchreport -ab-base .bench_ab/base.txt -ab-change .bench_ab/change.txt

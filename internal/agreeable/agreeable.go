@@ -82,10 +82,10 @@ type solver struct {
 	// static power is sunk and it stretches to fill its available window
 	// (constrained critical speed semantics of §7).
 	static []float64
-	// slackBelow[k] is a filled speed at or below which task k's window
-	// is certainly slack (slackSpeed), or 0 when task k pays no static
-	// power: slope returns zero there without pricing the power.
-	slackBelow []float64
+	// slack is a filled speed at or below which the window of a task
+	// paying static power (static[k] > 0) is certainly slack
+	// (slackSpeed): slope returns zero there without pricing the power.
+	slack float64
 	// minAvail[k] is the shortest window task k fits in at s_up.
 	minAvail []float64
 	// fullPrefix[k] sums the core energies of tasks [0..k) run in their
@@ -145,12 +145,11 @@ func newSolver(tasks task.Set, sys power.System, m power.Model) (*solver, error)
 	core := s.sys.Core
 	s.dynSlope = core.Beta * (core.Lambda - 1)
 	s.sm = core.CriticalSpeedRaw()
+	s.slack = s.slackSpeed()
 	s.static = make([]float64, len(s.tasks))
-	s.slackBelow = make([]float64, len(s.tasks))
 	s.minAvail = make([]float64, len(s.tasks))
 	s.fullPrefix = make([]float64, len(s.tasks)+1)
 	horizon := s.end - s.start
-	slack := s.slackSpeed()
 	for k, t := range s.tasks {
 		s.static[k] = core.Static
 		if m == power.ModelOverhead {
@@ -161,9 +160,6 @@ func newSolver(tasks task.Set, sys power.System, m power.Model) (*solver, error)
 			if sc < s0-(relTol/1000)*s0 {
 				s.static[k] = 0
 			}
-		}
-		if s.static[k] > 0 {
-			s.slackBelow[k] = slack
 		}
 		if core.SpeedMax > 0 {
 			// A task whose window is tight to within relTol keeps it.

@@ -38,17 +38,17 @@ const flatTol = 1e-12
 
 // slope returns coreE_k′(a) and coreE_k″(a) for task k given a window of
 // length a. At s_up the speed stops rising, so the slope is held at its
-// capped value. A filled speed at or below the task's slack threshold
-// returns the slack zero before any power is priced; the threshold sits
-// where the exact test below is certain to pass, so the result is the
-// same bits either way.
+// capped value. For a task paying static power, a filled speed at or
+// below the slack threshold returns the slack zero before any power is
+// priced; the threshold sits where the exact test below is certain to
+// pass, so the result is the same bits either way.
 func (s *solver) slope(k int, a float64) (g, dg float64) {
 	if a <= 0 {
 		return math.Inf(-1), 0
 	}
 	core := s.sys.Core
 	f := s.tasks[k].Workload / a
-	if f <= s.slackBelow[k] {
+	if s.static[k] > 0 && f <= s.slack {
 		return 0, 0
 	}
 	capped := core.SpeedMax > 0 && f >= core.SpeedMax

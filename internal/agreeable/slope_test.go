@@ -10,8 +10,8 @@ import (
 
 // TestSlopeSlackThresholdKeepsBits pins slope's slack threshold: on the
 // tasks of random agreeable sets, under every system model and on cube
-// and non-cube power laws, slope with each task's threshold returns the
-// bits of slope with every threshold zeroed, which prices the power
+// and non-cube power laws, slope with the threshold returns the bits of
+// slope with the threshold zeroed, which prices the power
 // (math.Pow for non-cube λ) at every window. The windows probed straddle
 // the threshold, the critical speed and the s_up cap.
 func TestSlopeSlackThresholdKeepsBits(t *testing.T) {
@@ -29,11 +29,11 @@ func TestSlopeSlackThresholdKeepsBits(t *testing.T) {
 			t.Fatalf("set %d: %v", i, err)
 		}
 		ref := *s
-		ref.slackBelow = make([]float64, len(s.tasks))
+		ref.slack = 0
 		for k, tk := range s.tasks {
 			w := tk.Workload
 			windows := []float64{tk.Window(), w / s.sm, w / sys.Core.SpeedCeiling(), 2 * tk.Window()}
-			if thr := s.slackBelow[k]; thr > 0 {
+			if thr := s.slack; thr > 0 {
 				a := w / thr
 				windows = append(windows, a, math.Nextafter(a, 0), math.Nextafter(a, math.Inf(1)))
 			}
@@ -42,7 +42,7 @@ func TestSlopeSlackThresholdKeepsBits(t *testing.T) {
 			}
 			for _, a := range windows {
 				total++
-				if w/a <= s.slackBelow[k] {
+				if s.static[k] > 0 && w/a <= s.slack {
 					fast++
 				}
 				g, dg := s.slope(k, a)

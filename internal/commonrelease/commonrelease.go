@@ -75,8 +75,7 @@ type instance struct {
 	sufPow, sufMaxW, prefDyn, prefFix []float64
 
 	// Overhead-scan scratch (overhead.go), retained across solves.
-	bounds []float64 // lower bound of each scan piece, in breakpoint order
-	lstars []float64 // stationary point L* of each scan piece, beside bounds
+	bounds []boundedPiece // each scan piece's bound and L*, in breakpoint order
 
 	// s_m memo (criticalSpeed): the core's CriticalSpeedRaw, keyed on the
 	// bits of its (α, β, λ).

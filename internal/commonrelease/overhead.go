@@ -68,24 +68,22 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 	in.prepTables()
 	// At most one piece per breakpoint: n completions and two tails.
 	if cap(in.bounds) < n+2 {
-		in.bounds = make([]float64, 0, max(n+2, 2*cap(in.bounds)))
-		in.lstars = make([]float64, 0, cap(in.bounds))
+		in.bounds = make([]boundedPiece, 0, max(n+2, 2*cap(in.bounds)))
 	}
 	in.evals, in.priced = 0, 0
 
 	bestL, bestE := in.c[n-1], in.evalOverhead(in.c[n-1])
 
 	// Pass 1: bound every piece and note the one with the lowest bound.
-	in.bounds, in.lstars = in.bounds[:0], in.lstars[:0]
+	in.bounds = in.bounds[:0]
 	first, firstA, firstB := -1, 0.0, 0.0
 	w := in.walkPieces()
 	for a, b, ok := w.next(); ok; a, b, ok = w.next() {
-		lb, lstar := in.pieceBound(a, b)
-		if first < 0 || lb < in.bounds[first] {
+		pb := in.pieceBound(a, b)
+		if first < 0 || pb.bound < in.bounds[first].bound {
 			first, firstA, firstB = len(in.bounds), a, b
 		}
-		in.bounds = append(in.bounds, lb)
-		in.lstars = append(in.lstars, lstar)
+		in.bounds = append(in.bounds, pb)
 	}
 
 	// Pass 2: price the most promising piece first, then every piece
@@ -93,20 +91,20 @@ func (in *instance) overheadScan() (bestL float64, caseIdx int) {
 	var firstL, firstE float64
 	achieved := bestE
 	if first >= 0 {
-		firstL, firstE = in.searchPiece(firstA, firstB, in.lstars[first])
+		firstL, firstE = in.searchPiece(firstA, firstB, in.bounds[first].lstar)
 		if firstE < achieved {
 			achieved = firstE
 		}
 	}
 	w = in.walkPieces()
-	for k, lb := range in.bounds {
+	for k, pb := range in.bounds {
 		a, b, _ := w.next()
-		if lb > achieved {
+		if pb.bound > achieved {
 			continue
 		}
 		x, e := firstL, firstE
 		if k != first {
-			x, e = in.searchPiece(a, b, in.lstars[k])
+			x, e = in.searchPiece(a, b, pb.lstar)
 		}
 		if e < bestE {
 			bestL, bestE = x, e
@@ -157,6 +155,11 @@ func (in *instance) searchPiece(a, b, lstar float64) (L, e float64) {
 	return L, e
 }
 
+// boundedPiece is one scan piece's lower bound on the objective and the
+// stationary point L* of its smooth form, kept together so the scan's
+// retained buffer grows with one allocation.
+type boundedPiece struct{ bound, lstar float64 }
+
 // pieceBound returns a lower bound on the objective over the piece
 // [a, b] without pricing it. Away from Tol-wide slivers (sliverSlack)
 // the piece has one aligned set, tasks i..n, and one sleep decision per
@@ -165,20 +168,20 @@ func (in *instance) searchPiece(a, b, lstar float64) (L, e float64) {
 // minimum over the piece's feasible span is at L* clamped into the span.
 // The bound is the objective there, less the sliver slack and a
 // float-rounding margin. It also returns L* for searchPiece.
-func (in *instance) pieceBound(a, b float64) (bound, lstar float64) {
-	_, lstar = in.piece(a, b)
+func (in *instance) pieceBound(a, b float64) boundedPiece {
+	_, lstar := in.piece(a, b)
 	// capFor is non-increasing in L, so no L below capFor(b)−Tol is
 	// feasible anywhere in the piece.
 	lo := math.Max(a, in.capFor(b)-schedule.Tol)
 	if lo > b {
-		return math.Inf(1), lstar
+		return boundedPiece{math.Inf(1), lstar}
 	}
 	e := in.energyClosed(numeric.Clamp(lstar, lo, b))
 	if math.IsInf(e, 0) || math.IsNaN(e) {
 		// An overflowed term bounds nothing: price the piece.
-		return math.Inf(-1), lstar
+		return boundedPiece{math.Inf(-1), lstar}
 	}
-	return e - in.sliverSlack(a, b) - boundRelMargin*math.Abs(e), lstar
+	return boundedPiece{e - in.sliverSlack(a, b) - boundRelMargin*math.Abs(e), lstar}
 }
 
 // boundRelMargin covers the float rounding of energyClosed, a sum of a

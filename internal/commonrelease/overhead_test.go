@@ -439,16 +439,16 @@ func checkAgainstOracle(t testing.TB, in *instance) (priced, pieces int) {
 	var slack float64
 	allL, allE := in.c[len(in.c)-1], in.evalOverhead(in.c[len(in.c)-1])
 	w := in.walkPieces()
-	for k, lb := range in.bounds {
+	for k, pb := range in.bounds {
 		a, b, _ := w.next()
 		_, e := numeric.MinimizeConvex(in.evalOverhead, a, b, numeric.DefaultTol)
-		if lb > e {
-			t.Fatalf("piece %d [%.17g, %.17g]: bound %.17g above its golden minimum %.17g", k, a, b, lb, e)
+		if pb.bound > e {
+			t.Fatalf("piece %d [%.17g, %.17g]: bound %.17g above its golden minimum %.17g", k, a, b, pb.bound, e)
 		}
 		slack = math.Max(slack, in.sliverSlack(a, b))
 		_, lstar := in.piece(a, b)
-		if math.Float64bits(in.lstars[k]) != math.Float64bits(lstar) {
-			t.Fatalf("piece %d [%.17g, %.17g]: retained L* %.17g, fresh root %.17g", k, a, b, in.lstars[k], lstar)
+		if math.Float64bits(pb.lstar) != math.Float64bits(lstar) {
+			t.Fatalf("piece %d [%.17g, %.17g]: retained L* %.17g, fresh root %.17g", k, a, b, pb.lstar, lstar)
 		}
 		if x, e := in.searchPiece(a, b, lstar); e < allE {
 			allL, allE = x, e
