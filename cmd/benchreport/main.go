@@ -56,6 +56,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -407,8 +408,11 @@ type lineScanner interface {
 	Err() error
 }
 
+// parse reads `go test -bench` output. That output names no Go version,
+// so the report records the toolchain benchreport runs on: the Makefile
+// runs it with the same $(GO) as the benchmarks.
 func parse(sc lineScanner) (Report, error) {
-	var report Report
+	report := Report{GoVersion: runtime.Version()}
 	pkg := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -421,10 +425,6 @@ func parse(sc lineScanner) (Report, error) {
 			}
 		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"):
 			// environment header, ignored
-		case strings.HasPrefix(line, "go version") || strings.HasPrefix(line, "go1"):
-			if report.GoVersion == "" {
-				report.GoVersion = line
-			}
 		case strings.HasPrefix(line, "Benchmark"):
 			e, ok := parseBench(line)
 			if !ok {

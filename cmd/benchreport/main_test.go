@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"io"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,6 +53,22 @@ func TestParse(t *testing.T) {
 	}
 	if report.CPU != "Some CPU @ 2.40GHz" {
 		t.Errorf("cpu = %q, want the cpu: header", report.CPU)
+	}
+}
+
+// TestParseGoVersion: bench output carries no Go version line, so parse
+// records the running toolchain, and a merge keeps the current run's.
+func TestParseGoVersion(t *testing.T) {
+	report, err := parse(bufio.NewScanner(strings.NewReader(sample)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.GoVersion != runtime.Version() {
+		t.Fatalf("GoVersion = %q, want %q", report.GoVersion, runtime.Version())
+	}
+	got := mergeReports(Report{GoVersion: "go1.22"}, report)
+	if got.GoVersion != runtime.Version() {
+		t.Fatalf("merged GoVersion = %q, want the current run's %q", got.GoVersion, runtime.Version())
 	}
 }
 

@@ -835,5 +835,5 @@ func benchLines(w io.Writer, o options, r report) {
 // SplitMix64 derivation the fault planner uses, so the request mix and
 // the retry jitter replay exactly under a fixed -seed.
 func unit(seed int64, dims ...uint64) float64 {
-	return float64(uint64(stats.DeriveSeed(seed, dims...))>>11) / (1 << 53)
+	return stats.Unit(uint64(stats.DeriveSeed(seed, dims...)))
 }

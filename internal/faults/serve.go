@@ -150,6 +150,5 @@ func (p ServePlan) At(id int64) (ServeFault, bool) {
 // unit derives a uniform float64 in [0, 1) from the plan seed, the
 // request ordinal, and a draw slot.
 func unit(seed, id int64, slot uint64) float64 {
-	u := uint64(stats.DeriveSeed(seed, serveDomain, uint64(id), slot))
-	return float64(u>>11) / (1 << 53)
+	return stats.Unit(uint64(stats.DeriveSeed(seed, serveDomain, uint64(id), slot)))
 }

@@ -96,8 +96,5 @@ func unitPair(h *uint64) (a, b float64) {
 	x := stats.SplitMix64(*h)
 	y := stats.SplitMix64(x)
 	*h = y
-	return unitFloat(x), unitFloat(y)
+	return stats.Unit(x), stats.Unit(y)
 }
-
-// unitFloat maps a hash value to [0, 1) with 53 bits of precision.
-func unitFloat(x uint64) float64 { return float64(x>>11) / (1 << 53) }

@@ -129,16 +129,16 @@ func newExecutor(sched *schedule.Schedule, tasks task.Set, sys power.System, pla
 }
 
 // matchWakeStalls maps each WakeLatency fault onto the planned memory
-// wake it delays: the end of the first sleep-eligible common idle gap
-// (length ≥ ξ_m) at or after the fault's anchor time. Faults that match
-// no wake are inert. Multiple faults on one wake accumulate.
+// wake it delays: the end of the first common idle gap the memory sleeps
+// through (sleepGaps) at or after the fault's anchor time. Faults that
+// match no wake are inert. Multiple faults on one wake accumulate.
 func matchWakeStalls(sched *schedule.Schedule, sys power.System, plan faults.Plan) []wakeStall {
 	wl := plan.ByKind(faults.WakeLatency)
 	if len(wl) == 0 {
 		return nil
 	}
 	var wakes []float64
-	for _, g := range sleepGaps(sched, sys.Memory.BreakEven) {
+	for _, g := range sleepGaps(sched, sys.Memory) {
 		if g.End < sched.End {
 			wakes = append(wakes, g.End)
 		}
@@ -579,7 +579,7 @@ func (e *executor) spuriousEnergy(s *schedule.Schedule) float64 {
 		return 0
 	}
 	mem := e.st.System().Memory
-	sleeps := sleepGaps(s, mem.BreakEven)
+	sleeps := sleepGaps(s, mem)
 	var total float64
 	for _, f := range sw {
 		for _, g := range sleeps {
@@ -594,28 +594,16 @@ func (e *executor) spuriousEnergy(s *schedule.Schedule) float64 {
 }
 
 // sleepGaps returns the common idle gaps the schedule's memory policy
-// sleeps through: none under SleepNever, every positive gap under
-// SleepAlways, gaps of at least the break-even time otherwise.
-func sleepGaps(s *schedule.Schedule, breakEven float64) []schedule.Interval {
-	switch s.MemoryPolicy {
-	case schedule.SleepNever:
-		return nil
-	case schedule.SleepAlways:
-		breakEven = 0
-	}
-	busy := s.MemoryBusy()
+// sleeps through: the auditor's memory gaps for which the policy's
+// decision is a sleep — the transitions the audit charges. A leak-free
+// memory never transitions, so it has none.
+func sleepGaps(s *schedule.Schedule, mem power.Memory) []schedule.Interval {
+	var a schedule.Auditor
 	var out []schedule.Interval
-	cur := s.Start
-	for _, iv := range busy {
-		if iv.Start-cur >= breakEven && iv.Start > cur {
-			out = append(out, schedule.Interval{Start: cur, End: iv.Start})
+	a.MemoryGaps(s, func(g schedule.Interval) {
+		if s.MemoryPolicy.Decide(g.Len(), mem.Static, mem.BreakEven).Sleeps {
+			out = append(out, g)
 		}
-		if iv.End > cur {
-			cur = iv.End
-		}
-	}
-	if s.End-cur >= breakEven && s.End > cur {
-		out = append(out, schedule.Interval{Start: cur, End: s.End})
-	}
+	})
 	return out
 }

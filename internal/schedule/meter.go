@@ -3,7 +3,6 @@ package schedule
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sdem/internal/numeric"
 	"sdem/internal/power"
@@ -87,7 +86,7 @@ func (m *Meter) Add(core int, seg Segment) error {
 	c := m.sys.Core
 	m.b.CoreDynamic += c.Dynamic(seg.Speed) * d
 	m.b.CoreStatic += c.Static * d
-	if m.coreSegs[core] > 0 && math.Abs(seg.Speed-m.coreSpeed[core]) > Tol*math.Max(1, seg.Speed) {
+	if m.coreSegs[core] > 0 && speedSwitch(m.coreSpeed[core], seg.Speed) {
 		m.b.SpeedSwitches++
 		m.b.CoreSwitch += c.SwitchEnergy
 	}
@@ -121,10 +120,9 @@ func (m *Meter) Seal(next float64) {
 	if last := merged[len(merged)-1]; last.End >= next-Tol {
 		keep = 1
 	}
-	var aud Auditor // chargeMemGap only touches the breakdown
 	for _, iv := range merged[:len(merged)-keep] {
 		if iv.Start > m.memCur+Tol {
-			aud.chargeMemGap(&m.b, iv.Start-m.memCur, m.sys.Memory, m.memPolicy)
+			chargeMemGap(&m.b, iv.Start-m.memCur, m.sys.Memory, m.memPolicy)
 		}
 		m.busyLen += iv.Len()
 		m.memBusy = true
@@ -172,9 +170,8 @@ func (m *Meter) Finish(end float64) Breakdown {
 		}
 		return m.b
 	}
-	var aud Auditor
 	if end > m.memCur+Tol {
-		aud.chargeMemGap(&m.b, end-m.memCur, m.sys.Memory, m.memPolicy)
+		chargeMemGap(&m.b, end-m.memCur, m.sys.Memory, m.memPolicy)
 	}
 	m.b.MemoryStatic += m.sys.Memory.Static * m.busyLen
 	return m.b
@@ -187,42 +184,4 @@ func (m *Meter) Finish(end float64) Breakdown {
 // report per-window energy as Running deltas without closing the meter.
 func (m *Meter) Running() float64 {
 	return m.b.Total() + m.sys.Memory.Static*m.busyLen
-}
-
-// mergeInPlace sorts and Tol-merges the intervals in place, exactly as
-// Auditor.merge does, returning the merged prefix. It duplicates the
-// Auditor.merge walk on the passed slice instead of wrapping it in a
-// temporary Auditor: the temporary's scratch field escapes through its
-// sort.Interface conversion, which cost one allocation per Seal on the
-// streaming hot path.
-//
-//sdem:hotpath
-func mergeInPlace(ivs *intervalsByStart) []Interval {
-	s := *ivs
-	if len(s) == 0 {
-		return nil
-	}
-	sorted := true
-	for i := 1; i < len(s); i++ {
-		if s[i].Start < s[i-1].Start {
-			sorted = false
-			break
-		}
-	}
-	if !sorted {
-		sort.Sort(ivs)
-	}
-	out := s[:1]
-	for _, iv := range s[1:] {
-		last := &out[len(out)-1]
-		if iv.Start <= last.End+Tol {
-			if iv.End > last.End {
-				last.End = iv.End
-			}
-		} else {
-			//lint:allow hotalloc: appends into the backing it reads from; len never exceeds the existing cap
-			out = append(out, iv)
-		}
-	}
-	return out
 }

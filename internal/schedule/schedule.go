@@ -175,7 +175,7 @@ func (s *Schedule) Coalesce() {
 			last := &out[len(out)-1]
 			if sg.TaskID == last.TaskID &&
 				sg.Start <= last.End+Tol &&
-				math.Abs(sg.Speed-last.Speed) <= Tol*math.Max(1, last.Speed) {
+				!speedSwitch(last.Speed, sg.Speed) {
 				if sg.End > last.End {
 					last.End = sg.End
 				}
@@ -273,65 +273,11 @@ func (s *Schedule) Validate(tasks task.Set, opts ValidateOptions) error {
 	return nil
 }
 
-// busyIntervals returns the merged busy intervals of one core.
-func busyIntervals(segs []Segment) []Interval {
-	ivs := make([]Interval, 0, len(segs))
-	for _, sg := range segs {
-		ivs = append(ivs, Interval{sg.Start, sg.End})
-	}
-	return MergeIntervals(ivs)
-}
-
-// BusyIntervals returns the merged busy intervals of a segment list —
-// the exported form of the audit's own merging, so trace emitters
-// attribute idle intervals exactly as the audit charges them.
-func BusyIntervals(segs []Segment) []Interval { return busyIntervals(segs) }
-
-// Gaps returns the idle intervals of the horizon [start, end] not
-// covered by the (merged, sorted) busy intervals.
-func Gaps(busy []Interval, start, end float64) []Interval { return gaps(busy, start, end) }
-
-// MergeIntervals sorts and merges overlapping or Tol-adjacent intervals.
-func MergeIntervals(ivs []Interval) []Interval {
-	if len(ivs) == 0 {
-		return nil
-	}
-	sorted := make([]Interval, len(ivs))
-	copy(sorted, ivs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	out := []Interval{sorted[0]}
-	for _, iv := range sorted[1:] {
-		last := &out[len(out)-1]
-		if iv.Start <= last.End+Tol {
-			if iv.End > last.End {
-				last.End = iv.End
-			}
-		} else {
-			out = append(out, iv)
-		}
-	}
-	return out
-}
-
 // MemoryBusy returns the merged intervals during which at least one core
 // executes — the memory's busy intervals.
 func (s *Schedule) MemoryBusy() []Interval {
-	var all []Interval
-	for _, segs := range s.Cores {
-		for _, sg := range segs {
-			all = append(all, Interval{sg.Start, sg.End})
-		}
-	}
-	return MergeIntervals(all)
-}
-
-// gaps returns the idle intervals of the horizon [start, end] not covered
-// by the (merged, sorted) busy intervals, including leading and trailing
-// gaps.
-func gaps(busy []Interval, start, end float64) []Interval {
-	var out []Interval
-	walkGaps(busy, start, end, func(g Interval) { out = append(out, g) })
-	return out
+	var a Auditor
+	return a.mergedAll(s)
 }
 
 // walkGaps calls fn, in time order, for each idle interval of the horizon
@@ -356,10 +302,9 @@ func walkGaps(busy []Interval, start, end float64, fn func(Interval)) {
 // time within the horizon when no core executes, i.e. the maximum time the
 // memory could sleep.
 func (s *Schedule) CommonIdle() float64 {
+	var a Auditor
 	var total float64
-	for _, g := range gaps(s.MemoryBusy(), s.Start, s.End) {
-		total += g.Len()
-	}
+	a.MemoryGaps(s, func(g Interval) { total += g.Len() })
 	return total
 }
 
@@ -489,7 +434,7 @@ func (a *Auditor) mergedCore(segs []Segment) []Interval {
 	for _, sg := range segs {
 		a.ivs = append(a.ivs, Interval{sg.Start, sg.End})
 	}
-	return a.merge()
+	return mergeInPlace(&a.ivs)
 }
 
 // mergedAll fills the scratch with the merged busy intervals of every
@@ -501,59 +446,69 @@ func (a *Auditor) mergedAll(s *Schedule) []Interval {
 			a.ivs = append(a.ivs, Interval{sg.Start, sg.End})
 		}
 	}
-	return a.merge()
+	return mergeInPlace(&a.ivs)
 }
 
 // MemoryGaps calls fn for each idle gap of the memory — the horizon
-// [s.Start, s.End] minus every core's execution — in time order: the
-// intervals of Gaps(s.MemoryBusy(), s.Start, s.End), merged in the
-// auditor's scratch instead of fresh slices. fn must not use the
-// auditor: the walk reads its scratch.
+// [s.Start, s.End] minus every core's execution — in time order, merging
+// in the auditor's scratch instead of fresh slices. These are the gaps
+// the audit charges. fn must not use the auditor: the walk reads its
+// scratch.
 func (a *Auditor) MemoryGaps(s *Schedule, fn func(Interval)) {
 	walkGaps(a.mergedAll(s), s.Start, s.End, fn)
 }
 
 // CoreGaps calls fn for each idle gap of one core running segs within the
-// horizon of s, in time order: the intervals of
-// Gaps(BusyIntervals(segs), s.Start, s.End), merged in the auditor's
-// scratch (same rule for fn). A core with no segments has one gap, the
-// whole horizon.
+// horizon of s, in time order, merging in the auditor's scratch (same
+// rule for fn). A core with no segments has one gap, the whole horizon.
 func (a *Auditor) CoreGaps(s *Schedule, segs []Segment, fn func(Interval)) {
 	walkGaps(a.mergedCore(segs), s.Start, s.End, fn)
 }
 
-// merge sorts (if needed) and merges the scratch in place. Merging is
-// order-insensitive among equal starts, so the result is identical to
-// MergeIntervals on the same multiset of intervals.
-func (a *Auditor) merge() []Interval {
-	ivs := a.ivs
-	if len(ivs) == 0 {
+// mergeInPlace sorts (if needed) and Tol-merges the intervals in place,
+// returning the merged prefix: the one interval merge of the package,
+// behind the Auditor's scratch and the Meter's open batch. Merging is
+// order-insensitive among equal starts, so the result depends only on
+// the multiset of intervals. It takes the slice by pointer so the
+// sort.Interface conversion does not box a slice header.
+//
+//sdem:hotpath
+func mergeInPlace(ivs *intervalsByStart) []Interval {
+	s := *ivs
+	if len(s) == 0 {
 		return nil
 	}
 	sorted := true
-	for i := 1; i < len(ivs); i++ {
-		if ivs[i].Start < ivs[i-1].Start {
+	for i := 1; i < len(s); i++ {
+		if s[i].Start < s[i-1].Start {
 			sorted = false
 			break
 		}
 	}
 	if !sorted {
-		sort.Sort(&a.ivs)
+		sort.Sort(ivs)
 	}
-	// In-place merge: the write index never passes the read index.
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
+	// The write index never passes the read index.
+	out := s[:1]
+	for _, iv := range s[1:] {
 		last := &out[len(out)-1]
 		if iv.Start <= last.End+Tol {
 			if iv.End > last.End {
 				last.End = iv.End
 			}
 		} else {
-			//lint:allow hotalloc: appends into the a.ivs backing it reads from; len never exceeds the existing cap
+			//lint:allow hotalloc: appends into the backing it reads from; len never exceeds the existing cap
 			out = append(out, iv)
 		}
 	}
 	return out
+}
+
+// speedSwitch reports whether a core moving from speed prev to speed next
+// changes its DVS frequency: the one speed-switch rule of the audit, the
+// meter and Coalesce.
+func speedSwitch(prev, next float64) bool {
+	return math.Abs(next-prev) > Tol*math.Max(1, next)
 }
 
 // chargeCoreGap charges one core idle gap into the breakdown.
@@ -577,7 +532,7 @@ func (a *Auditor) auditCore(b *Breakdown, s *Schedule, core power.Core, segs []S
 		// A DVS switch happens whenever consecutive executions of this
 		// core run at different speeds (sleep/wake costs are charged
 		// separately via the break-even model).
-		if i > 0 && math.Abs(sg.Speed-segs[i-1].Speed) > Tol*math.Max(1, sg.Speed) {
+		if i > 0 && speedSwitch(segs[i-1].Speed, sg.Speed) {
 			b.SpeedSwitches++
 			b.CoreSwitch += core.SwitchEnergy
 		}
@@ -591,8 +546,8 @@ func (a *Auditor) auditCore(b *Breakdown, s *Schedule, core power.Core, segs []S
 		}
 		return
 	}
-	// Walk the gaps between merged busy intervals without materializing
-	// them: same arithmetic as gaps(), in the same order.
+	// This loop and auditMemory's are walkGaps inlined: same arithmetic,
+	// same order, without a capturing closure on the Audit hot path.
 	cur := s.Start
 	for _, iv := range a.mergedCore(segs) {
 		if iv.Start > cur+Tol {
@@ -629,19 +584,19 @@ func (a *Auditor) auditMemory(b *Breakdown, s *Schedule, mem power.Memory) {
 	cur := s.Start
 	for _, iv := range busy {
 		if iv.Start > cur+Tol {
-			a.chargeMemGap(b, iv.Start-cur, mem, s.MemoryPolicy)
+			chargeMemGap(b, iv.Start-cur, mem, s.MemoryPolicy)
 		}
 		if iv.End > cur {
 			cur = iv.End
 		}
 	}
 	if s.End > cur+Tol {
-		a.chargeMemGap(b, s.End-cur, mem, s.MemoryPolicy)
+		chargeMemGap(b, s.End-cur, mem, s.MemoryPolicy)
 	}
 }
 
 // chargeMemGap charges one memory idle gap into the breakdown.
-func (a *Auditor) chargeMemGap(b *Breakdown, g float64, mem power.Memory, p SleepPolicy) {
+func chargeMemGap(b *Breakdown, g float64, mem power.Memory, p SleepPolicy) {
 	st, tr, slept, sl := gapCost(g, mem.Static, mem.BreakEven, p)
 	b.MemoryStatic += st
 	b.MemoryTransition += tr

@@ -19,17 +19,27 @@ func testSystem() power.System {
 }
 
 func TestMergeIntervals(t *testing.T) {
-	got := MergeIntervals([]Interval{{5, 7}, {0, 2}, {1.5, 3}, {7 + Tol/2, 9}})
-	want := []Interval{{0, 3}, {5, 9}}
-	if len(got) != len(want) {
-		t.Fatalf("merged = %v, want %v", got, want)
-	}
-	for i := range want {
-		if math.Abs(got[i].Start-want[i].Start) > Tol || math.Abs(got[i].End-want[i].End) > Tol {
-			t.Errorf("merged[%d] = %v, want %v", i, got[i], want[i])
+	for _, tc := range []struct {
+		in, want []Interval
+	}{
+		{[]Interval{{5, 7}, {0, 2}, {1.5, 3}, {7 + Tol/2, 9}}, []Interval{{0, 3}, {5, 9}}},
+		// Unsorted, with intervals sharing a start: the longest wins
+		// whichever order the sort leaves them in.
+		{[]Interval{{4, 5}, {1, 2}, {4, 6}, {1, 1.5}, {8, 9}, {4, 4.5}}, []Interval{{1, 2}, {4, 6}, {8, 9}}},
+	} {
+		ivs := intervalsByStart(append([]Interval(nil), tc.in...))
+		got := mergeInPlace(&ivs)
+		if len(got) != len(tc.want) {
+			t.Fatalf("merge %v = %v, want %v", tc.in, got, tc.want)
+		}
+		for i := range tc.want {
+			if math.Abs(got[i].Start-tc.want[i].Start) > Tol || math.Abs(got[i].End-tc.want[i].End) > Tol {
+				t.Errorf("merge %v [%d] = %v, want %v", tc.in, i, got[i], tc.want[i])
+			}
 		}
 	}
-	if MergeIntervals(nil) != nil {
+	var empty intervalsByStart
+	if mergeInPlace(&empty) != nil {
 		t.Error("merging nil must stay nil")
 	}
 }

@@ -38,7 +38,7 @@ var update = flag.Bool("update", false, "rewrite the provenance golden")
 
 // explainOracle is the eager provenance builder: it replays the per-gap
 // and per-segment decisions of a finished schedule with fresh interval
-// slices from the exported helpers. newProvenance and explain must
+// slices from its own merge and gap walk. newProvenance and explain must
 // reproduce it exactly.
 func explainOracle(sched string, s *schedule.Schedule, sys power.System) *Explanation {
 	if s == nil {
@@ -80,8 +80,11 @@ func explainOracle(sched string, s *schedule.Schedule, sys power.System) *Explan
 		})
 	}
 
-	memBusy := s.MemoryBusy()
-	for _, g := range schedule.Gaps(memBusy, s.Start, s.End) {
+	var all []schedule.Segment
+	for _, segs := range s.Cores {
+		all = append(all, segs...)
+	}
+	for _, g := range oracleGaps(all, s.Start, s.End) {
 		appendGap("memory", g, s.MemoryPolicy, sys.Memory.Static, sys.Memory.BreakEven)
 		if g.Len() >= sys.Memory.BreakEven && s.MemoryPolicy.Sleeps(g.Len(), sys.Memory.Static, sys.Memory.BreakEven) {
 			ex.Summary.MemorySleep = true
@@ -91,7 +94,7 @@ func explainOracle(sched string, s *schedule.Schedule, sys power.System) *Explan
 	sUp := sys.Core.SpeedMax
 	sCrit := ex.CriticalSpeed
 	for k, segs := range s.Cores {
-		for _, g := range schedule.Gaps(schedule.BusyIntervals(segs), s.Start, s.End) {
+		for _, g := range oracleGaps(segs, s.Start, s.End) {
 			appendGap(coreName(k), g, s.CorePolicy, sys.Core.Static, sys.Core.BreakEven)
 		}
 		for _, sg := range segs {
@@ -123,6 +126,36 @@ func explainOracle(sched string, s *schedule.Schedule, sys power.System) *Explan
 		}
 	}
 	return ex
+}
+
+// oracleGaps returns the idle intervals of [start, end] that segs leave
+// uncovered once their busy intervals are sorted and merged across
+// Tol-small gaps, leading and trailing gaps included: the oracle's own
+// merge and gap walk, kept apart from the schedule package's.
+func oracleGaps(segs []schedule.Segment, start, end float64) []schedule.Interval {
+	busy := make([]schedule.Interval, 0, len(segs))
+	for _, sg := range segs {
+		busy = append(busy, schedule.Interval{Start: sg.Start, End: sg.End})
+	}
+	sort.Slice(busy, func(i, j int) bool { return busy[i].Start < busy[j].Start })
+	var out []schedule.Interval
+	cur := start
+	for i := 0; i < len(busy); {
+		// Merge the run of intervals that starts within Tol of the
+		// running busy end into one interval [lo, hi].
+		lo, hi := busy[i].Start, busy[i].End
+		for i++; i < len(busy) && busy[i].Start <= hi+schedule.Tol; i++ {
+			hi = math.Max(hi, busy[i].End)
+		}
+		if lo > cur+schedule.Tol {
+			out = append(out, schedule.Interval{Start: cur, End: lo})
+		}
+		cur = math.Max(cur, hi)
+	}
+	if end > cur+schedule.Tol {
+		out = append(out, schedule.Interval{Start: cur, End: end})
+	}
+	return out
 }
 
 // summaryDiff names the first field in which a and b differ, or returns

@@ -65,32 +65,15 @@ type FaultSpec struct {
 	Recovery string `json:"recovery,omitempty"`
 }
 
-// Components is the per-component energy attribution of a response.
-type Components struct {
-	DynamicJ      float64 `json:"dynamic_j"`
-	CoreStaticJ   float64 `json:"core_static_j"`
-	MemoryStaticJ float64 `json:"memory_static_j"`
-	TransitionJ   float64 `json:"transition_j"`
-}
-
-func componentsOf(e sim.EnergyBreakdown) Components {
-	return Components{
-		DynamicJ:      e.Dynamic,
-		CoreStaticJ:   e.CoreStatic,
-		MemoryStaticJ: e.MemoryStatic,
-		TransitionJ:   e.Transition,
-	}
-}
-
 // TaskResponse is the result of one solve/simulate/execute request.
 type TaskResponse struct {
-	Request    string     `json:"request"`
-	Scheduler  string     `json:"scheduler"`
-	Scheme     string     `json:"scheme,omitempty"`
-	Model      string     `json:"model"`
-	N          int        `json:"n"`
-	EnergyJ    float64    `json:"energy_j"`
-	Components Components `json:"components"`
+	Request    string              `json:"request"`
+	Scheduler  string              `json:"scheduler"`
+	Scheme     string              `json:"scheme,omitempty"`
+	Model      string              `json:"model"`
+	N          int                 `json:"n"`
+	EnergyJ    float64             `json:"energy_j"`
+	Components sim.EnergyBreakdown `json:"components"`
 	// Misses lists task IDs that completed late or not at all.
 	Misses []int `json:"misses,omitempty"`
 	// Recovery statistics (/v1/execute only).
@@ -326,7 +309,7 @@ func (s *Server) solveOne(ctx context.Context, tel *telemetry.Recorder, req *Tas
 			Model:      sol.Model.String(),
 			N:          len(req.Tasks),
 			EnergyJ:    e.Total(),
-			Components: componentsOf(e),
+			Components: e,
 			prov:       newProvenance("auto", sol.Schedule, sys),
 		}
 		sp.Note("scheme", sol.Scheme)
@@ -382,7 +365,7 @@ func (s *Server) simulateOne(ctx context.Context, tel *telemetry.Recorder, req *
 			Model:      req.Tasks.Classify().String(),
 			N:          len(req.Tasks),
 			EnergyJ:    e.Total(),
-			Components: componentsOf(e),
+			Components: e,
 			Misses:     res.Misses,
 			prov:       newProvenance(sched, res.Schedule, sys),
 		}
@@ -454,7 +437,7 @@ func (s *Server) handleExecute(rc *requestCtx, w http.ResponseWriter, r *http.Re
 		Model:       req.Tasks.Classify().String(),
 		N:           len(req.Tasks),
 		EnergyJ:     res.Energy,
-		Components:  componentsOf(e),
+		Components:  e,
 		Misses:      res.Sim.Misses,
 		Recoveries:  len(res.Recoveries),
 		FaultMisses: len(res.FaultMisses),

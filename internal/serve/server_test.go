@@ -81,7 +81,7 @@ func TestSolveEndpoint(t *testing.T) {
 	if resp.EnergyJ <= 0 {
 		t.Errorf("energy = %g, want > 0", resp.EnergyJ)
 	}
-	sum := resp.Components.DynamicJ + resp.Components.CoreStaticJ + resp.Components.MemoryStaticJ + resp.Components.TransitionJ
+	sum := resp.Components.Total()
 	if math.Abs(sum-resp.EnergyJ) > 1e-9*math.Max(1, resp.EnergyJ) {
 		t.Errorf("components sum %g != energy %g", sum, resp.EnergyJ)
 	}

@@ -16,14 +16,14 @@ import (
 // numeric tolerance).
 type EnergyBreakdown struct {
 	// Dynamic is the speed-dependent core execution energy (Σ β·s^λ·t).
-	Dynamic float64
+	Dynamic float64 `json:"dynamic_j"`
 	// CoreStatic is core leakage over execution and unslept idle.
-	CoreStatic float64
+	CoreStatic float64 `json:"core_static_j"`
 	// MemoryStatic is memory leakage over busy and unslept idle time.
-	MemoryStatic float64
+	MemoryStatic float64 `json:"memory_static_j"`
 	// Transition aggregates all mode-change overheads: core and memory
 	// sleep transitions plus DVS switch energy.
-	Transition float64
+	Transition float64 `json:"transition_j"`
 }
 
 // Total returns the sum of the components.
@@ -89,10 +89,12 @@ func (s *Stream) recordFinish(b schedule.Breakdown, misses []int, m Metrics) {
 
 // emitTrace renders the normalized schedule as trace spans on virtual
 // time. Lane convention: tid 0 is the memory, tid k+1 is core k. Idle
-// gaps are classified exactly as the audit charges them (sleep vs.
-// idle-active) via the schedule's policies.
+// gaps come from the auditor's gap walkers and are classified exactly as
+// the audit charges them (sleep vs. idle-active) via the schedule's
+// policies.
 func (s *Stream) emitTrace(misses []int) {
 	sc := s.sched
+	var a schedule.Auditor
 	for c, segs := range sc.Cores {
 		tid := c + 1
 		for _, sg := range segs {
@@ -103,25 +105,24 @@ func (s *Stream) emitTrace(misses []int) {
 		if len(segs) == 0 {
 			continue
 		}
-		for _, g := range schedule.Gaps(schedule.BusyIntervals(segs), sc.Start, sc.End) {
+		a.CoreGaps(sc, segs, func(g schedule.Interval) {
 			name := "core idle"
 			if sc.CorePolicy.Sleeps(g.Len(), s.sys.Core.Static, s.sys.Core.BreakEven) {
 				name = "core sleep"
 			}
 			s.tel.Span(name, "sim", g.Start, g.End, tid)
-		}
+		})
 	}
-	busy := sc.MemoryBusy()
-	for _, iv := range busy {
+	for _, iv := range sc.MemoryBusy() {
 		s.tel.Span("memory active", "sim", iv.Start, iv.End, 0)
 	}
-	for _, g := range schedule.Gaps(busy, sc.Start, sc.End) {
+	a.MemoryGaps(sc, func(g schedule.Interval) {
 		name := "memory idle"
 		if sc.MemoryPolicy.Sleeps(g.Len(), s.sys.Memory.Static, s.sys.Memory.BreakEven) {
 			name = "memory sleep"
 		}
 		s.tel.Span(name, "sim", g.Start, g.End, 0)
-	}
+	})
 	for _, id := range misses {
 		j := s.jobs[id]
 		tid := 0

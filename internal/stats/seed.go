@@ -40,6 +40,10 @@ func DeriveSeed(base int64, dims ...uint64) int64 {
 	return int64(z)
 }
 
+// Unit maps a hash value onto [0, 1) with 53 bits of precision: the
+// module's one hash-to-uniform mapping.
+func Unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+
 // FloatDim encodes a float64 grid coordinate losslessly for DeriveSeed
 // via its IEEE-754 bit pattern. Casting through int64(x*1e6)-style
 // scaling truncates: coordinates closer than the scale factor fold onto

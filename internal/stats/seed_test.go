@@ -66,3 +66,15 @@ func TestFloatDimLossless(t *testing.T) {
 		t.Fatal("FloatDim is not stable")
 	}
 }
+
+func TestUnitRange(t *testing.T) {
+	if Unit(0) != 0 {
+		t.Fatalf("Unit(0) = %v, want 0", Unit(0))
+	}
+	if u := Unit(^uint64(0)); u >= 1 || u < 1-1.0/(1<<52) {
+		t.Fatalf("Unit(max) = %v, want the largest float64 below 1", u)
+	}
+	if Unit(1<<63) != 0.5 {
+		t.Fatalf("Unit(1<<63) = %v, want 0.5", Unit(1<<63))
+	}
+}

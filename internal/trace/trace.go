@@ -97,17 +97,3 @@ func Render(s *schedule.Schedule, opts Options) string {
 		s.CommonIdle(), span, 100*s.CommonIdle()/span)
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
