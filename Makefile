@@ -33,9 +33,10 @@ lint:
 # offline solver dispatch (a typed error or a valid, audited schedule at
 # or above the lower bound), the streaming energy meter against the
 # Auditor, the bounded agreeable DP against the DP that solves every
-# block, and the wall-clock span-tree document (round trip and tree
-# contract). CI runs it on every push, longer campaigns are manual
-# (-fuzztime 10m etc.).
+# block, the wall-clock span-tree document (round trip and tree
+# contract), and the virtual-time Chrome trace (typed arguments and
+# deferred sources against the eager oracle). CI runs it on every push,
+# longer campaigns are manual (-fuzztime 10m etc.).
 fuzz:
 	$(GO) test ./internal/resilient -run '^$$' -fuzz FuzzExecute -fuzztime 10s
 	$(GO) test ./internal/commonrelease -run '^$$' -fuzz FuzzOverheadScan -fuzztime 10s
@@ -45,6 +46,7 @@ fuzz:
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzMeter -fuzztime 10s
 	$(GO) test ./internal/agreeable -run '^$$' -fuzz FuzzAgreeableDP -fuzztime 10s
 	$(GO) test ./internal/telemetry/wspan -run '^$$' -fuzz FuzzTraceDoc -fuzztime 10s
+	$(GO) test ./internal/telemetry -run '^$$' -fuzz FuzzChromeTrace -fuzztime 10s
 
 # fault-sweep is the quick fault-injection acceptance sweep; its table
 # must match EXPERIMENTS.md's.

@@ -328,14 +328,6 @@ func (b Breakdown) Total() float64 {
 		b.MemoryStatic + b.MemoryTransition
 }
 
-// Sleeps reports whether a gap of length g puts a component with static
-// power alpha and break-even time xi to sleep under policy p — the same
-// decision the audit's gap charging makes.
-func (p SleepPolicy) Sleeps(g, alpha, xi float64) bool {
-	_, _, slept, _ := gapCost(g, alpha, xi, p)
-	return slept > 0
-}
-
 // GapEnergy returns the total energy (static + transition) the audit
 // charges for one idle gap of length g under policy p — the closed-form
 // solvers use it to price candidate idle tails without building a

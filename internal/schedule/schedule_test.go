@@ -364,23 +364,37 @@ func almostEqual(a, b, tol float64) bool {
 
 // TestDecideMatchesGapCharging checks the Decision provenance record
 // against the audit's gap charging it claims to replay: for every
-// policy and gap class, Sleeps agrees with Sleeps(), NetGain equals the
-// idle-active cost minus GapEnergy, and Margin is the break-even
-// distance.
+// policy, gap class and a leaky and a leak-free component, Sleeps is
+// whether chargeCoreGap and chargeMemGap count a sleep cycle, NetGain
+// equals the idle-active cost minus GapEnergy, and Margin is the
+// break-even distance.
 func TestDecideMatchesGapCharging(t *testing.T) {
 	const alpha, xi = 0.5, 0.02
+	for _, a := range []float64{alpha, 0} {
+		for _, pol := range []SleepPolicy{SleepNever, SleepAlways, SleepBreakEven} {
+			for _, g := range []float64{0, 1e-12, 0.001, xi, 0.05, 3} {
+				d := pol.Decide(g, a, xi)
+				var b Breakdown
+				chargeCoreGap(&b, g, power.Core{Static: a, BreakEven: xi}, pol)
+				chargeMemGap(&b, g, power.Memory{Static: a, BreakEven: xi}, pol)
+				if d.Sleeps != (b.CoreSleeps == 1) || d.Sleeps != (b.MemorySleeps == 1) {
+					t.Errorf("α %g %v Decide(%g).Sleeps = %v, audit charges %d core / %d memory sleeps",
+						a, pol, g, d.Sleeps, b.CoreSleeps, b.MemorySleeps)
+				}
+				if got, want := d.NetGain, a*g-pol.GapEnergy(g, a, xi); math.Abs(got-want) > 1e-15 {
+					t.Errorf("α %g %v Decide(%g).NetGain = %g, want %g", a, pol, g, got, want)
+				}
+				if d.Margin != g-xi {
+					t.Errorf("α %g %v Decide(%g).Margin = %g, want %g", a, pol, g, d.Margin, g-xi)
+				}
+			}
+		}
+	}
+	// A leak-free component never pays a transition, so no policy puts it
+	// to sleep, however long the gap.
 	for _, pol := range []SleepPolicy{SleepNever, SleepAlways, SleepBreakEven} {
-		for _, g := range []float64{0, 1e-12, 0.001, xi, 0.05, 3} {
-			d := pol.Decide(g, alpha, xi)
-			if got, want := d.Sleeps, pol.Sleeps(g, alpha, xi); got != want {
-				t.Errorf("%v Decide(%g).Sleeps = %v, Sleeps() = %v", pol, g, got, want)
-			}
-			if got, want := d.NetGain, alpha*g-pol.GapEnergy(g, alpha, xi); math.Abs(got-want) > 1e-15 {
-				t.Errorf("%v Decide(%g).NetGain = %g, want %g", pol, g, got, want)
-			}
-			if d.Margin != g-xi {
-				t.Errorf("%v Decide(%g).Margin = %g, want %g", pol, g, d.Margin, g-xi)
-			}
+		if d := pol.Decide(0.5, 0, 0.04); d.Sleeps || d.NetGain != 0 {
+			t.Errorf("%v on α = 0 (g 0.5, ξ 0.04) = %+v, want no sleep at zero gain", pol, d)
 		}
 	}
 	// The paper's headline quantities: a break-even sleep past xi saves

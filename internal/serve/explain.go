@@ -205,7 +205,7 @@ func replay(a *schedule.Auditor, s *schedule.Schedule, sys power.System, sum *Ex
 	mem := sys.Memory
 	a.MemoryGaps(s, func(g schedule.Interval) {
 		gap(-1, g, s.MemoryPolicy, mem.Static, mem.BreakEven)
-		if g.Len() >= mem.BreakEven && s.MemoryPolicy.Sleeps(g.Len(), mem.Static, mem.BreakEven) {
+		if g.Len() >= mem.BreakEven && s.MemoryPolicy.Decide(g.Len(), mem.Static, mem.BreakEven).Sleeps {
 			sum.MemorySleep = true
 		}
 	})

@@ -86,7 +86,7 @@ func explainOracle(sched string, s *schedule.Schedule, sys power.System) *Explan
 	}
 	for _, g := range oracleGaps(all, s.Start, s.End) {
 		appendGap("memory", g, s.MemoryPolicy, sys.Memory.Static, sys.Memory.BreakEven)
-		if g.Len() >= sys.Memory.BreakEven && s.MemoryPolicy.Sleeps(g.Len(), sys.Memory.Static, sys.Memory.BreakEven) {
+		if g.Len() >= sys.Memory.BreakEven && s.MemoryPolicy.Decide(g.Len(), sys.Memory.Static, sys.Memory.BreakEven).Sleeps {
 			ex.Summary.MemorySleep = true
 		}
 	}

@@ -1,11 +1,12 @@
 // Telemetry instrumentation of a recorded run: per-component energy
-// attribution, sleep/wake accounting, and trace emission of the as-run
-// schedule on virtual time.
+// attribution, sleep/wake accounting, and the as-run schedule as a trace
+// on virtual time, rendered only when the trace is read.
 package sim
 
 import (
 	"strconv"
 
+	"sdem/internal/power"
 	"sdem/internal/schedule"
 	"sdem/internal/telemetry"
 )
@@ -60,9 +61,10 @@ func (s *Stream) label(extra string) string {
 	return extra + "," + s.telLabel
 }
 
-// recordFinish charges the audited run into the recorder and emits the
-// as-run schedule as a trace. Called from Finish only when telemetry is
-// attached, so the disabled path pays nothing beyond one nil check.
+// recordFinish charges the audited run into the recorder and registers
+// the as-run schedule as a deferred trace source. Called from Result only
+// when telemetry is attached, so the disabled path pays nothing beyond
+// one nil check.
 func (s *Stream) recordFinish(b schedule.Breakdown, misses []int, m Metrics) {
 	tel, l := s.tel, s.telLabel
 
@@ -84,21 +86,72 @@ func (s *Stream) recordFinish(b schedule.Breakdown, misses []int, m Metrics) {
 		tel.ObserveL("sdem.sim.response_s", l, m.MeanResponse)
 	}
 
-	s.emitTrace(misses)
+	traceRun(s, misses)
 }
 
-// emitTrace renders the normalized schedule as trace spans on virtual
-// time. Lane convention: tid 0 is the memory, tid k+1 is core k. Idle
-// gaps come from the auditor's gap walkers and are classified exactly as
-// the audit charges them (sleep vs. idle-active) via the schedule's
-// policies.
-func (s *Stream) emitTrace(misses []int) {
+// traceRun hands a finished run's as-run trace to its recorder as a
+// deferred source, rendered only when the trace is read. It is a variable
+// so the package's tests can substitute the eager oracle and compare the
+// two traces byte for byte.
+var traceRun = func(s *Stream, misses []int) { s.tel.Defer(s.asRun(misses).emit) }
+
+// asRunTrace is the as-run schedule of a recorded run, kept for rendering
+// as a trace when the trace is read. It owns copies of the segment lists
+// and of the miss instants: the caller of Result may change the returned
+// schedule afterwards (resilient coalesces its checkpoint slices), and
+// the trace shows the run as Result audited it.
+type asRunTrace struct {
+	sched  schedule.Schedule
+	sys    power.System
+	misses []missMark
+}
+
+// missMark is one deadline-miss instant: the task, its lane and the time
+// missTime picks.
+type missMark struct {
+	id, tid int
+	ts      float64
+}
+
+// asRun copies the normalized schedule and the misses' instants into a
+// trace source, with one backing array for all segment lists.
+func (s *Stream) asRun(misses []int) *asRunTrace {
 	sc := s.sched
+	n := 0
+	for _, segs := range sc.Cores {
+		n += len(segs)
+	}
+	flat := make([]schedule.Segment, 0, n)
+	cores := make([][]schedule.Segment, len(sc.Cores))
+	for c, segs := range sc.Cores {
+		lo := len(flat)
+		flat = append(flat, segs...)
+		cores[c] = flat[lo:len(flat):len(flat)]
+	}
+	t := &asRunTrace{sched: *sc, sys: s.sys, misses: make([]missMark, len(misses))}
+	t.sched.Cores = cores
+	for i, id := range misses {
+		j := s.jobs[id]
+		tid := 0
+		if j.Core >= 0 {
+			tid = j.Core + 1
+		}
+		t.misses[i] = missMark{id: id, tid: tid, ts: missTime(j)}
+	}
+	return t
+}
+
+// emit renders the schedule as trace spans on virtual time. Lane
+// convention: tid 0 is the memory, tid k+1 is core k. Idle gaps come from
+// the auditor's gap walkers and are labeled sleep or idle by the
+// schedule's policies exactly as the audit charges them.
+func (t *asRunTrace) emit(tel *telemetry.Recorder) {
+	sc := &t.sched
 	var a schedule.Auditor
 	for c, segs := range sc.Cores {
 		tid := c + 1
 		for _, sg := range segs {
-			s.tel.Span("task "+strconv.Itoa(sg.TaskID), "sim", sg.Start, sg.End, tid,
+			tel.Span("task "+strconv.Itoa(sg.TaskID), "sim", sg.Start, sg.End, tid,
 				telemetry.Int("task", int64(sg.TaskID)),
 				telemetry.Num("speed", sg.Speed))
 		}
@@ -107,29 +160,24 @@ func (s *Stream) emitTrace(misses []int) {
 		}
 		a.CoreGaps(sc, segs, func(g schedule.Interval) {
 			name := "core idle"
-			if sc.CorePolicy.Sleeps(g.Len(), s.sys.Core.Static, s.sys.Core.BreakEven) {
+			if sc.CorePolicy.Decide(g.Len(), t.sys.Core.Static, t.sys.Core.BreakEven).Sleeps {
 				name = "core sleep"
 			}
-			s.tel.Span(name, "sim", g.Start, g.End, tid)
+			tel.Span(name, "sim", g.Start, g.End, tid)
 		})
 	}
 	for _, iv := range sc.MemoryBusy() {
-		s.tel.Span("memory active", "sim", iv.Start, iv.End, 0)
+		tel.Span("memory active", "sim", iv.Start, iv.End, 0)
 	}
 	a.MemoryGaps(sc, func(g schedule.Interval) {
 		name := "memory idle"
-		if sc.MemoryPolicy.Sleeps(g.Len(), s.sys.Memory.Static, s.sys.Memory.BreakEven) {
+		if sc.MemoryPolicy.Decide(g.Len(), t.sys.Memory.Static, t.sys.Memory.BreakEven).Sleeps {
 			name = "memory sleep"
 		}
-		s.tel.Span(name, "sim", g.Start, g.End, 0)
+		tel.Span(name, "sim", g.Start, g.End, 0)
 	})
-	for _, id := range misses {
-		j := s.jobs[id]
-		tid := 0
-		if j.Core >= 0 {
-			tid = j.Core + 1
-		}
-		s.tel.Instant("deadline miss", "sim", missTime(j), tid, telemetry.Int("task", int64(id)))
+	for _, m := range t.misses {
+		tel.Instant("deadline miss", "sim", m.ts, m.tid, telemetry.Int("task", int64(m.id)))
 	}
 }
 

@@ -129,3 +129,43 @@ func TestPoolTelemetryMissInstant(t *testing.T) {
 		t.Error("no deadline-miss instant in trace")
 	}
 }
+
+// TestLeakFreeGapsTraceIdle checks the trace labels a gap the way the
+// audit charges it: a leak-free core and memory never pay a transition,
+// so under break-even sleeping every gap reads "idle", not "sleep".
+func TestLeakFreeGapsTraceIdle(t *testing.T) {
+	sys := testSystem()
+	sys.Core.Static, sys.Memory.Static = 0, 0
+	tasks := task.Set{
+		{ID: 1, Release: 0, Deadline: 0.2, Workload: 1e8},
+		{ID: 2, Release: 0.1, Deadline: 0.6, Workload: 1e8},
+	}
+	st := admitAll(t, tasks, sys, 2)
+	tel := telemetry.New()
+	st.SetTelemetry(tel, "")
+	if _, err := st.Run(1, 0, 0, 0.1, 1e9); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Run(2, 1, 0.3, 0.4, 1e9); err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Breakdown.CoreSleeps != 0 || res.Breakdown.MemorySleeps != 0 {
+		t.Fatalf("audit charged sleeps on a leak-free platform: %+v", res.Breakdown)
+	}
+	idles := 0
+	for _, ev := range tel.Events() {
+		switch ev.Name {
+		case "core sleep", "memory sleep":
+			t.Errorf("leak-free gap [%g, %g] traced as %q", ev.TS, ev.TS+ev.Dur, ev.Name)
+		case "core idle", "memory idle":
+			idles++
+		}
+	}
+	if idles == 0 {
+		t.Error("no idle gap traced")
+	}
+}

@@ -180,6 +180,9 @@ type Recorder struct {
 	// mutated, so lock-free reads from many children are safe.
 	ownLayouts bool
 	events     []Event
+	// sources are the deferred event sources (see Defer), in recording
+	// order; their positions index events and never decrease.
+	sources []source
 
 	// Prof is the wall-clock profiler attached to the root recorder by
 	// New. Its measurements are explicitly outside the determinism
@@ -361,7 +364,8 @@ func (r *Recorder) hist(k key) *histogram {
 }
 
 // Merge folds a child recorder into r: counters and float sums add,
-// histograms add bucket-wise, gauges overwrite, trace events append.
+// histograms add bucket-wise, gauges overwrite, trace events and
+// deferred sources append.
 // Metrics are iterated in sorted key order so repeated merges of the same
 // children in the same order produce bit-identical float sums regardless
 // of how the children were computed (the worker-count independence
@@ -419,6 +423,10 @@ func (r *Recorder) merge(c *Recorder, events bool) {
 		h.merge(ch)
 	}
 	if events {
+		for _, src := range c.sources {
+			src.at += len(r.events)
+			r.sources = append(r.sources, src)
+		}
 		r.events = append(r.events, c.events...)
 	}
 }

@@ -15,21 +15,48 @@ import (
 	"strings"
 )
 
-// Arg is one key/value annotation on a trace event. Values are stored as
-// strings so marshaling is allocation-free and field order is fixed.
+// Arg is one key/value annotation on a trace event. The value keeps its
+// type: Num holds the float64 and Int the int64 as given, and only the
+// Chrome writer formats them (ftoa and strconv.FormatInt), so recording an
+// argument formats nothing and field order is fixed.
 type Arg struct {
-	Key string
-	Val string
+	Key     string
+	kind    argKind
+	str     string
+	num     float64
+	integer int64
 }
 
-// Str builds a string-valued trace argument.
-func Str(key, val string) Arg { return Arg{key, val} }
+// argKind tells which field of an Arg holds its value.
+type argKind uint8
 
-// Num builds a numeric trace argument with full round-trip precision.
-func Num(key string, v float64) Arg { return Arg{key, ftoa(v)} }
+const (
+	argStr argKind = iota
+	argNum
+	argInt
+)
+
+// Str builds a string-valued trace argument.
+func Str(key, val string) Arg { return Arg{Key: key, str: val} }
+
+// Num builds a numeric trace argument, written with full round-trip
+// precision.
+func Num(key string, v float64) Arg { return Arg{Key: key, kind: argNum, num: v} }
 
 // Int builds an integer-valued trace argument.
-func Int(key string, v int64) Arg { return Arg{key, strconv.FormatInt(v, 10)} }
+func Int(key string, v int64) Arg { return Arg{Key: key, kind: argInt, integer: v} }
+
+// text is the argument's value as the Chrome writer prints it.
+func (a Arg) text() string {
+	switch a.kind {
+	case argNum:
+		return ftoa(a.num)
+	case argInt:
+		return strconv.FormatInt(a.integer, 10)
+	default:
+		return a.str
+	}
+}
 
 // Event is one trace record. Phase 'X' is a complete span with duration;
 // phase 'i' is an instant. TS and Dur are virtual seconds; PID groups
@@ -72,17 +99,41 @@ func (r *Recorder) Instant(name, cat string, ts float64, tid int, args ...Arg) {
 	r.mu.Unlock()
 }
 
-// Events returns a copy of the recorded events in stable sorted order:
-// by (PID, TS, TID, Name). Sorting is stable so equal-key events keep
-// their recording order, which is itself deterministic.
+// source is a deferred event source: fn renders its events on read, at
+// position at of the recorder's event list, under pid.
+type source struct {
+	at  int
+	pid int
+	fn  func(*Recorder)
+}
+
+// Defer registers fn as an event source rendered only when the trace is
+// read (Events, WriteChromeTrace). On each read fn records into a fresh
+// recorder carrying r's pid, and its events are spliced in at the
+// position of r's event list where Defer was called, so the read sees
+// exactly what calling fn on r at that moment would have recorded. fn
+// may run once per read, concurrently with other reads, so it must be a
+// pure function of state it owns; metrics it records are discarded.
+// Merge carries deferred sources to the parent; MergeMetrics drops them
+// with the events.
+func (r *Recorder) Defer(fn func(*Recorder)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.sources = append(r.sources, source{at: len(r.events), pid: r.pid, fn: fn})
+	r.mu.Unlock()
+}
+
+// Events returns a copy of the recorded events, deferred sources
+// rendered, in stable sorted order: by (PID, TS, TID, Name). Sorting is
+// stable so equal-key events keep their recording order, which is itself
+// deterministic.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	r.mu.Unlock()
+	out := r.render(nil)
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.PID != b.PID {
@@ -98,6 +149,27 @@ func (r *Recorder) Events() []Event {
 		return a.Name < b.Name
 	})
 	return out
+}
+
+// render appends r's events to dst in recording order, each deferred
+// source's events spliced in at its position. Sources run outside r.mu.
+func (r *Recorder) render(dst []Event) []Event {
+	r.mu.Lock()
+	events := r.events[:len(r.events):len(r.events)]
+	sources := r.sources[:len(r.sources):len(r.sources)]
+	r.mu.Unlock()
+	if dst == nil {
+		dst = make([]Event, 0, len(events))
+	}
+	prev := 0
+	for _, src := range sources {
+		dst = append(dst, events[prev:src.at]...)
+		prev = src.at
+		tmp := &Recorder{pid: src.pid}
+		src.fn(tmp)
+		dst = tmp.render(dst)
+	}
+	return append(dst, events[prev:]...)
 }
 
 // jsonString escapes s as a JSON string literal. Hand-rolled so the
@@ -131,7 +203,7 @@ func writeArgs(b *strings.Builder, args []Arg) {
 		}
 		jsonString(b, a.Key)
 		b.WriteByte(':')
-		jsonString(b, a.Val)
+		jsonString(b, a.text())
 	}
 	b.WriteByte('}')
 }
