@@ -34,9 +34,11 @@ lint:
 # or above the lower bound), the streaming energy meter against the
 # Auditor, the bounded agreeable DP against the DP that solves every
 # block, the wall-clock span-tree document (round trip and tree
-# contract), and the virtual-time Chrome trace (typed arguments and
-# deferred sources against the eager oracle). CI runs it on every push,
-# longer campaigns are manual (-fuzztime 10m etc.).
+# contract), the virtual-time Chrome trace (typed arguments and
+# deferred sources against the eager oracle), and sdemd's raw-body cache
+# (repeated and re-spaced bodies on a caching server against one
+# uncached answer). CI runs it on every push, longer campaigns are
+# manual (-fuzztime 10m etc.).
 fuzz:
 	$(GO) test ./internal/resilient -run '^$$' -fuzz FuzzExecute -fuzztime 10s
 	$(GO) test ./internal/commonrelease -run '^$$' -fuzz FuzzOverheadScan -fuzztime 10s
@@ -47,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/agreeable -run '^$$' -fuzz FuzzAgreeableDP -fuzztime 10s
 	$(GO) test ./internal/telemetry/wspan -run '^$$' -fuzz FuzzTraceDoc -fuzztime 10s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz FuzzChromeTrace -fuzztime 10s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzRawCache -fuzztime 10s
 
 # fault-sweep is the quick fault-injection acceptance sweep; its table
 # must match EXPERIMENTS.md's.
@@ -104,7 +107,15 @@ BENCH_NEXT = BENCH_$(shell expr $(BENCH_N) + 1).json
 # and lands in the snapshot alongside the pattern benchmarks; the 10k
 # sibling rides in the alloc gate too. Serve* are whole sdemd requests
 # through the in-process handler chain.
+#
+# bench and bench-gate fail loudly: their pipelines run under pipefail,
+# so a `go test` that fails (a test file that does not build) fails the
+# target, and benchreport refuses a run that lacks any benchmark of the
+# baseline and then writes no snapshot.
 BENCH_PATTERN = SolveCommonRelease|SolveAgreeable|SolveHeterogeneous|ScheduleOnline|ScheduleStream10k|MBKPBaseline|Audit|FFT1024|PartitionExact|Quantize|LowerBound|Telemetry|Uninstrumented|SnapshotDisabled|CanonicalKey|DecodeTaskRequest|Serve
+
+bench bench-gate: SHELL := bash
+bench bench-gate: .SHELLFLAGS := -o pipefail -c
 
 bench:
 	( $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem ./... && \
@@ -112,14 +123,17 @@ bench:
 		| tee /dev/stderr | $(GO) run ./cmd/benchreport -out $(BENCH_NEXT) -compare $(BENCH_BASE)
 	@echo "wrote $(BENCH_NEXT)"
 
-# bench-gate re-runs the micro-benchmarks without touching the committed
-# snapshot and fails if any allocs/op or work unit regressed >5% vs the
-# $(BENCH_BASE) baseline. This is the CI count-regression gate; counts
+# bench-gate re-runs the micro-benchmarks (and ScheduleStreamMillion once,
+# as bench does, so the two runs hold the same benchmarks) without
+# touching the committed snapshot and fails if any allocs/op or work unit
+# regressed >5% vs the $(BENCH_BASE) baseline, or if any of its
+# benchmarks did not run. This is the CI count-regression gate; counts
 # (unlike ns/op) are deterministic for a fixed binary, so it never flakes
 # under load.
 bench-gate:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 100x \
-		-benchmem ./... | $(GO) run ./cmd/benchreport -compare $(BENCH_BASE) > /dev/null
+	( $(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 100x -benchmem ./... && \
+	  $(GO) test ./internal/online -run '^$$' -bench ScheduleStreamMillion -benchmem -benchtime 1x ) \
+		| $(GO) run ./cmd/benchreport -compare $(BENCH_BASE) > /dev/null
 
 # bench-ab compares the solver and online micro-benchmarks of BASE (any
 # git revision, required) against the working tree on this host: each

@@ -18,7 +18,10 @@
 // status is 1 if any rose by more than -max-alloc-growth (default 5%).
 // Only counts are gated — unlike wall time they are deterministic for a
 // fixed binary, so the gate never flakes on a loaded CI machine. A work
-// unit the baseline entry lacks is noted, not gated.
+// unit the baseline entry lacks is noted, not gated. A baseline benchmark
+// the run lacks fails the run before anything is written: a package whose
+// tests did not build, or a benchmark that did not run, would otherwise
+// pass the gate and leave a partial snapshot.
 //
 // With -merge EXISTING.json the emitted document is the union of the
 // existing report and the new run: entries with the same package and
@@ -117,6 +120,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchreport: no benchmark lines on stdin")
 		os.Exit(1)
 	}
+	var baseline Report
+	if *compare != "" {
+		baseData, err := os.ReadFile(*compare)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchreport:", err)
+			os.Exit(1)
+		}
+		if err := json.Unmarshal(baseData, &baseline); err != nil {
+			fmt.Fprintf(os.Stderr, "benchreport: parsing %s: %v\n", *compare, err)
+			os.Exit(1)
+		}
+		if gone := absent(baseline, report); len(gone) > 0 {
+			fmt.Fprintf(os.Stderr, "benchreport: %d benchmark(s) of %s missing from the run (a package failed to build, or a benchmark did not run); nothing written:\n", len(gone), *compare)
+			for _, id := range gone {
+				fmt.Fprintf(os.Stderr, "  MISSING   %s\n", id)
+			}
+			os.Exit(1)
+		}
+	}
 	emit := report
 	if *merge != "" {
 		baseData, err := os.ReadFile(*merge)
@@ -147,16 +169,6 @@ func main() {
 	if *compare == "" {
 		return
 	}
-	baseData, err := os.ReadFile(*compare)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchreport:", err)
-		os.Exit(1)
-	}
-	var baseline Report
-	if err := json.Unmarshal(baseData, &baseline); err != nil {
-		fmt.Fprintf(os.Stderr, "benchreport: parsing %s: %v\n", *compare, err)
-		os.Exit(1)
-	}
 	regressions := compareCounts(os.Stderr, baseline, report, *maxGrowth)
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "benchreport: %d allocs/op or work-unit regression(s) vs %s (limit +%.0f%%)\n",
@@ -172,6 +184,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchreport: %d improvement floor(s) not met vs %s\n", failures, *compare)
 		os.Exit(1)
 	}
+}
+
+// absent lists, as package/name in baseline order, the baseline
+// benchmarks the current run lacks. Entries without a package were
+// merged in from outside `go test` (the sdemload campaign line) and no
+// benchmark run produces them, so they are not expected.
+func absent(baseline, current Report) []string {
+	type key struct{ pkg, name string }
+	ran := make(map[key]bool, len(current.Benchmarks))
+	for _, e := range current.Benchmarks {
+		ran[key{e.Package, e.Name}] = true
+	}
+	var gone []string
+	for _, e := range baseline.Benchmarks {
+		if e.Package != "" && !ran[key{e.Package, e.Name}] {
+			gone = append(gone, e.Package+"/"+e.Name)
+		}
+	}
+	return gone
 }
 
 // mergeReports unions an existing report with the current run: entries
@@ -323,8 +354,9 @@ var workUnits = [...]string{"evals/op", "pieces/op", "cells/op", "blocks/op", "s
 // compareCounts reports every benchmark's allocs/op and work-unit
 // movement against the baseline and returns the number of regressions
 // beyond maxGrowth. Benchmarks present on only one side are noted but
-// never gate: a new benchmark has no baseline, and a deleted one has
-// nothing to regress. So is a work unit the baseline entry lacks.
+// never count here: a new benchmark has no baseline, and one the run
+// lacks is absent's to fail. A work unit the baseline entry lacks is
+// noted, not gated.
 func compareCounts(w io.Writer, baseline, current Report, maxGrowth float64) int {
 	type key struct{ pkg, name string }
 	base := make(map[key]*Entry, len(baseline.Benchmarks))

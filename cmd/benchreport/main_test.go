@@ -2,12 +2,28 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
+	"errors"
 	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// TestMain runs the command itself when the test binary is re-executed
+// with BENCHREPORT_ARGS set, so tests can check its exit status.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("BENCHREPORT_ARGS"); ok {
+		os.Args = append([]string{"benchreport"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 const sample = `goos: linux
 goarch: amd64
@@ -327,5 +343,72 @@ func TestCompareAB(t *testing.T) {
 	printAB(&sb, base, change, rows, only)
 	if !strings.Contains(sb.String(), "base cpu:   Test CPU") {
 		t.Errorf("table lacks the cpu header:\n%s", sb.String())
+	}
+}
+
+// TestAbsentFromRun lists the baseline benchmarks a run lacks — one whose
+// package failed to build, one that was not run — in baseline order, and
+// ignores merged entries that carry no package.
+func TestAbsentFromRun(t *testing.T) {
+	baseline := Report{Benchmarks: []Entry{
+		entry("sdem", "BenchmarkA", allocs(1)),
+		entry("sdem", "BenchmarkNotRun", allocs(1)),
+		entry("", "BenchmarkLoadCampaignSimulate", nil),
+		entry("sdem/internal/serve", "BenchmarkServeSolveHot", allocs(84)),
+	}}
+	current := Report{Benchmarks: []Entry{
+		entry("sdem", "BenchmarkA", allocs(1)),
+		entry("sdem", "BenchmarkFresh", allocs(1)),
+	}}
+	got := absent(baseline, current)
+	want := []string{"sdem/BenchmarkNotRun", "sdem/internal/serve/BenchmarkServeSolveHot"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("absent = %q, want %q", got, want)
+	}
+	if got := absent(baseline, baseline); len(got) != 0 {
+		t.Errorf("a run with every baseline entry lacks %q", got)
+	}
+}
+
+// TestCompareFailsOnMissing runs the command on the sample output against
+// a baseline holding one more benchmark: it must exit 1 and write no
+// snapshot. Against the sample's own entries it exits 0 and writes one.
+func TestCompareFailsOnMissing(t *testing.T) {
+	report, err := parse(bufio.NewScanner(strings.NewReader(sample)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run := func(baseline Report) (exit int, wrote bool) {
+		data, err := json.Marshal(baseline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, out := filepath.Join(dir, "base.json"), filepath.Join(dir, "out.json")
+		os.Remove(out)
+		if err := os.WriteFile(base, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(os.Args[0], "-test.run", "^$")
+		cmd.Env = append(os.Environ(), "BENCHREPORT_ARGS=-out "+out+" -compare "+base)
+		cmd.Stdin = strings.NewReader(sample)
+		err = cmd.Run()
+		var exitErr *exec.ExitError
+		switch {
+		case errors.As(err, &exitErr):
+			exit = exitErr.ExitCode()
+		case err != nil:
+			t.Fatal(err)
+		}
+		_, statErr := os.Stat(out)
+		return exit, statErr == nil
+	}
+	if exit, wrote := run(report); exit != 0 || !wrote {
+		t.Errorf("complete run: exit %d, wrote %v; want 0 and a snapshot", exit, wrote)
+	}
+	partial := report
+	partial.Benchmarks = append(append([]Entry(nil), report.Benchmarks...), entry("sdem/internal/serve", "BenchmarkServeSolveHot", allocs(84)))
+	if exit, wrote := run(partial); exit != 1 || wrote {
+		t.Errorf("run missing a baseline benchmark: exit %d, wrote %v; want 1 and no snapshot", exit, wrote)
 	}
 }

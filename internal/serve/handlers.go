@@ -110,20 +110,45 @@ func (rc *requestCtx) writeJSON(w http.ResponseWriter, code int, v any) {
 	buf, err := json.MarshalIndent(v, "", "  ")
 	esp.End()
 	if err != nil {
-		// Responses are plain data structs; reaching this is a bug, but
-		// the client still deserves a well-formed error body.
-		http.Error(w, `{"error":"internal error: response encoding failed"}`, http.StatusInternalServerError)
+		encodeFailed(w)
 		return
 	}
-	buf = append(buf, '\n')
+	rc.write(w, code, append(buf, '\n'))
+}
+
+// writeEntry writes a cached entry's response stamped for this request:
+// the bytes writeJSON(stamp(e.resp, rc.id)) would write, spliced into the
+// entry's once-encoded body under the encode span.
+func (rc *requestCtx) writeEntry(w http.ResponseWriter, e *cacheEntry) {
+	esp := rc.span("encode")
+	buf := bodies.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	ok := e.stampInto(buf, rc.id)
+	esp.End()
+	if !ok {
+		encodeFailed(w)
+		return
+	}
+	rc.write(w, http.StatusOK, buf.Bytes())
+}
+
+// write sends an encoded body with its headers under the write span.
+func (rc *requestCtx) write(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	if st := rc.wall.ServerTiming(); st != "" {
 		w.Header().Set("Server-Timing", st)
 	}
 	w.WriteHeader(code)
 	wsp := rc.span("write")
-	w.Write(buf)
+	w.Write(body)
 	wsp.End()
+}
+
+// encodeFailed answers a response that did not encode. Responses are
+// plain data structs; reaching this is a bug, but the client still
+// deserves a well-formed error body.
+func encodeFailed(w http.ResponseWriter) {
+	http.Error(w, `{"error":"internal error: response encoding failed"}`, http.StatusInternalServerError)
 }
 
 func httpError(rc *requestCtx, w http.ResponseWriter, code int, err error) {
@@ -156,40 +181,60 @@ func errorCode(err error) int {
 // that grew past it served a rare large request and is left to the GC.
 const maxPooledBody = 64 << 10
 
-// bodies recycles the buffers request bodies are read into.
+// bodies recycles the buffers request bodies are read into and cached
+// responses are stamped into.
 var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// decode reads the request body (bounded by MaxBody) in full and parses
-// it into req, under the request's decode span. A body over the limit is
-// the client's size problem (413), not a parse error, even when its first
-// JSON value ends inside the limit. A *TaskRequest goes through the
-// single-pass decoder first; whatever that declines — and every other
-// request type — is decoded by json.Decoder with unknown fields
-// disallowed, which also supplies every 400 body.
+// putBody returns a buffer to bodies unless it grew past maxPooledBody.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		buf.Reset()
+		bodies.Put(buf)
+	}
+}
+
+// decode reads the request body and parses it into req under the
+// request's decode span (readBody, then parse).
 func (s *Server) decode(rc *requestCtx, w http.ResponseWriter, r *http.Request, req any) bool {
 	sp := rc.span("decode")
 	defer sp.End()
+	buf, ok := s.readBody(rc, w, r)
+	if !ok {
+		return false
+	}
+	defer putBody(buf)
+	return s.parse(rc, w, buf.Bytes(), req)
+}
+
+// readBody reads the request body (bounded by MaxBody) in full into a
+// pooled buffer the caller returns with putBody. A body over the limit is
+// the client's size problem (413), not a parse error, even when its first
+// JSON value ends inside the limit.
+func (s *Server) readBody(rc *requestCtx, w http.ResponseWriter, r *http.Request) (*bytes.Buffer, bool) {
 	buf := bodies.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			buf.Reset()
-			bodies.Put(buf)
-		}
-	}()
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)); err != nil {
+		putBody(buf)
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			httpError(rc, w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
-			return false
+			return nil, false
 		}
 		httpError(rc, w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
+		return nil, false
 	}
-	if tr, ok := req.(*TaskRequest); ok && !s.stdlibDecode && decodeTaskRequest(buf.Bytes(), tr) {
+	return buf, true
+}
+
+// parse decodes body into req. A *TaskRequest goes through the
+// single-pass decoder first; whatever that declines — and every other
+// request type — is decoded by json.Decoder with unknown fields
+// disallowed, which also supplies every 400 body.
+func (s *Server) parse(rc *requestCtx, w http.ResponseWriter, body []byte, req any) bool {
+	if tr, ok := req.(*TaskRequest); ok && !s.stdlibDecode && decodeTaskRequest(body, tr) {
 		return true
 	}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
 		httpError(rc, w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
@@ -231,22 +276,65 @@ func (rc *requestCtx) record(sched string, n int, energy float64, misses int) {
 
 // handleCompute serves a compute endpoint: /v1/solve with solveOne (the
 // offline §4/§5 dispatch for common-release and agreeable-deadline task
-// sets) and /v1/simulate with simulateOne (an online policy).
-func (s *Server) handleCompute(compute func(context.Context, *telemetry.Recorder, *TaskRequest, string, wspan.Span) (*TaskResponse, int, error)) apiHandler {
+// sets) and /v1/simulate with simulateOne (an online policy); op is the
+// route's cache op. A body the raw index knows is answered from its
+// entry without being parsed (rawHit); any other body is decoded and
+// goes through the canonical cache, and a canonical hit or coalesced
+// wait aliases the body to the entry that answered it.
+func (s *Server) handleCompute(op string, compute func(context.Context, *telemetry.Recorder, *TaskRequest, wspan.Span) (*TaskResponse, *cacheEntry, int, error)) apiHandler {
 	return func(rc *requestCtx, w http.ResponseWriter, r *http.Request) {
-		var req TaskRequest
-		if !s.decode(rc, w, r, &req) {
+		sp := rc.span("decode")
+		body, ok := s.readBody(rc, w, r)
+		if !ok {
+			sp.End()
 			return
 		}
-		resp, code, err := compute(r.Context(), rc.tel, &req, rc.id, rc.root())
+		defer putBody(body)
+		if e := s.raw.get(op, body.Bytes()); e != nil {
+			sp.End()
+			s.rawHit(rc, w, op, e)
+			return
+		}
+		var req TaskRequest
+		ok = s.parse(rc, w, body.Bytes(), &req)
+		sp.End()
+		if !ok {
+			return
+		}
+		resp, hit, code, err := compute(r.Context(), rc.tel, &req, rc.root())
 		if err != nil {
 			httpError(rc, w, code, err)
 			return
 		}
-		rc.setProv(resp.prov)
-		rc.record(resp.Scheduler, resp.N, resp.EnergyJ, len(resp.Misses))
-		rc.writeJSON(w, http.StatusOK, resp)
+		if hit != nil {
+			s.raw.add(op, body.Bytes(), hit)
+		}
+		rc.answer(w, resp, hit)
 	}
+}
+
+// rawHit answers a body the raw index aliases to e with what a canonical
+// hit on e records and writes: a cache span noting the hit, the hit
+// counter, then answer.
+func (s *Server) rawHit(rc *requestCtx, w http.ResponseWriter, op string, e *cacheEntry) {
+	csp := rc.span("cache")
+	csp.Note("outcome", string(cacheHit))
+	csp.End()
+	rc.tel.CountL(metricCache, cacheLabel(op, cacheHit), 1)
+	rc.answer(w, e.resp, e)
+}
+
+// answer records a computed canonical response on the request and writes
+// it stamped: from hit's once-encoded body when an existing cache entry
+// answered, encoded afresh otherwise.
+func (rc *requestCtx) answer(w http.ResponseWriter, resp *TaskResponse, hit *cacheEntry) {
+	rc.setProv(resp.prov)
+	rc.record(resp.Scheduler, resp.N, resp.EnergyJ, len(resp.Misses))
+	if hit != nil {
+		rc.writeEntry(w, hit)
+		return
+	}
+	rc.writeJSON(w, http.StatusOK, stamp(resp, rc.id))
 }
 
 // cached satisfies a compute request through the coalescing schedule
@@ -256,16 +344,19 @@ func (s *Server) handleCompute(compute func(context.Context, *telemetry.Recorder
 // solve span is opened under it only when this request's own goroutine
 // actually computes — a hit or coalesced wait has no solve child.
 // compute must build the canonical response — Request and TraceURL
-// blank — and the caller stamps its own copy.
-func (s *Server) cached(ctx context.Context, tel *telemetry.Recorder, op, scheduler string, req *TaskRequest, sys power.System, parent wspan.Span, compute func(wspan.Span) (*TaskResponse, int, error)) (*TaskResponse, int, error) {
+// blank — and the caller stamps its own copy. The returned entry is the
+// existing one that answered a hit or coalesced wait, nil when this
+// request computed.
+func (s *Server) cached(ctx context.Context, tel *telemetry.Recorder, op, scheduler string, req *TaskRequest, sys power.System, parent wspan.Span, compute func(wspan.Span) (*TaskResponse, int, error)) (*TaskResponse, *cacheEntry, int, error) {
 	if s.cache == nil {
 		sp := parent.Start("solve")
 		defer sp.End()
-		return compute(sp)
+		resp, code, err := compute(sp)
+		return resp, nil, code, err
 	}
 	csp := parent.Start("cache")
 	key := encode.CanonicalKey(op, scheduler, req.IncludeSchedule, req.Tasks, sys)
-	resp, code, err, outcome := s.cache.do(ctx, key, func() (*TaskResponse, int, error) {
+	e, outcome, err := s.cache.do(ctx, key, func() (*TaskResponse, int, error) {
 		sp := csp.Start("solve")
 		defer sp.End()
 		return compute(sp)
@@ -273,8 +364,19 @@ func (s *Server) cached(ctx context.Context, tel *telemetry.Recorder, op, schedu
 	csp.Note("outcome", string(outcome))
 	csp.End()
 	tel.CountL(metricCache, cacheLabel(op, outcome), 1)
-	return resp, code, err
+	switch {
+	case err != nil: // a follower whose budget ran out waiting
+		return nil, nil, errorCode(err), err
+	case e.err != nil:
+		return nil, nil, e.code, e.err
+	case outcome == cacheMiss:
+		return e.resp, nil, 0, nil
+	}
+	return e.resp, e, 0, nil
 }
+
+// tracePath prefixes a request ID to form its trace URL.
+const tracePath = "/debug/trace/"
 
 // stamp copies a canonical (cacheable) response and binds it to one
 // request: the two per-request fields are the only bytes that may differ
@@ -282,22 +384,24 @@ func (s *Server) cached(ctx context.Context, tel *telemetry.Recorder, op, schedu
 func stamp(resp *TaskResponse, id string) *TaskResponse {
 	out := *resp
 	out.Request = id
-	out.TraceURL = "/debug/trace/" + id
+	out.TraceURL = tracePath + id
 	return &out
 }
 
 // solveOne runs one offline solve on the given recorder; shared by
 // /v1/solve, /v1/explain and /v1/batch. parent is the wall span the
-// cache/solve stages nest under (the request root, or a batch item).
-func (s *Server) solveOne(ctx context.Context, tel *telemetry.Recorder, req *TaskRequest, id string, parent wspan.Span) (*TaskResponse, int, error) {
+// cache/solve stages nest under (the request root, or a batch item). It
+// returns the canonical response, unstamped, and the cache entry that
+// answered it when that was a hit or coalesced wait (see cached).
+func (s *Server) solveOne(ctx context.Context, tel *telemetry.Recorder, req *TaskRequest, parent wspan.Span) (*TaskResponse, *cacheEntry, int, error) {
 	if req.Scheduler != "" && req.Scheduler != "auto" {
-		return nil, http.StatusBadRequest, fmt.Errorf("scheduler %q is not an offline scheme; use /v1/simulate", req.Scheduler)
+		return nil, nil, http.StatusBadRequest, fmt.Errorf("scheduler %q is not an offline scheme; use /v1/simulate", req.Scheduler)
 	}
 	sys, err := s.system(req)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, nil, http.StatusBadRequest, err
 	}
-	resp, code, err := s.cached(ctx, tel, "solve", "auto", req, sys, parent, func(sp wspan.Span) (*TaskResponse, int, error) {
+	return s.cached(ctx, tel, "solve", "auto", req, sys, parent, func(sp wspan.Span) (*TaskResponse, int, error) {
 		sol, err := core.SolveCtx(ctx, req.Tasks, sys, tel)
 		if err != nil {
 			return nil, errorCode(err), err
@@ -319,18 +423,14 @@ func (s *Server) solveOne(ctx context.Context, tel *telemetry.Recorder, req *Tas
 		}
 		return resp, 0, nil
 	})
-	if err != nil {
-		return nil, code, err
-	}
-	return stamp(resp, id), 0, nil
 }
 
 // simulateOne runs one online policy on the given recorder; shared by
-// /v1/simulate, /v1/explain and /v1/batch.
-func (s *Server) simulateOne(ctx context.Context, tel *telemetry.Recorder, req *TaskRequest, id string, parent wspan.Span) (*TaskResponse, int, error) {
+// /v1/simulate, /v1/explain and /v1/batch. Its results are solveOne's.
+func (s *Server) simulateOne(ctx context.Context, tel *telemetry.Recorder, req *TaskRequest, parent wspan.Span) (*TaskResponse, *cacheEntry, int, error) {
 	sys, err := s.system(req)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, nil, http.StatusBadRequest, err
 	}
 	sched := req.Scheduler
 	if sched == "" {
@@ -338,9 +438,9 @@ func (s *Server) simulateOne(ctx context.Context, tel *telemetry.Recorder, req *
 	}
 	run, err := core.LookupScheduler(sched)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, nil, http.StatusBadRequest, err
 	}
-	resp, code, err := s.cached(ctx, tel, "simulate", sched, req, sys, parent, func(sp wspan.Span) (*TaskResponse, int, error) {
+	return s.cached(ctx, tel, "simulate", sched, req, sys, parent, func(sp wspan.Span) (*TaskResponse, int, error) {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return nil, errorCode(err), err
@@ -375,10 +475,6 @@ func (s *Server) simulateOne(ctx context.Context, tel *telemetry.Recorder, req *
 		}
 		return resp, 0, nil
 	})
-	if err != nil {
-		return nil, code, err
-	}
-	return stamp(resp, id), 0, nil
 }
 
 // handleExecute plans a schedule, injects a seeded fault plan, and
@@ -442,7 +538,7 @@ func (s *Server) handleExecute(rc *requestCtx, w http.ResponseWriter, r *http.Re
 		Recoveries:  len(res.Recoveries),
 		FaultMisses: len(res.FaultMisses),
 		Averted:     len(res.Averted),
-		TraceURL:    "/debug/trace/" + rc.id,
+		TraceURL:    tracePath + rc.id,
 		prov:        prov,
 	}
 	if req.IncludeSchedule {
@@ -494,9 +590,9 @@ func (s *Server) handleExplain(rc *requestCtx, w http.ResponseWriter, r *http.Re
 		err  error
 	)
 	if req.Scheduler == "" || req.Scheduler == "auto" {
-		resp, code, err = s.solveOne(r.Context(), rc.tel, &req, rc.id, rc.root())
+		resp, _, code, err = s.solveOne(r.Context(), rc.tel, &req, rc.root())
 	} else {
-		resp, code, err = s.simulateOne(r.Context(), rc.tel, &req, rc.id, rc.root())
+		resp, _, code, err = s.simulateOne(r.Context(), rc.tel, &req, rc.root())
 	}
 	if err != nil {
 		httpError(rc, w, code, err)
@@ -510,7 +606,7 @@ func (s *Server) handleExplain(rc *requestCtx, w http.ResponseWriter, r *http.Re
 		N:           resp.N,
 		EnergyJ:     resp.EnergyJ,
 		Explanation: resp.prov.explain(),
-		TraceURL:    resp.TraceURL,
+		TraceURL:    tracePath + rc.id,
 	})
 }
 
@@ -576,9 +672,9 @@ func (s *Server) handleBatch(rc *requestCtx, w http.ResponseWriter, r *http.Requ
 		)
 		switch item.Op {
 		case "", "solve":
-			resp, _, rerr = s.solveOne(ctx, children[i], &item.TaskRequest, id, isp)
+			resp, _, _, rerr = s.solveOne(ctx, children[i], &item.TaskRequest, isp)
 		case "simulate":
-			resp, _, rerr = s.simulateOne(ctx, children[i], &item.TaskRequest, id, isp)
+			resp, _, _, rerr = s.simulateOne(ctx, children[i], &item.TaskRequest, isp)
 		default:
 			rerr = fmt.Errorf("unknown op %q (want solve or simulate)", item.Op)
 		}
@@ -586,7 +682,8 @@ func (s *Server) handleBatch(rc *requestCtx, w http.ResponseWriter, r *http.Requ
 			isp.Note("error", rerr.Error())
 			return BatchItemResult{Error: rerr.Error()}, nil
 		}
-		resp.TraceURL = "/debug/trace/" + rc.id // items share the batch trace
+		resp = stamp(resp, id)
+		resp.TraceURL = tracePath + rc.id // items share the batch trace
 		return BatchItemResult{TaskResponse: resp}, nil
 	})
 	if err != nil {

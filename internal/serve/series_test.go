@@ -60,6 +60,31 @@ func TestDebugSeriesWindows(t *testing.T) {
 	}
 }
 
+// TestDebugSeriesRetain checks /debug/series keeps only the most recent
+// seriesRetain windows, as a well-formed series starting at the oldest
+// window kept.
+func TestDebugSeriesRetain(t *testing.T) {
+	s := New(Config{
+		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+		SeriesWindow: 1,
+		TraceSample:  -1,
+	})
+	for i := 0; i < seriesRetain+5; i++ {
+		if w := post(t, s, "/v1/solve", TaskRequest{Tasks: commonRelease()}); w.Code != http.StatusOK {
+			t.Fatalf("solve %d: %d\n%s", i, w.Code, w.Body.String())
+		}
+	}
+	ser, err := series.ReadJSONL(get(t, s, "/debug/series").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each completion seals its one-request window; of the seriesRetain+5
+	// sealed, the series keeps the last seriesRetain, from ordinal 5.
+	if len(ser.Windows) != seriesRetain || ser.Origin != 5 { //lint:allow floatcmp: the ordinal origin is a small integer
+		t.Fatalf("%d windows from origin %v, want %d from 5", len(ser.Windows), ser.Origin, seriesRetain)
+	}
+}
+
 // TestDebugSeriesDisabled covers the negative-SeriesWindow opt-out.
 func TestDebugSeriesDisabled(t *testing.T) {
 	s := New(Config{

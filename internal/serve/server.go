@@ -79,8 +79,9 @@ type Config struct {
 	// MaxBudget caps client-supplied budgets (default 30s), so a client
 	// cannot park work behind an hour-long deadline.
 	MaxBudget time.Duration
-	// CacheSize bounds the coalescing schedule cache in responses
-	// (default 4096); negative disables caching.
+	// CacheSize bounds the coalescing schedule cache's responses, and
+	// separately its raw-body aliases (default 4096 each); negative
+	// disables caching.
 	CacheSize int
 	// TraceSample selects which requests get a wall-clock span tree:
 	// every TraceSample-th request ID is sampled (1 — the default —
@@ -98,7 +99,8 @@ type Config struct {
 	// the window clock is the monotone request-completion ordinal, never
 	// wall time, so the series layout is deterministic in the request
 	// sequence (the sketched latency values inside are wall measurements).
-	// Default 256; negative disables the windowed series.
+	// Default 256; negative disables the windowed series. The collector
+	// keeps the most recent seriesRetain windows.
 	SeriesWindow int
 
 	// ReadTimeout, WriteTimeout and IdleTimeout bound the HTTP server's
@@ -163,6 +165,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// seriesRetain is how many completed windows /debug/series keeps, the
+// most recent: 262,144 requests at the default window. A sealed window
+// holds about 6 KB, so keeping every window would grow a long-running
+// daemon's heap with every request it serves.
+const seriesRetain = 1024
+
 // Server is the HTTP solve service. Create one with New and mount
 // Handler on an http.Server.
 type Server struct {
@@ -183,8 +191,10 @@ type Server struct {
 	gates map[string]*gate
 	// labels are the per-route interned metric label tables.
 	labels map[string]*routeLabels
-	// cache is the coalescing schedule cache; nil when disabled.
+	// cache is the coalescing schedule cache and raw its raw-body alias
+	// index; both nil when disabled (the index no-ops on nil).
 	cache *schedCache
+	raw   *rawIndex
 	// col windows the root recorder on the request-completion ordinal for
 	// /debug/series; nil when disabled (every method no-ops on nil).
 	col *series.Collector
@@ -208,6 +218,7 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = newSchedCache(cfg.CacheSize)
+		s.raw = newRawIndex(cfg.CacheSize)
 	}
 	s.tel.RegisterHistogram(metricLatency, telemetry.BucketsSeconds)
 	s.tel.RegisterHistogram(metricEnergy, telemetry.BucketsJoules)
@@ -216,11 +227,12 @@ func New(cfg Config) *Server {
 		// The error path is unreachable: the interval is a validated
 		// positive int and the clock constant is well-formed.
 		s.col, _ = series.NewCollector(s.tel, series.ClockOrdinal, float64(cfg.SeriesWindow))
+		s.col.Retain(seriesRetain)
 	}
 	s.ready.Store(true)
 
-	s.handle("POST /v1/solve", s.handleCompute(s.solveOne))
-	s.handle("POST /v1/simulate", s.handleCompute(s.simulateOne))
+	s.handle("POST /v1/solve", s.handleCompute("solve", s.solveOne))
+	s.handle("POST /v1/simulate", s.handleCompute("simulate", s.simulateOne))
 	s.handle("POST /v1/execute", s.handleExecute)
 	s.handle("POST /v1/batch", s.handleBatch)
 	s.handle("POST /v1/explain", s.handleExplain)

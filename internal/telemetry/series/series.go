@@ -279,6 +279,10 @@ func SortedKeys[V any](m map[string]V) []string {
 // recording happened (within one Advance stride), so the clock should be
 // advanced at least once per window interval for sharp attribution.
 //
+// A collector keeps every window unless Retain bounds it to the most
+// recent ones, as a long-running process must: its windows would
+// otherwise grow with its lifetime.
+//
 // A nil *Collector is a no-op on every method, so call sites can thread
 // an optional collector without branching. Collector methods are safe
 // for concurrent use.
@@ -296,7 +300,13 @@ type Collector struct {
 	ordinal  int64 // Tick clock
 	prev     telemetry.Snapshot
 	live     map[string]*Sketch
-	windows  []Window
+	// windows holds the completed windows; once retain of them are held
+	// it is a ring whose oldest window is at head, and dropped counts the
+	// windows overwritten.
+	windows []Window
+	retain  int
+	head    int
+	dropped int64
 }
 
 // NewCollector starts a collector over rec with the given clock label
@@ -320,6 +330,21 @@ func NewCollector(rec *telemetry.Recorder, clock string, interval float64) (*Col
 		return nil, fmt.Errorf("series: unknown window clock %q", clock)
 	}
 	return c, nil
+}
+
+// Retain bounds the collector to its n most recent completed windows
+// (n <= 0 keeps every window). A snapshot of a bounded collector starts
+// at the oldest window it kept: its origin moves past the dropped
+// windows and its windows are numbered from 0 again, so the snapshot is
+// a well-formed series of the clock span it covers. Call Retain before
+// the first window completes.
+func (c *Collector) Retain(n int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.retain = max(n, 0)
 }
 
 // Observe feeds one value into the named sketch of the current window.
@@ -389,11 +414,23 @@ func (c *Collector) captureLocked(next int64) {
 	}
 	c.live = nil
 	c.prev = snap
-	c.windows = append(c.windows, w)
+	c.push(w)
 	for i := c.cur + 1; i < next; i++ {
-		c.windows = append(c.windows, Window{Index: i})
+		c.push(Window{Index: i})
 	}
 	c.cur = next
+}
+
+// push stores one completed window, overwriting the oldest once the
+// collector holds retain of them.
+func (c *Collector) push(w Window) {
+	if c.retain == 0 || len(c.windows) < c.retain {
+		c.windows = append(c.windows, w)
+		return
+	}
+	c.windows[c.head] = w
+	c.head = (c.head + 1) % c.retain
+	c.dropped++
 }
 
 // Tick advances an ordinal-clock collector by one completion.
@@ -451,12 +488,17 @@ func (c *Collector) Snapshot() *Series {
 }
 
 func (c *Collector) snapshotLocked() *Series {
+	ws := make([]Window, 0, len(c.windows))
+	ws = append(append(ws, c.windows[c.head:]...), c.windows[:c.head]...)
+	for i := range ws {
+		ws[i].Index -= c.dropped
+	}
 	return &Series{
 		Clock:    c.clock,
 		Interval: c.interval,
-		Origin:   c.origin,
+		Origin:   c.origin + float64(c.dropped)*c.interval,
 		Alpha:    c.alpha,
-		Windows:  append([]Window(nil), c.windows...),
+		Windows:  ws,
 	}
 }
 

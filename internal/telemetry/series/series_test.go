@@ -281,3 +281,46 @@ func TestNewCollectorValidation(t *testing.T) {
 		t.Fatal("unknown clock must fail")
 	}
 }
+
+// TestCollectorRetain runs a bounded and an unbounded ordinal collector
+// side by side: the bounded snapshot must be the unbounded one's last
+// windows, renumbered from 0 with the origin moved past the dropped
+// ones, at every point of the run, and must round-trip through JSONL.
+func TestCollectorRetain(t *testing.T) {
+	rec := telemetry.New()
+	all, err := NewCollector(rec, ClockOrdinal, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := NewCollector(rec, ClockOrdinal, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept.Retain(3)
+	for i := 0; i < 41; i++ {
+		rec.Count("req", int64(i))
+		all.TickWith("lat", float64(i))
+		kept.TickWith("lat", float64(i))
+		full, got := all.Snapshot(), kept.Snapshot()
+		skip := max(len(full.Windows)-3, 0)
+		if len(got.Windows) != len(full.Windows)-skip {
+			t.Fatalf("tick %d: %d windows kept of %d, want the last 3", i, len(got.Windows), len(full.Windows))
+		}
+		if want := full.WindowStart(int64(skip)); got.Origin != want { //lint:allow floatcmp: ordinal window starts are small integers
+			t.Fatalf("tick %d: origin %v, want %v", i, got.Origin, want)
+		}
+		for j, w := range got.Windows {
+			ref := full.Windows[skip+j]
+			if w.Index != int64(j) || w.Counters["req"] != ref.Counters["req"] || w.Sketches["lat"].Count() != ref.Sketches["lat"].Count() {
+				t.Fatalf("tick %d: kept window %d = %+v, want %+v renumbered", i, j, w, ref)
+			}
+		}
+	}
+	var buf bytes.Buffer
+	if err := kept.Snapshot().WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadJSONL(&buf); err != nil {
+		t.Fatalf("bounded snapshot does not read back: %v", err)
+	}
+}
