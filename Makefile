@@ -184,14 +184,16 @@ bench-stream:
 soak-smoke:
 	$(GO) run ./cmd/sdemsoak -virtual 600 -fault-intensity 0.6 -q
 
-# serve-smoke starts sdemd on an ephemeral port: healthz, readyz, one
-# solve and one simulate, the exposition's key series, and a graceful
-# SIGTERM exit (status 0).
+# serve-smoke starts sdemd on an ephemeral port with one-request series
+# windows: healthz, readyz, one solve and one simulate, the exposition's
+# key series, sdemwatch reading the two sealed windows from
+# /debug/series (report only: latency is wall time, so no profile), and
+# a graceful SIGTERM exit (status 0).
 serve-smoke:
-	$(GO) build -o sdemd.smoke ./cmd/sdemd
+	$(GO) build -o sdemd.smoke ./cmd/sdemd && $(GO) build -o sdemwatch.smoke ./cmd/sdemwatch
 	@set -e; \
-	./sdemd.smoke -addr 127.0.0.1:0 -addr-file sdemd.smoke.addr & PID=$$!; \
-	trap 'kill $$PID 2>/dev/null || true; rm -f sdemd.smoke sdemd.smoke.addr exposition.smoke' EXIT; \
+	./sdemd.smoke -addr 127.0.0.1:0 -addr-file sdemd.smoke.addr -series-window 1 & PID=$$!; \
+	trap 'kill $$PID 2>/dev/null || true; rm -f sdemd.smoke sdemwatch.smoke sdemd.smoke.addr exposition.smoke watch.smoke' EXIT; \
 	for i in $$(seq 1 50); do [ -s sdemd.smoke.addr ] && break; sleep 0.1; done; \
 	ADDR=$$(cat sdemd.smoke.addr); \
 	BODY='{"Tasks":[{"ID":0,"Deadline":0.05,"Workload":2e6}]}'; \
@@ -203,6 +205,8 @@ serve-smoke:
 	grep -q '^sdem_serve_requests_total' exposition.smoke; \
 	grep -q '^sdem_sim_energy_j_total' exposition.smoke; \
 	grep -q '^# EOF' exposition.smoke; \
+	./sdemwatch.smoke -url "http://$$ADDR/debug/series" > watch.smoke; \
+	grep -q ' windows=2$$' watch.smoke; \
 	kill -TERM $$PID; wait $$PID
 
 # overload-smoke: a low-capacity race-built sdemd under 2x-plus load must

@@ -15,7 +15,7 @@
 // regressions: every benchmark present in both the baseline and the new
 // run has its allocs/op and its solver work units (workUnits: evals/op,
 // pieces/op, cells/op, blocks/op, slope_evals/op) compared, and the exit
-// status is 1 if any rose by more than -max-alloc-growth (default 5%).
+// status is 1 if any rose by more than maxAllocGrowth (5%).
 // Only counts are gated — unlike wall time they are deterministic for a
 // fixed binary, so the gate never flakes on a loaded CI machine. A work
 // unit the baseline entry lacks is noted, not gated. A baseline benchmark
@@ -28,8 +28,8 @@
 // name are replaced by the new run, everything else is kept. This is
 // how out-of-band benchmark producers (`sdemload -campaign`) land their
 // summary lines in the same baseline file `go test -bench` feeds —
-// merge only shapes the output; the -compare/-require gates still judge
-// the parsed run alone.
+// merge only shapes the output; the -compare gate still judges the
+// parsed run alone.
 //
 // With -ab-base BASE.txt -ab-change CHANGE.txt the tool reads no stdin
 // and compares two sides' concatenated `go test -bench` outputs instead:
@@ -38,17 +38,6 @@
 // the median change/base ratio with its quartiles. `make bench-ab
 // BASE=<rev>` produces the two files by alternating the runs, so each
 // pair shares the host's state.
-//
-// A repeatable -require flag turns the comparison into an improvement
-// gate for specific benchmarks:
-//
-//	-require 'BenchmarkScheduleOnline:ns=2,allocs=5'
-//
-// demands baseline/current ≥ 2 for ns/op and ≥ 5 for allocs/op — i.e.
-// the named benchmark must be at least that many times better than the
-// baseline. Metrics are ns, allocs, and bytes. A required benchmark
-// missing from either report fails the gate: a floor that silently
-// stops measuring is no floor.
 package main
 
 import (
@@ -89,9 +78,6 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	merge := flag.String("merge", "", "existing report to merge the parsed run into (same package+name replaced, rest kept; shapes the output only, never the gates)")
 	compare := flag.String("compare", "", "baseline report to gate allocs/op and work-unit regressions against")
-	maxGrowth := flag.Float64("max-alloc-growth", 0.05, "maximum allowed relative allocs/op and work-unit growth vs the baseline")
-	var require requireList
-	flag.Var(&require, "require", "improvement floor 'BenchmarkName:ns=2,allocs=5' vs the -compare baseline (repeatable)")
 	abBase := flag.String("ab-base", "", "A/B mode: the base side's `go test -bench` output (needs -ab-change; reads no stdin)")
 	abChange := flag.String("ab-change", "", "A/B mode: the change side's `go test -bench` output")
 	flag.Parse()
@@ -105,10 +91,6 @@ func main() {
 			os.Exit(1)
 		}
 		return
-	}
-	if len(require) > 0 && *compare == "" {
-		fmt.Fprintln(os.Stderr, "benchreport: -require needs a -compare baseline")
-		os.Exit(1)
 	}
 
 	report, err := parse(bufio.NewScanner(os.Stdin))
@@ -169,19 +151,10 @@ func main() {
 	if *compare == "" {
 		return
 	}
-	regressions := compareCounts(os.Stderr, baseline, report, *maxGrowth)
+	regressions := compareCounts(os.Stderr, baseline, report)
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "benchreport: %d allocs/op or work-unit regression(s) vs %s (limit +%.0f%%)\n",
-			regressions, *compare, *maxGrowth*100)
-		os.Exit(1)
-	}
-	failures, err := checkRequired(os.Stderr, baseline, report, require)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchreport:", err)
-		os.Exit(1)
-	}
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchreport: %d improvement floor(s) not met vs %s\n", failures, *compare)
+			regressions, *compare, maxAllocGrowth*100)
 		os.Exit(1)
 	}
 }
@@ -238,114 +211,9 @@ func mergeReports(existing, cur Report) Report {
 	return out
 }
 
-// requireList collects repeated -require flags.
-type requireList []string
-
-func (r *requireList) String() string { return strings.Join(*r, " ") }
-func (r *requireList) Set(v string) error {
-	*r = append(*r, v)
-	return nil
-}
-
-// findByName returns the unique benchmark entry with the given name, in
-// any package. Duplicates across packages are ambiguous and rejected.
-func findByName(rep Report, name string) (*Entry, error) {
-	var found *Entry
-	for i := range rep.Benchmarks {
-		if rep.Benchmarks[i].Name != name {
-			continue
-		}
-		if found != nil {
-			return nil, fmt.Errorf("benchmark %s is ambiguous: present in %s and %s",
-				name, found.Package, rep.Benchmarks[i].Package)
-		}
-		found = &rep.Benchmarks[i]
-	}
-	return found, nil
-}
-
-// checkRequired enforces the -require improvement floors: for each spec
-// "BenchmarkName:metric=factor,..." the named benchmark must satisfy
-// baseline/current ≥ factor on every listed metric. A benchmark missing
-// from either report counts as a failure; a malformed spec is an error.
-func checkRequired(w io.Writer, baseline, current Report, specs []string) (failures int, err error) {
-	for _, spec := range specs {
-		name, metrics, ok := strings.Cut(spec, ":")
-		if !ok || name == "" || metrics == "" {
-			return failures, fmt.Errorf("malformed -require %q: want 'BenchmarkName:ns=2,allocs=5'", spec)
-		}
-		base, err := findByName(baseline, name)
-		if err != nil {
-			return failures, err
-		}
-		cur, err := findByName(current, name)
-		if err != nil {
-			return failures, err
-		}
-		if base == nil || cur == nil {
-			failures++
-			side := "baseline"
-			if base != nil {
-				side = "current run"
-			}
-			fmt.Fprintf(w, "  MISSING   %s: required benchmark absent from the %s\n", name, side)
-			continue
-		}
-		for _, m := range strings.Split(metrics, ",") {
-			metric, factorStr, ok := strings.Cut(m, "=")
-			if !ok {
-				return failures, fmt.Errorf("malformed -require metric %q in %q: want 'metric=factor'", m, spec)
-			}
-			factor, err := strconv.ParseFloat(factorStr, 64)
-			if err != nil || factor <= 0 {
-				return failures, fmt.Errorf("malformed -require factor %q in %q", factorStr, spec)
-			}
-			var old, now float64
-			var unit string
-			switch metric {
-			case "ns":
-				old, now, unit = base.NsPerOp, cur.NsPerOp, "ns/op"
-			case "allocs":
-				if base.AllocsPerOp == nil || cur.AllocsPerOp == nil {
-					failures++
-					fmt.Fprintf(w, "  MISSING   %s: allocs/op absent (run with -benchmem)\n", name)
-					continue
-				}
-				old, now, unit = *base.AllocsPerOp, *cur.AllocsPerOp, "allocs/op"
-			case "bytes":
-				if base.BytesPerOp == nil || cur.BytesPerOp == nil {
-					failures++
-					fmt.Fprintf(w, "  MISSING   %s: B/op absent (run with -benchmem)\n", name)
-					continue
-				}
-				old, now, unit = *base.BytesPerOp, *cur.BytesPerOp, "B/op"
-			default:
-				return failures, fmt.Errorf("unknown -require metric %q in %q: want ns, allocs, or bytes", metric, spec)
-			}
-			if now*factor > old {
-				failures++
-				fmt.Fprintf(w, "  BELOW     %s: %s %.0f -> %.0f is %.2fx, floor %gx\n",
-					name, unit, old, now, ratio(old, now), factor)
-			} else {
-				fmt.Fprintf(w, "  floor ok  %s: %s %.0f -> %.0f is %.2fx (floor %gx)\n",
-					name, unit, old, now, ratio(old, now), factor)
-			}
-		}
-	}
-	return failures, nil
-}
-
-// ratio is the baseline/current improvement factor; a zero current with
-// a nonzero baseline is an infinite improvement.
-func ratio(old, now float64) float64 {
-	if now == 0 { //lint:allow floatcmp: guards the division; benchmark metrics are exact
-		if old == 0 { //lint:allow floatcmp: see above
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return old / now
-}
+// maxAllocGrowth is the largest relative allocs/op or work-unit growth
+// over the baseline that the -compare gate lets pass.
+const maxAllocGrowth = 0.05
 
 // workUnits are the custom units gated like allocs/op: solver work
 // counts taken from one recorded solve, which do not depend on the host.
@@ -353,11 +221,11 @@ var workUnits = [...]string{"evals/op", "pieces/op", "cells/op", "blocks/op", "s
 
 // compareCounts reports every benchmark's allocs/op and work-unit
 // movement against the baseline and returns the number of regressions
-// beyond maxGrowth. Benchmarks present on only one side are noted but
+// beyond maxAllocGrowth. Benchmarks present on only one side are noted but
 // never count here: a new benchmark has no baseline, and one the run
 // lacks is absent's to fail. A work unit the baseline entry lacks is
 // noted, not gated.
-func compareCounts(w io.Writer, baseline, current Report, maxGrowth float64) int {
+func compareCounts(w io.Writer, baseline, current Report) int {
 	type key struct{ pkg, name string }
 	base := make(map[key]*Entry, len(baseline.Benchmarks))
 	for i := range baseline.Benchmarks {
@@ -375,7 +243,7 @@ func compareCounts(w io.Writer, baseline, current Report, maxGrowth float64) int
 		}
 		delete(base, key{e.Package, e.Name})
 		// A run without -benchmem on one side has no allocs/op to gate.
-		if b.AllocsPerOp != nil && e.AllocsPerOp != nil && !judge(w, id, "allocs/op", *b.AllocsPerOp, *e.AllocsPerOp, maxGrowth) {
+		if b.AllocsPerOp != nil && e.AllocsPerOp != nil && !judge(w, id, "allocs/op", *b.AllocsPerOp, *e.AllocsPerOp) {
 			regressions++
 		}
 		for _, unit := range workUnits {
@@ -388,7 +256,7 @@ func compareCounts(w io.Writer, baseline, current Report, maxGrowth float64) int
 				fmt.Fprintf(w, "  new unit  %s: %s has no baseline\n", id, unit)
 				continue
 			}
-			if !judge(w, id, unit, old, now, maxGrowth) {
+			if !judge(w, id, unit, old, now) {
 				regressions++
 			}
 		}
@@ -404,10 +272,10 @@ func compareCounts(w io.Writer, baseline, current Report, maxGrowth float64) int
 }
 
 // judge prints one count's movement and reports whether it stayed within
-// maxGrowth of the baseline.
-func judge(w io.Writer, id, unit string, old, now, maxGrowth float64) bool {
+// maxAllocGrowth of the baseline.
+func judge(w io.Writer, id, unit string, old, now float64) bool {
 	switch {
-	case now > old && now > old*(1+maxGrowth):
+	case now > old && now > old*(1+maxAllocGrowth):
 		fmt.Fprintf(w, "  REGRESSED %s: %s %s -> %s (%+.1f%%)\n", id, unit, num(old), num(now), growthPct(old, now))
 		return false
 	case now < old:

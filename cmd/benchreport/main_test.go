@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -120,7 +119,7 @@ func TestCompareAllocs(t *testing.T) {
 		entry("sdem", "BenchmarkNoMem", nil),       // no memstats: never gates
 	}}
 	var buf strings.Builder
-	got := compareCounts(&buf, baseline, current, 0.05)
+	got := compareCounts(&buf, baseline, current)
 	if got != 2 {
 		t.Fatalf("compareCounts = %d regressions, want 2\nreport:\n%s", got, buf.String())
 	}
@@ -138,83 +137,6 @@ func TestCompareAllocs(t *testing.T) {
 	}
 	if strings.Contains(out, "REGRESSED sdem/BenchmarkA") {
 		t.Errorf("BenchmarkA within budget but flagged:\n%s", out)
-	}
-}
-
-func timed(pkg, name string, ns float64, a *float64) Entry {
-	return Entry{Name: name, Package: pkg, Iterations: 1, NsPerOp: ns, AllocsPerOp: a}
-}
-
-func TestCheckRequired(t *testing.T) {
-	baseline := Report{Benchmarks: []Entry{
-		timed("sdem", "BenchmarkFast", 1000, allocs(100)),
-		timed("sdem", "BenchmarkSlow", 1000, allocs(100)),
-	}}
-	current := Report{Benchmarks: []Entry{
-		timed("sdem", "BenchmarkFast", 400, allocs(10)), // 2.5x ns, 10x allocs
-		timed("sdem", "BenchmarkSlow", 900, allocs(95)), // 1.1x ns: below a 2x floor
-	}}
-
-	var buf strings.Builder
-	failures, err := checkRequired(&buf, baseline, current, []string{"BenchmarkFast:ns=2,allocs=5"})
-	if err != nil || failures != 0 {
-		t.Fatalf("met floor reported failures=%d err=%v:\n%s", failures, err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "floor ok  BenchmarkFast") {
-		t.Errorf("missing floor-ok lines:\n%s", buf.String())
-	}
-
-	buf.Reset()
-	failures, err = checkRequired(&buf, baseline, current, []string{"BenchmarkSlow:ns=2"})
-	if err != nil || failures != 1 {
-		t.Fatalf("unmet ns floor reported failures=%d err=%v:\n%s", failures, err, buf.String())
-	}
-	if !strings.Contains(buf.String(), "BELOW     BenchmarkSlow") {
-		t.Errorf("missing BELOW line:\n%s", buf.String())
-	}
-
-	// A required benchmark absent from either side fails the gate.
-	buf.Reset()
-	failures, err = checkRequired(&buf, baseline, current, []string{"BenchmarkGone:ns=2"})
-	if err != nil || failures != 1 {
-		t.Fatalf("missing benchmark reported failures=%d err=%v:\n%s", failures, err, buf.String())
-	}
-	buf.Reset()
-	failures, err = checkRequired(&buf, Report{}, current, []string{"BenchmarkFast:ns=2"})
-	if err != nil || failures != 1 {
-		t.Fatalf("missing baseline entry reported failures=%d err=%v:\n%s", failures, err, buf.String())
-	}
-
-	// A floor on allocs with no memstats on one side fails rather than passes.
-	noMem := Report{Benchmarks: []Entry{timed("sdem", "BenchmarkFast", 400, nil)}}
-	buf.Reset()
-	failures, err = checkRequired(&buf, baseline, noMem, []string{"BenchmarkFast:allocs=5"})
-	if err != nil || failures != 1 {
-		t.Fatalf("missing memstats reported failures=%d err=%v:\n%s", failures, err, buf.String())
-	}
-}
-
-func TestCheckRequiredMalformed(t *testing.T) {
-	rep := Report{Benchmarks: []Entry{timed("sdem", "BenchmarkFast", 1, nil)}}
-	for _, spec := range []string{
-		"BenchmarkFast",         // no metrics
-		"BenchmarkFast:ns",      // no factor
-		"BenchmarkFast:ns=zero", // bad factor
-		"BenchmarkFast:ns=-1",   // non-positive factor
-		"BenchmarkFast:watts=2", // unknown metric
-		":ns=2",                 // no name
-	} {
-		if _, err := checkRequired(io.Discard, rep, rep, []string{spec}); err == nil {
-			t.Errorf("spec %q accepted, want error", spec)
-		}
-	}
-	// Ambiguous names (same benchmark in two packages) are rejected.
-	amb := Report{Benchmarks: []Entry{
-		timed("sdem/a", "BenchmarkFast", 1, nil),
-		timed("sdem/b", "BenchmarkFast", 1, nil),
-	}}
-	if _, err := checkRequired(io.Discard, amb, amb, []string{"BenchmarkFast:ns=1"}); err == nil {
-		t.Error("ambiguous benchmark name accepted, want error")
 	}
 }
 
@@ -250,7 +172,7 @@ func TestCompareAllocsImprovement(t *testing.T) {
 	baseline := Report{Benchmarks: []Entry{entry("sdem", "BenchmarkA", allocs(200))}}
 	current := Report{Benchmarks: []Entry{entry("sdem", "BenchmarkA", allocs(50))}}
 	var buf strings.Builder
-	if got := compareCounts(&buf, baseline, current, 0.05); got != 0 {
+	if got := compareCounts(&buf, baseline, current); got != 0 {
 		t.Fatalf("improvement counted as regression:\n%s", buf.String())
 	}
 	if !strings.Contains(buf.String(), "improved  sdem/BenchmarkA: allocs/op 200 -> 50 (-75.0%)") {
@@ -280,7 +202,7 @@ func TestCompareWorkUnits(t *testing.T) {
 		worked("sdem", "BenchmarkMean", map[string]float64{"blocks/op": 18, "cells/op": 36}),
 	}}
 	var buf strings.Builder
-	if got := compareCounts(&buf, baseline, current, 0.05); got != 2 {
+	if got := compareCounts(&buf, baseline, current); got != 2 {
 		t.Fatalf("compareCounts = %d regressions, want 2\nreport:\n%s", got, buf.String())
 	}
 	out := buf.String()

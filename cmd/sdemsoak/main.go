@@ -2,7 +2,7 @@
 // drives days of virtual time from a sporadic arrival source through
 // online.ScheduleStream in O(active-set) memory, optionally under seeded
 // fault injection (workload overruns, late releases), and exposes live
-// OpenMetrics while the run is in flight.
+// OpenMetrics and the windowed series while the run is in flight.
 //
 // Usage:
 //
@@ -11,6 +11,8 @@
 //	curl -s localhost:9090/metrics | grep stream_virtual
 //	sdemsoak -virtual 7200 -window 300 -series-out soak.series.jsonl \
 //	    -slo-miss-rate 0.05 -slo-p99 2 -slo-drift 0.5
+//	sdemsoak -virtual 0 -jobs 1000000 -window 300 -listen 127.0.0.1:9090 &
+//	sdemwatch -url http://127.0.0.1:9090/debug/series -profile soak
 //
 // The summary is printed as JSON on stdout. The process exits non-zero
 // when any miss is unexplained — a miss on a job that was neither
@@ -24,6 +26,9 @@
 // the optional objectives. A failed verdict exits non-zero with an "SLO
 // breach" error, and the verdict rides in the summary's "slo" field.
 // Series dumps and verdicts are deterministic: same seeds, same bytes.
+// With -listen as well, GET /debug/series serves the windows sealed so
+// far in the same JSONL layout (404 without -window), so sdemwatch -url
+// can judge a soak still in flight.
 package main
 
 import (
@@ -101,7 +106,7 @@ func main() {
 	flag.DurationVar(&o.arrival, "arrival", 80*time.Millisecond, "max inter-arrival gap; releases are spaced uniformly in [0, arrival]")
 	flag.Float64Var(&o.intensity, "fault-intensity", 0, "fault injection intensity in [0, 1] (0 disables)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault draw seed (same seed, same perturbations)")
-	flag.StringVar(&o.listen, "listen", "", "serve live OpenMetrics on this address while soaking (empty = off)")
+	flag.StringVar(&o.listen, "listen", "", "serve live /metrics and /debug/series on this address while soaking (empty = off)")
 	flag.BoolVar(&o.quiet, "q", false, "suppress the JSON summary; only the exit code reports")
 	flag.Float64Var(&o.window, "window", 0, "virtual seconds per telemetry window (0 = windowed series off)")
 	flag.StringVar(&o.seriesOut, "series-out", "", "write the windowed series as JSONL to this file (requires -window)")
@@ -139,24 +144,6 @@ func run(o options) error {
 	}
 
 	tel := telemetry.New()
-	if o.listen != "" {
-		l, err := net.Listen("tcp", o.listen)
-		if err != nil {
-			return err
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			if err := export.WriteOpenMetrics(w, tel.Snapshot()); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(l)
-		defer srv.Close()
-		fmt.Fprintln(os.Stderr, "sdemsoak: metrics on", l.Addr())
-	}
-
 	opts := online.StreamOptions{
 		Cores:      o.cores,
 		MaxVirtual: o.virtual,
@@ -170,6 +157,16 @@ func run(o options) error {
 			return err
 		}
 		opts.Series = col
+	}
+	if o.listen != "" {
+		l, err := net.Listen("tcp", o.listen)
+		if err != nil {
+			return err
+		}
+		srv := &http.Server{Handler: listenHandler(tel, col)}
+		go srv.Serve(l)
+		defer srv.Close()
+		fmt.Fprintln(os.Stderr, "sdemsoak: metrics and series on", l.Addr())
 	}
 	if o.intensity > 0 {
 		opts.Faults = faults.NewStreamer(faults.Config{Intensity: o.intensity}, o.faultSeed)
@@ -245,4 +242,28 @@ func run(o options) error {
 		return fmt.Errorf("SLO breach: %v", verdict.Failing())
 	}
 	return nil
+}
+
+// listenHandler serves the live soak: /metrics renders the recorder as
+// OpenMetrics, and /debug/series dumps col's sealed windows as JSONL
+// exactly as sdemd does (404 when col is nil, i.e. without -window).
+func listenHandler(tel *telemetry.Recorder, col *series.Collector) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
+		if err := export.WriteOpenMetrics(w, tel.Snapshot()); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})
+	mux.HandleFunc("/debug/series", func(w http.ResponseWriter, _ *http.Request) {
+		if col == nil {
+			http.Error(w, "windowed series disabled (-window 0)", http.StatusNotFound)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		if err := col.Snapshot().WriteJSONL(w); err != nil {
+			fmt.Fprintln(os.Stderr, "sdemsoak: series dump failed:", err)
+		}
+	})
+	return mux
 }

@@ -1,21 +1,21 @@
 // Command sdemwatch is the campaign watchtower: it consumes windowed
-// telemetry — a JSONL series dump written by sdemsoak -series-out, the
-// live /debug/series endpoint of sdemd, or repeated scrapes of an
-// OpenMetrics exposition — and renders a deterministic campaign report: the
-// per-window table, merged sketch quantiles, and the SLO verdict with
-// its breach timeline.
+// telemetry — a JSONL series dump written by sdemsoak -series-out, or
+// the live /debug/series endpoint of sdemd or of sdemsoak -listen — and
+// renders a deterministic campaign report: the per-window table, merged
+// sketch quantiles, and the SLO verdict with its breach timeline. Every
+// input is a series.Collector dump, so the built-in profiles' keys
+// always name what the producers record.
 //
 // Usage:
 //
 //	sdemwatch -series soak.series.jsonl -profile soak
 //	sdemwatch -series - -slo specs.json -verdict-out verdict.json < dump.jsonl
 //	sdemwatch -url http://127.0.0.1:8080/debug/series -profile serve
-//	sdemwatch -metrics-url http://127.0.0.1:9090/metrics -scrapes 5 -poll 2s
+//	sdemwatch -url http://127.0.0.1:9090/debug/series -profile soak
 //
-// Exactly one input source may be set. The report on stdout is a pure
-// function of the input series and the spec set, so watching the same
-// dump twice yields byte-identical reports (scrape mode watches a live
-// process and is only as deterministic as the process).
+// Exactly one of -series and -url may be set. The report on stdout is a
+// pure function of the input series and the spec set, so watching the
+// same dump twice yields byte-identical reports.
 //
 // Exit status: 0 when every objective passes, 3 when the SLO verdict
 // fails (the distinguishable "SLO breach" outcome CI gates on), 1 on
@@ -28,7 +28,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"time"
 
 	"sdem/internal/telemetry/series"
 	"sdem/internal/telemetry/slo"
@@ -41,9 +40,6 @@ const exitBreach = 3
 type options struct {
 	seriesPath string
 	url        string
-	metricsURL string
-	scrapes    int
-	poll       time.Duration
 
 	sloPath    string
 	profile    string
@@ -61,10 +57,7 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.seriesPath, "series", "", "read a JSONL series dump from this file (- = stdin)")
-	flag.StringVar(&o.url, "url", "", "fetch a JSONL series dump from this URL (e.g. sdemd /debug/series)")
-	flag.StringVar(&o.metricsURL, "metrics-url", "", "scrape this OpenMetrics endpoint repeatedly and build ordinal windows from the deltas")
-	flag.IntVar(&o.scrapes, "scrapes", 3, "number of scrapes in -metrics-url mode (builds scrapes-1 windows)")
-	flag.DurationVar(&o.poll, "poll", time.Second, "delay between scrapes in -metrics-url mode")
+	flag.StringVar(&o.url, "url", "", "fetch a JSONL series dump from this URL (sdemd or sdemsoak -listen /debug/series)")
 	flag.StringVar(&o.sloPath, "slo", "", "JSON SLO spec file (overrides -profile)")
 	flag.StringVar(&o.profile, "profile", "", "built-in spec set: soak | serve (empty = report only, no verdict)")
 	flag.IntVar(&o.coalesce, "coalesce", 0, "merge every k consecutive windows before reporting (0/1 = off)")
@@ -134,14 +127,8 @@ func run(w io.Writer, o options) (int, error) {
 
 // loadSeries resolves the one configured input source.
 func loadSeries(o options) (*series.Series, error) {
-	sources := 0
-	for _, set := range []bool{o.seriesPath != "", o.url != "", o.metricsURL != ""} {
-		if set {
-			sources++
-		}
-	}
-	if sources != 1 {
-		return nil, fmt.Errorf("set exactly one of -series, -url, -metrics-url (got %d)", sources)
+	if (o.seriesPath == "") == (o.url == "") {
+		return nil, fmt.Errorf("set exactly one of -series and -url")
 	}
 	switch {
 	case o.seriesPath == "-":
@@ -153,7 +140,7 @@ func loadSeries(o options) (*series.Series, error) {
 		}
 		defer f.Close()
 		return series.ReadJSONL(f)
-	case o.url != "":
+	default:
 		resp, err := http.Get(o.url)
 		if err != nil {
 			return nil, err
@@ -163,11 +150,6 @@ func loadSeries(o options) (*series.Series, error) {
 			return nil, fmt.Errorf("GET %s: %s", o.url, resp.Status)
 		}
 		return series.ReadJSONL(resp.Body)
-	default:
-		if o.scrapes < 2 {
-			return nil, fmt.Errorf("-scrapes must be at least 2 to form a window, got %d", o.scrapes)
-		}
-		return scrapeSeries(o.metricsURL, o.scrapes, o.poll)
 	}
 }
 

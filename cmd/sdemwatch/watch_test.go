@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"sdem/internal/telemetry"
-	"sdem/internal/telemetry/export"
 	"sdem/internal/telemetry/series"
 	"sdem/internal/telemetry/slo"
 )
@@ -157,99 +155,5 @@ func TestRunFetchesDumpOverHTTP(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "windows=8") {
 		t.Fatalf("fetched report wrong:\n%s", buf.String())
-	}
-}
-
-// TestScrapeSeries drives the scrape mode against a live exposition
-// built by the real exporter, advancing the recorder between scrapes.
-func TestScrapeSeries(t *testing.T) {
-	tel := telemetry.New()
-	tel.RegisterHistogram("sdem.req.latency", []float64{0.01, 0.1, 1})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		// Each scrape observes a hotter recorder: +10 requests, +5 J.
-		for i := 0; i < 10; i++ {
-			tel.CountL("sdem.serve.requests", "route=/solve", 1)
-			tel.Observe("sdem.req.latency", 0.05)
-		}
-		tel.Add("sdem.sim.metered_j", 5)
-		tel.Gauge("sdem.serve.inflight", 3)
-		if err := export.WriteOpenMetrics(w, tel.Snapshot()); err != nil {
-			t.Error(err)
-		}
-	}))
-	defer srv.Close()
-
-	ser, err := scrapeSeries(srv.URL, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ser.Clock != series.ClockOrdinal || len(ser.Windows) != 2 {
-		t.Fatalf("clock=%s windows=%d, want ordinal/2", ser.Clock, len(ser.Windows))
-	}
-	for i, w := range ser.Windows {
-		if got := w.Floats[`sdem_serve_requests_total{route="/solve"}`]; got != 10 {
-			t.Fatalf("window %d: requests delta = %g, want 10", i, got)
-		}
-		if got := w.Floats["sdem_sim_metered_j_total"]; got != 5 {
-			t.Fatalf("window %d: energy delta = %g, want 5", i, got)
-		}
-		if got := w.Counters["sdem_req_latency_count"]; got != 10 {
-			t.Fatalf("window %d: histogram count delta = %d, want 10", i, got)
-		}
-		if got := w.Gauges["sdem_serve_inflight"]; got != 3 {
-			t.Fatalf("window %d: gauge = %g, want 3", i, got)
-		}
-		if w.Floats["sdem_req_latency_sum"] <= 0 {
-			t.Fatalf("window %d: histogram sum delta missing", i)
-		}
-	}
-	// An exposition-name spec evaluates against the scraped series.
-	v, err := slo.Evaluate(ser, []slo.Spec{{
-		Name: "req-rate", Kind: slo.KindRatio,
-		Num: "sdem_serve_requests_total", Max: 100, Budget: 0,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.Pass || v.Results[0].Windows != 2 {
-		t.Fatalf("scraped verdict: %+v", v.Results[0])
-	}
-	// The report renders scrape-mode series too.
-	var buf bytes.Buffer
-	if err := render(&buf, ser, v); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "clock=ordinal") {
-		t.Fatalf("scrape report wrong:\n%s", buf.String())
-	}
-}
-
-func TestParseExpositionSkipsJunk(t *testing.T) {
-	s, err := parseExposition(strings.NewReader(strings.Join([]string{
-		"# TYPE good counter",
-		"good_total 5",
-		"good_total{x=\"y\"} 2 # {trace_id=\"ab\"} 0.1", // exemplar stripped
-		"not typed 12 garbage words",
-		"# malformed comment",
-		"lonely",
-		"# EOF",
-	}, "\n")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.counters["good_total"] != 5 || s.counters[`good_total{x="y"}`] != 2 {
-		t.Fatalf("parsed counters: %+v", s.counters)
-	}
-	if len(s.gauges) != 0 || len(s.hcounts) != 0 {
-		t.Fatalf("junk must be skipped: %+v %+v", s.gauges, s.hcounts)
-	}
-}
-
-func TestDeltaWindowResetConvention(t *testing.T) {
-	prev := scrape{counters: map[string]float64{"c_total": 100}, gauges: map[string]float64{}, hcounts: map[string]float64{}}
-	cur := scrape{counters: map[string]float64{"c_total": 7}, gauges: map[string]float64{}, hcounts: map[string]float64{}}
-	w := deltaWindow(0, prev, cur)
-	if got := w.Floats["c_total"]; got != 7 {
-		t.Fatalf("reset delta = %g, want the new cumulative 7", got)
 	}
 }

@@ -76,26 +76,6 @@ func AvgImprovement(series []Series) float64 {
 	return sum / float64(n)
 }
 
-// AvgSaving averages a column across all points of all series.
-func AvgSaving(series []Series, sdemON bool) float64 {
-	var sum float64
-	var n int
-	for _, s := range series {
-		for _, p := range s.Points {
-			if sdemON {
-				sum += p.SDEMON.Mean
-			} else {
-				sum += p.MBKPS.Mean
-			}
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // RenderAblation formats the race-to-idle ablation.
 func RenderAblation(points []AblationPoint) string {
 	var b strings.Builder

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sdem/internal/telemetry/series"
+	"sdem/internal/telemetry/slo"
 )
 
 // TestDebugSeriesWindows drives enough requests to seal ordinal windows
@@ -132,5 +133,41 @@ func TestMetricsUnchangedBySeries(t *testing.T) {
 	on, off := expose(4), expose(-1)
 	if on != off {
 		t.Fatalf("exposition differs with series on/off:\n--- on ---\n%s\n--- off ---\n%s", on, off)
+	}
+}
+
+// TestServeProfileMatchesProducerKeys pins the built-in serve profile
+// to the keys the middleware records: over three sealed /debug/series
+// windows, every objective of slo.ServeSpecs must find eligible
+// windows. An objective whose keys match nothing judges zero windows
+// and passes silently.
+func TestServeProfileMatchesProducerKeys(t *testing.T) {
+	s := New(Config{
+		Logger:       slog.New(slog.NewTextHandler(io.Discard, nil)),
+		SeriesWindow: 4,
+	})
+	for i := 0; i < 12; i++ {
+		if w := post(t, s, "/v1/solve", TaskRequest{Tasks: commonRelease()}); w.Code != http.StatusOK {
+			t.Fatalf("solve %d: %d\n%s", i, w.Code, w.Body.String())
+		}
+	}
+	ser, err := series.ReadJSONL(get(t, s, "/debug/series").Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ser.Windows) != 3 {
+		t.Fatalf("windows=%d, want 3", len(ser.Windows))
+	}
+	v, err := slo.Evaluate(ser, slo.ServeSpecs(0.1, 250))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Results) != 2 {
+		t.Fatalf("serve profile judged %d objectives, want 2", len(v.Results))
+	}
+	for _, r := range v.Results {
+		if r.Windows == 0 {
+			t.Errorf("objective %s judged no window: its keys match nothing sdemd records", r.Name)
+		}
 	}
 }

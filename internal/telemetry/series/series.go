@@ -23,41 +23,30 @@ const (
 )
 
 // Version identifies the JSONL dump layout.
-const Version = "sdem.series.v1"
-
-// HistDelta is the per-window change of one recorder histogram: the
-// observation count and sum added during the window, and the sparse
-// per-bucket count deltas as [bucket index, delta] pairs in ascending
-// bucket order (the index len(edges) is the +Inf overflow bucket, as in
-// telemetry.HistPoint).
-type HistDelta struct {
-	Count   uint64     `json:"count"`
-	Sum     float64    `json:"sum"`
-	Buckets [][2]int64 `json:"buckets,omitempty"`
-}
+const Version = "sdem.series.v2"
 
 // Window is one aggregation interval of a campaign. Index is the window
 // ordinal; the window covers clock values [Origin+Index*Interval,
 // Origin+(Index+1)*Interval) of the owning Series. Counters and Floats
 // hold deltas over the window (only keys that changed appear), Gauges
 // holds the last sampled value of every gauge at the window's capture,
-// Hists holds histogram deltas, and Sketches holds the quantile sketches
-// of values observed during the window. Keys are "name" or
-// "name{labels}" with the recorder's canonical label form. A captured
-// Window and everything it references is immutable.
+// and Sketches holds the quantile sketches of values observed during
+// the window. Recorder histograms are not windowed: /metrics exposes
+// them cumulatively. Keys are "name" or "name{labels}" with the
+// recorder's canonical label form. A captured Window and everything it
+// references is immutable.
 type Window struct {
-	Index    int64                `json:"w"`
-	Counters map[string]int64     `json:"counters,omitempty"`
-	Floats   map[string]float64   `json:"floats,omitempty"`
-	Gauges   map[string]float64   `json:"gauges,omitempty"`
-	Hists    map[string]HistDelta `json:"hists,omitempty"`
-	Sketches map[string]*Sketch   `json:"sketches,omitempty"`
+	Index    int64              `json:"w"`
+	Counters map[string]int64   `json:"counters,omitempty"`
+	Floats   map[string]float64 `json:"floats,omitempty"`
+	Gauges   map[string]float64 `json:"gauges,omitempty"`
+	Sketches map[string]*Sketch `json:"sketches,omitempty"`
 }
 
 // Empty reports whether the window recorded no change at all (gauge
 // samples alone do not count: they are carried state, not activity).
 func (w Window) Empty() bool {
-	return len(w.Counters) == 0 && len(w.Floats) == 0 && len(w.Hists) == 0 && len(w.Sketches) == 0
+	return len(w.Counters) == 0 && len(w.Floats) == 0 && len(w.Sketches) == 0
 }
 
 // Series is a complete windowed campaign: contiguous windows (indices
@@ -156,10 +145,10 @@ func unmarshalStrict(data []byte, v any) error {
 }
 
 // Coalesce merges every run of k consecutive windows into one, returning
-// a new series with interval k times coarser. Counter, float, histogram,
-// and sketch deltas add across the run; gauges take the last captured
-// sample in the run (the same value a coarser collector would have
-// sampled at its boundary). Merging is exact for counts and sketch
+// a new series with interval k times coarser. Counter, float and sketch
+// deltas add across the run; gauges take the last captured sample in
+// the run (the same value a coarser collector would have sampled at its
+// boundary). Merging is exact for counts and sketch
 // buckets and associative-order-stable for floats (windows fold in index
 // order over sorted keys), which is what makes per-window capture plus
 // Coalesce equal a whole-window recompute to float tolerance.
@@ -211,12 +200,6 @@ func MergeWindows(ws []Window) (Window, error) {
 			}
 			out.Gauges = g
 		}
-		for _, k := range SortedKeys(w.Hists) {
-			if out.Hists == nil {
-				out.Hists = make(map[string]HistDelta)
-			}
-			out.Hists[k] = mergeHistDelta(out.Hists[k], w.Hists[k])
-		}
 		for _, k := range SortedKeys(w.Sketches) {
 			if out.Sketches == nil {
 				out.Sketches = make(map[string]*Sketch)
@@ -232,26 +215,6 @@ func MergeWindows(ws []Window) (Window, error) {
 		}
 	}
 	return out, nil
-}
-
-func mergeHistDelta(a, b HistDelta) HistDelta {
-	out := HistDelta{Count: a.Count + b.Count, Sum: a.Sum + b.Sum}
-	sums := make(map[int64]int64)
-	for _, p := range a.Buckets {
-		sums[p[0]] += p[1]
-	}
-	for _, p := range b.Buckets {
-		sums[p[0]] += p[1]
-	}
-	idx := make([]int64, 0, len(sums))
-	for i := range sums {
-		idx = append(idx, i)
-	}
-	sort.Slice(idx, func(i, j int) bool { return idx[i] < idx[j] })
-	for _, i := range idx {
-		out.Buckets = append(out.Buckets, [2]int64{i, sums[i]})
-	}
-	return out
 }
 
 // SortedKeys returns the map's keys in ascending order; folding maps
@@ -270,9 +233,9 @@ func SortedKeys[V any](m map[string]V) []string {
 
 // Collector captures windows from a live Recorder. Attach it to a
 // campaign clock by calling Advance(clock) at event boundaries (virtual
-// time) or Tick/TickWith per completion (ordinal); each boundary
-// crossing snapshots the recorder and stores the delta against the
-// previous capture as one Window. Feed quantile sketches with Observe —
+// time) or TickWith per completion (ordinal); each boundary crossing
+// snapshots the recorder and stores the delta against the previous
+// capture as one Window. Feed quantile sketches with Observe —
 // observations land in the window open at observation time.
 //
 // Windows attribute a delta to the window that was current when the
@@ -297,7 +260,7 @@ type Collector struct {
 	finished bool
 	origin   float64
 	cur      int64 // index of the open window
-	ordinal  int64 // Tick clock
+	ordinal  int64 // TickWith clock
 	prev     telemetry.Snapshot
 	live     map[string]*Sketch
 	// windows holds the completed windows; once retain of them are held
@@ -433,17 +396,6 @@ func (c *Collector) push(w Window) {
 	c.dropped++
 }
 
-// Tick advances an ordinal-clock collector by one completion.
-func (c *Collector) Tick() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ordinal++
-	c.advanceLocked(float64(c.ordinal))
-}
-
 // TickWith records one sketch observation and advances the ordinal clock
 // by one completion, atomically, so the observation always lands in the
 // completing request's own window.
@@ -547,46 +499,7 @@ func diffWindow(idx int64, prev, cur telemetry.Snapshot) Window {
 			w.Gauges[pointKey(gp.Name, gp.Labels)] = gp.Value
 		}
 	}
-	pi = 0
-	for _, hp := range cur.Hists {
-		for pi < len(prev.Hists) && pointLess(prev.Hists[pi].Name, prev.Hists[pi].Labels, hp.Name, hp.Labels) {
-			pi++
-		}
-		var base *telemetry.HistPoint
-		if pi < len(prev.Hists) && prev.Hists[pi].Name == hp.Name && prev.Hists[pi].Labels == hp.Labels {
-			base = &prev.Hists[pi]
-		}
-		d, changed := diffHist(base, hp)
-		if changed {
-			if w.Hists == nil {
-				w.Hists = make(map[string]HistDelta)
-			}
-			w.Hists[pointKey(hp.Name, hp.Labels)] = d
-		}
-	}
 	return w
-}
-
-func diffHist(prev *telemetry.HistPoint, cur telemetry.HistPoint) (HistDelta, bool) {
-	var baseCount uint64
-	var baseSum float64
-	if prev != nil {
-		baseCount, baseSum = prev.Count, prev.Sum
-	}
-	if cur.Count == baseCount {
-		return HistDelta{}, false
-	}
-	d := HistDelta{Count: cur.Count - baseCount, Sum: cur.Sum - baseSum}
-	for i, n := range cur.Counts {
-		base := uint64(0)
-		if prev != nil && i < len(prev.Counts) {
-			base = prev.Counts[i]
-		}
-		if n != base {
-			d.Buckets = append(d.Buckets, [2]int64{int64(i), int64(n - base)})
-		}
-	}
-	return d, true
 }
 
 func pointKey(name, labels string) string {

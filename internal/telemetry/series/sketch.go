@@ -1,6 +1,9 @@
 // Package series provides deterministic windowed time series over a
 // telemetry.Recorder: counter/float deltas, gauge samples, and quantile
-// sketches captured per window of a campaign clock.
+// sketches captured per window of a campaign clock. Collector is the
+// one builder of windows; recorder histograms stay cumulative on
+// /metrics and are not windowed. Dumps carry Version on their header
+// line, and ReadJSONL rejects any other version.
 //
 // The window clock is never wall time. Soak and experiment campaigns key
 // windows on virtual time; the serve path keys them on the monotone
